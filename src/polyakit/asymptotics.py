@@ -230,12 +230,6 @@ class DecompositionConstants:
         eps = math.log(n) ** (-s)
         return ((1 - eps) * center, (1 + eps) * center)
 
-    def lmax_cdf_estimate(self, n: int, m: int) -> float:
-        """P[L_n <= m] by the saddle-free composition estimate."""
-        if m <= 0:
-            return 0.0
-        return math.exp(-self.lmax_c1 * n * self.rho ** (m / 2) / m ** 1.5)
-
 
 def decomposition_constants(order: int = DEFAULT_ORDER) -> DecompositionConstants:
     sing = solve_polya_singularity(order)

@@ -36,9 +36,42 @@ RESIDUAL_TOL = 1e-10
 SHIFT_TOL = 1e-6
 
 
-def _default_order() -> int:
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, rejected with a one-line error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _size_list(text: str) -> list[int]:
+    """argparse type for --n-values: comma-separated sizes, each >= 2."""
+    return [_int_at_least(2)(v) for v in text.split(",") if v.strip()]
+
+
+def _omega_set(text: str) -> OmegaSet:
+    """argparse type for --omega; an empty text is no set at all."""
+    try:
+        if not text.strip():
+            raise ValueError(text)
+        return OmegaSet.parse(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid outdegree set {text!r}: use 'all', 'all-except:1,2' "
+            "or '0,2'") from None
+
+
+def _default_order(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get("POLYAKIT_ORDER", "")
-    return int(raw) if raw else DEFAULT_ORDER
+    try:
+        return _int_at_least(1)(raw) if raw else DEFAULT_ORDER
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"POLYAKIT_ORDER: {exc}")
 
 
 def _frac(x: Fraction) -> str:
@@ -61,7 +94,7 @@ def _poly_payload(name: str, rows, n: int) -> dict:
     return {"family": name, "n": n, "rows": out}
 
 
-def _coeffs_payload(family: str, n: int, omega_text: str | None) -> dict:
+def _coeffs_payload(family: str, n: int, omega: OmegaSet | None) -> dict:
     if family == "polya":
         return _series_payload(family, families.polya_coeffs(n), n)
     if family == "cayley":
@@ -79,9 +112,8 @@ def _coeffs_payload(family: str, n: int, omega_text: str | None) -> dict:
         return {"family": family, "n": n,
                 "coefficients": [str(v) for v in table[: n + 1]]}
     if family == "omega":
-        if not omega_text:
+        if omega is None:
             raise SystemExit("--omega is required for the omega family")
-        omega = OmegaSet.parse(omega_text)
         series = families.omega_polya_coeffs(omega, n)
         payload = _series_payload(family, series, n)
         payload["omega"] = omega.describe()
@@ -157,7 +189,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_singularity(args) -> int:
-    order = args.order or _default_order()
+    order = args.order
     if args.family == "polya":
         sing = solve_polya_singularity(order)
         payload = asdict(sing)
@@ -178,8 +210,7 @@ def _cmd_singularity(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    order = args.order or _default_order()
-    consts = decomposition_constants(order)
+    consts = decomposition_constants(args.order)
     row = families.exact_forest_size_row(args.exact_n, args.mmax)
     if args.which == "forest-size":
         m_values = list(range(args.mmax + 1))
@@ -203,8 +234,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_sample(args) -> int:
     if args.lmax:
-        n_values = [int(v) for v in args.n_values.split(",") if v.strip()]
-        payload = lmax_check(n_values, args.samples, s=args.s,
+        payload = lmax_check(args.n_values, args.samples, s=args.s,
                              master_seed=args.seed,
                              exact_mean=args.exact_mean)
     else:
@@ -240,15 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
         "polya", "cayley", "dforest", "ctree-poly", "pointed",
         "dforest-components", "hierarchy", "binary", "omega", "identity",
         "identity-dforest", "identity-pointed", "e-series"))
-    p.add_argument("--n", type=int, required=True, help="truncation order")
-    p.add_argument("--omega", help="outdegree set, e.g. '0,2' or 'all-except:1'")
+    p.add_argument("--n", type=_int_at_least(0), required=True,
+                   help="truncation order")
+    p.add_argument("--omega", type=_omega_set,
+                   help="outdegree set, e.g. '0,2' or 'all-except:1'")
     common(p)
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("singularity", help="dominant singularity constants")
     p.add_argument("--family", required=True,
                    choices=("polya", "hierarchy", "binary"))
-    p.add_argument("--order", type=int,
+    p.add_argument("--order", type=_int_at_least(1),
                    help=f"series truncation (default POLYAKIT_ORDER or {DEFAULT_ORDER})")
     common(p)
     p.set_defaults(func=_cmd_singularity)
@@ -256,20 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="forest-size distribution tables")
     p.add_argument("--which", required=True,
                    choices=("forest-size", "forest-size-conditional"))
-    p.add_argument("--mmax", type=int, required=True)
-    p.add_argument("--exact-n", type=int, default=300,
+    p.add_argument("--mmax", type=_int_at_least(0), required=True)
+    p.add_argument("--exact-n", type=_int_at_least(1), default=300,
                    help="size for the exact finite-n comparison row")
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=_int_at_least(1))
     common(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("sample", help="seeded sampling experiments")
-    p.add_argument("--n", type=int, help="tree size")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), help="tree size")
+    p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", default="0", help="master seed (any string)")
     p.add_argument("--lmax", action="store_true",
                    help="run the largest-forest growth report instead")
-    p.add_argument("--n-values", default="500,2000,8000",
+    p.add_argument("--n-values", type=_size_list, default="500,2000,8000",
                    help="comma list of sizes for --lmax")
     p.add_argument("--s", type=float, default=0.5,
                    help="interval exponent for --lmax")
@@ -279,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("verify", help="enumeration-vs-series matrix")
-    p.add_argument("--oracle-max", type=int, default=8,
+    p.add_argument("--oracle-max", type=_int_at_least(1), default=8,
                    help="cap every check's size range")
     common(p)
     p.set_defaults(func=_cmd_verify)
@@ -288,7 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "order" in args and args.order is None:
+        args.order = _default_order(parser)
+    if args.command == "table" and args.which == "forest-size-conditional" \
+            and args.exact_n < 3:
+        parser.error("--exact-n must be at least 3 for the conditional table: "
+                     "smaller trees have no nonempty forest")
     return args.func(args)
 
 

@@ -7,10 +7,11 @@ non-plane trees, 1, 1, 2, 4, 9, 20, ...):
   C(z)    labeled rooted (Cayley) trees divided by n!, n^(n-1)/n! z^n
   D(z)    derangement-weighted forests: multisets of Polya trees with every
           component repeated at least twice; T(z) = C(z D(z))
-  T_c     bivariate refinement marking nodes fixed by a random automorphism
+  T_c     bivariate refinement marking nodes fixed by a random automorphism,
+          T_c(z,u) = C(u z D(z)), read off the powers of D
   R(z)    rooted identity trees (trivial automorphism group) and the signed
           analogues D*(z), R_c(z) with R(z) = C(z D*(z))
-  E(z)    the compositional bridge z E(z) = R^(-1)(C(z))
+  E(z)    the compositional bridge z E(z) = R^(-1)(C(z)), the reversion of z D*(z)
 
 plus restricted-outdegree variants (hierarchies, binary) and the general
 cycle-index solver for an arbitrary allowed-outdegree set.
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .series import BivariateSeries, Q, RationalSeries, UPoly
+from .series import BivariateSeries, Q, RationalSeries, UPoly, exp_step
 
 # ---------------------------------------------------------------------------
 # integer tables (shared with the sampler, which needs exact big-int weights)
@@ -168,51 +169,10 @@ def dforest_coeffs_exp_route(N: int) -> RationalSeries:
 
 
 @lru_cache(maxsize=None)
-def polya_fixed_point_route(N: int) -> RationalSeries:
-    """T(z) by solving T = z exp(sum_i T(z^i)/i) degree by degree."""
-    a = [Q(0)] * (N + 1)
-    g = [Q(0)] * (N + 1)  # the exponent sum_i T(z^i)/i
-    e = [Q(1)] + [Q(0)] * N  # exp(g)
-    for n in range(1, N + 1):
-        m = n - 1
-        if m >= 1:
-            g[m] = sum((a[m // i] / i for i in _divisors(m) if a[m // i]), Q(0))
-            acc = Q(0)
-            for k in range(1, m + 1):
-                if g[k] and e[m - k]:
-                    acc += k * g[k] * e[m - k]
-            e[m] = acc / m
-        a[n] = e[m]
-    return RationalSeries(tuple(a))
-
-
-@lru_cache(maxsize=None)
 def polya_composition_route(N: int) -> RationalSeries:
     """T(z) as the genuine composition C(z D(z)), via Horner."""
     inner = dforest_coeffs(N).shift(1)
     return cayley_coeffs(N).compose(inner)
-
-
-def ctree_composition_series(forest: RationalSeries, N: int) -> RationalSeries:
-    """Solve Y = z exp(Y) forest(z) degree by degree.
-
-    With forest = D this reproduces T; with D truncated at component size K
-    it counts decompositions whose forests all have size <= K.
-    """
-    if forest.order < N:
-        raise ValueError("forest series too short for the requested order")
-    y = [Q(0)] * (N + 1)
-    e = [Q(1)] + [Q(0)] * N  # exp(Y)
-    for n in range(1, N + 1):
-        m = n - 1
-        if m >= 1:
-            acc = Q(0)
-            for k in range(1, m + 1):
-                if y[k] and e[m - k]:
-                    acc += k * y[k] * e[m - k]
-            e[m] = acc / m
-        y[n] = sum((forest[m - b] * e[b] for b in range(m + 1) if forest[m - b] and e[b]), Q(0))
-    return RationalSeries(tuple(y))
 
 
 @lru_cache(maxsize=None)
@@ -247,21 +207,30 @@ def gamma2_series(N: int) -> RationalSeries:
     return RationalSeries.from_coeffs(out)
 
 
+def _pointed_over_dforest(N: int) -> RationalSeries:
+    """q = (T/(1-T)) / D: fixed nodes counted with the forest at the node cut
+    off, so the fixed nodes of size-n trees whose forest has size m number
+    d_m [z^(n-m)] q."""
+    return pointed_coeffs(N) * dforest_coeffs(N).reciprocal()
+
+
 def forest_size_marked(N: int, m: int) -> RationalSeries:
     """Series whose n-th coefficient, divided by [z^n] T/(1-T), is P(the
-    forest at a random fixed node has size m): (T/(1-T)) d_m z^m / D(z)."""
+    forest at a random fixed node has size m): d_m z^m q(z)."""
     if not 0 <= m <= N:
         raise ValueError("marked forest size must lie within the truncation order")
-    d = dforest_coeffs(N)
-    tc = pointed_coeffs(N)
-    return tc.scale(d[m]).shift(m) * d.reciprocal()
+    return _pointed_over_dforest(N).scale(dforest_coeffs(N)[m]).shift(m)
 
 
 def exact_forest_size_row(n: int, mmax: int) -> tuple[Fraction, ...]:
     """P(forest size = m) at a uniform fixed node of a uniform size-n
-    (tree, automorphism) pair; the finite-n row whose limit is d_m rho^m / D(rho)."""
-    tc = pointed_coeffs(n)
-    return tuple(forest_size_marked(n, m)[n] / tc[n] for m in range(mmax + 1))
+    (tree, automorphism) pair, m = 0..mmax; the finite-n row whose limit is
+    d_m rho^m / D(rho).  A forest has fewer than n nodes, so m >= n gives 0."""
+    if n < 1:
+        raise ValueError("the exact forest-size row needs n >= 1")
+    d, q, tc = dforest_coeffs(n), _pointed_over_dforest(n), pointed_coeffs(n)
+    return tuple(d[m] * q[n - m] / tc[n] if m < n else Q(0)
+                 for m in range(mmax + 1))
 
 
 @lru_cache(maxsize=None)
@@ -315,27 +284,18 @@ def identity_tree_coeffs(N: int) -> tuple[RationalSeries, RationalSeries, Ration
     a = [Q(0)] * (N + 1)
     g = [Q(0)] * (N + 1)  # full alternating exponent, i >= 1
     e = [Q(1)] + [Q(0)] * N
+
+    def exponent(m: int) -> Fraction:
+        return sum(((a[m // i] if i % 2 else -a[m // i]) / i
+                    for i in _divisors(m) if a[m // i]), Q(0))
+
     for n in range(1, N + 1):
         m = n - 1
         if m >= 1:
-            acc = Q(0)
-            for i in _divisors(m):
-                c = a[m // i]
-                if c:
-                    acc += (c if i % 2 else -c) / i
-            g[m] = acc
-            s = Q(0)
-            for k in range(1, m + 1):
-                if g[k] and e[m - k]:
-                    s += k * g[k] * e[m - k]
-            e[m] = s / m
+            g[m] = exponent(m)
+            e[m] = exp_step(g, e, m)
         a[n] = e[m]
-    acc = Q(0)  # the loop stops filling g at N - 1; D* needs it at N too
-    for i in _divisors(N):
-        c = a[N // i]
-        if c:
-            acc += (c if i % 2 else -c) / i
-    g[N] = acc
+    g[N] = exponent(N)  # the loop stops filling g at N - 1; D* needs it at N too
     r = RationalSeries(tuple(a))
     tail = RationalSeries(tuple(g)) - r  # drop the i = 1 term to start at i = 2
     dstar = tail.exp()
@@ -345,59 +305,45 @@ def identity_tree_coeffs(N: int) -> tuple[RationalSeries, RationalSeries, Ration
 
 @lru_cache(maxsize=None)
 def e_series(N: int) -> RationalSeries:
-    """E(z) with z E(z) = R^(-1)(C(z)); starts 1 + 0 z + z^2/2 - z^3/3 + ..."""
-    work = N + 1
-    r, _, _ = identity_tree_coeffs(work)
-    comp = r.reversion().compose(cayley_coeffs(work))
-    return RationalSeries(comp.coeffs[1 : N + 2])
+    """E(z) with z E(z) = R^(-1)(C(z)); starts 1 + 0 z + z^2/2 - z^3/3 + ...
+
+    R = C(z D*) gives R^(-1)(C(z)) = (z D*)^(-1)(z), so z E is the reversion
+    of z D*(z) and C is never composed.
+    """
+    _, dstar, _ = identity_tree_coeffs(N)
+    z_dstar = RationalSeries((Q(0),) + dstar.coeffs)  # order N + 1
+    return RationalSeries(z_dstar.reversion().coeffs[1:])
 
 
 # ---------------------------------------------------------------------------
 # bivariate families
 
 
-def _solve_marked_ctree(forest_rows: BivariateSeries, root_marker_power: int,
-                        N: int) -> BivariateSeries:
-    """Solve Y(z,u) = z u^p exp(Y) F(z,u) degree by degree in z."""
-    if forest_rows.order < N:
-        raise ValueError("forest series too short for the requested order")
-    rows: list[UPoly] = [UPoly.zero()] * (N + 1)
-    e: list[UPoly] = [UPoly.constant(1)] + [UPoly.zero()] * N
-    for n in range(1, N + 1):
-        m = n - 1
-        if m >= 1:
-            acc = UPoly.zero()
-            for k in range(1, m + 1):
-                if rows[k].is_zero() or e[m - k].is_zero():
-                    continue
-                acc = acc + (rows[k] * e[m - k]).scale(k)
-            e[m] = acc.scale(Q(1, m))
-        row = UPoly.zero()
-        for b in range(m + 1):
-            fa = forest_rows.row(m - b)
-            if fa.is_zero() or e[b].is_zero():
-                continue
-            row = row + fa * e[b]
-        rows[n] = row.shift_marker(root_marker_power)
-    return BivariateSeries(tuple(rows))
-
-
-def _univariate_rows(series: RationalSeries) -> BivariateSeries:
-    return BivariateSeries(tuple(UPoly.from_coeffs([c]) for c in series.coeffs))
+def _marked_rows(forest: RationalSeries, N: int) -> BivariateSeries:
+    """Rows of C(u z F(z)), u marking the skeleton nodes (the fixed nodes):
+    [u^k z^n] = c_k [z^(n-k)] F^k, from the successive powers of F."""
+    c = cayley_coeffs(N)
+    rows = [[Q(0)] * (n + 1) for n in range(N + 1)]
+    power = RationalSeries.one(N)
+    for k in range(1, N + 1):
+        power = power.truncate(N - k) * forest  # F^k through z^(N-k)
+        for n in range(k, N + 1):
+            rows[n][k] = c[k] * power[n - k]
+    return BivariateSeries(tuple(UPoly.from_coeffs(r) for r in rows))
 
 
 @lru_cache(maxsize=None)
 def ctree_polynomials(N: int) -> BivariateSeries:
-    """T_c(z,u) = z u exp(T_c) D(z): row n is the fixed-node polynomial
-    summed over all trees of size n; row sums recover t_n."""
-    return _solve_marked_ctree(_univariate_rows(dforest_coeffs(N)), 1, N)
+    """T_c(z,u) = C(u z D(z)): row n is the fixed-node polynomial summed over
+    all trees of size n; row sums recover t_n."""
+    return _marked_rows(dforest_coeffs(N), N)
 
 
 @lru_cache(maxsize=None)
 def identity_ctree_polynomials(N: int) -> BivariateSeries:
-    """R_c(z,u) = z u exp(R_c) D*(z): signed fixed-node polynomials."""
+    """R_c(z,u) = C(u z D*(z)): signed fixed-node polynomials."""
     _, dstar, _ = identity_tree_coeffs(N)
-    return _solve_marked_ctree(_univariate_rows(dstar), 1, N)
+    return _marked_rows(dstar, N)
 
 
 @lru_cache(maxsize=None)
@@ -411,16 +357,6 @@ def dforest_component_bivariate(N: int) -> BivariateSeries:
             if t[k]:
                 rows[k * i] = rows[k * i] + mono.scale(t[k])
     return BivariateSeries(tuple(rows)).exp()
-
-
-@lru_cache(maxsize=None)
-def dforest_marked_tree_bivariate(N: int) -> BivariateSeries:
-    """T(z,v) = C(z D(z,v)): v marks components of all forests of a tree.
-
-    Independent route to the moments of Y_n (no closed-form algebra), used
-    to cross-check dtree_count_series and dtree_second_moment_series.
-    """
-    return _solve_marked_ctree(dforest_component_bivariate(N), 0, N)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +384,12 @@ class OmegaSet:
         text = text.strip().lower()
         if text == "all":
             return OmegaSet.cofinite()
-        if text.startswith("all-except:"):
-            rest = text[len("all-except:"):]
-            return OmegaSet.cofinite(int(v) for v in rest.split(",") if v.strip())
-        return OmegaSet.finite(int(v) for v in text.split(",") if v.strip())
+        cofinite = text.startswith("all-except:")
+        values = [int(v) for v in text.removeprefix("all-except:").split(",")
+                  if v.strip()]
+        if any(v < 0 for v in values):
+            raise ValueError(f"outdegrees cannot be negative: {text!r}")
+        return OmegaSet.cofinite(values) if cofinite else OmegaSet.finite(values)
 
     def describe(self) -> str:
         if self.allowed is not None:
@@ -489,11 +427,7 @@ def omega_polya_coeffs(omega: OmegaSet, N: int) -> RationalSeries:
                 p[k][m] = acc / k
             if omega.allowed is None:
                 g[m] = sum((a[m // i] / i for i in _divisors(m) if a[m // i]), Q(0))
-                acc = Q(0)
-                for k in range(1, m + 1):
-                    if g[k] and e[m - k]:
-                        acc += k * g[k] * e[m - k]
-                e[m] = acc / m
+                e[m] = exp_step(g, e, m)
         if omega.allowed is not None:
             a[n] = sum((p[k][m] for k in omega.allowed if k <= tracked), Q(0))
         else:

@@ -449,11 +449,6 @@ def cycle_type(perm: tuple[int, ...]) -> dict[int, int]:
     return out
 
 
-def naive_tree_census(tree: CanonicalTree) -> list[dict[int, int]]:
-    """Cycle types of every automorphism of the tree (node level)."""
-    return [cycle_type(p) for p in naive_automorphisms(_labeled_children(tree))]
-
-
 def _forest_labeled_children(forest: ForestSpec) -> list[list[int]]:
     """The forest with a virtual root joining the component roots."""
     children: list[list[int]] = [[]]

@@ -250,6 +250,8 @@ def lmax_check(n_values: list[int], samples: int, s: float = 0.5,
     """
     if not 0 < s < 1:
         raise ValueError("s must lie in (0, 1)")
+    if any(n < 2 for n in n_values):
+        raise ValueError("lmax_check needs every n >= 2: the report divides by log n")
     from .asymptotics import lmax_exact_mean, solve_polya_singularity
 
     rho = solve_polya_singularity().rho

@@ -195,7 +195,3 @@ def test_lmax_interval_and_estimate(deco):
     assert lo < center < hi
     assert deco.lmax_location(2000) == pytest.approx(
         -2 * math.log(2000) / math.log(deco.rho), rel=1e-12)
-    # the composition estimate is a cdf in m
-    vals = [deco.lmax_cdf_estimate(2000, m) for m in range(1, 40)]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert vals[-1] > 0.99

@@ -153,3 +153,24 @@ def test_verify_passes():
 def test_unknown_family_errors():
     with pytest.raises(SystemExit):
         run(["coeffs", "--family", "nonsense", "--n", "5"])
+
+
+@pytest.mark.parametrize("argv, order_env", [
+    (["coeffs", "--family", "polya", "--n", "-1"], None),
+    (["sample", "--n", "0", "--samples", "3"], None),
+    (["sample", "--lmax", "--n-values", "1", "--samples", "2"], None),
+    (["table", "--which", "forest-size", "--mmax", "7", "--exact-n", "0"], None),
+    (["table", "--which", "forest-size-conditional", "--mmax", "7",
+      "--exact-n", "2"], None),
+    (["coeffs", "--family", "omega", "--omega", "abc", "--n", "5"], None),
+    (["coeffs", "--family", "omega", "--omega", "-1", "--n", "5"], None),
+    (["singularity", "--family", "polya"], "abc"),
+])
+def test_invalid_input_is_a_usage_error(argv, order_env, monkeypatch, capsys):
+    # a one-line "error:" and a nonzero exit, never an exception
+    if order_env is not None:
+        monkeypatch.setenv("POLYAKIT_ORDER", order_env)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -34,7 +34,7 @@ def test_divisor_weight_table():
 def test_polya_routes_agree():
     n = 30
     base = fam.polya_coeffs(n)
-    assert (base - fam.polya_fixed_point_route(n)).is_zero()
+    assert (base - fam.omega_polya_coeffs(fam.OmegaSet.parse("all"), n)).is_zero()
     assert (base - fam.polya_composition_route(n)).is_zero()
 
 
@@ -60,7 +60,7 @@ def test_dforest_regression_value():
 def test_composition_identity():
     # T = C(z D) ties the three families together
     n = 25
-    t = fam.ctree_composition_series(fam.dforest_coeffs(n), n)
+    t = fam.cayley_coeffs(n).compose(fam.dforest_coeffs(n).shift(1))
     assert (t - fam.polya_coeffs(n)).is_zero()
 
 
@@ -90,7 +90,7 @@ def test_identity_composition():
     # R = C(z D*) mirrors the unrestricted composition with signed weights
     n = 25
     r, dstar, _ = fam.identity_tree_coeffs(n)
-    assert (fam.ctree_composition_series(dstar, n) - r).is_zero()
+    assert (fam.cayley_coeffs(n).compose(dstar.shift(1)) - r).is_zero()
 
 
 def test_e_series_head():
@@ -134,6 +134,10 @@ def test_exact_forest_size_row_sums_to_one():
     row = fam.exact_forest_size_row(30, 30)
     assert sum(row) == 1
     assert row[1] == 0
+    # rows past the tree size: a forest has fewer than n nodes
+    row = fam.exact_forest_size_row(5, 9)
+    assert sum(row) == 1
+    assert all(p == 0 for p in row[5:])
 
 
 def test_csize_moments_small_n():

@@ -227,3 +227,26 @@ def _outdegrees(tree):
 
 def _expand(tree):
     return [c for c, m in tree.children for _ in range(m)]
+
+
+def test_component_count_moments_match_brute_force():
+    # Y = number of forest components over all fixed nodes of a uniform
+    # (tree, automorphism) pair: the children w of a fixed node with
+    # sigma(w) != w.  Counted by brute force over every automorphism, this is
+    # independent of the gamma-series algebra behind B and V.
+    N = 9
+    _, b_series = fam.dtree_count_series(N)
+    v_series = fam.dtree_second_moment_series(N)
+    for n in range(1, N + 1):
+        trees = enumerate_trees(n)
+        t_n = len(trees)
+        first = second = F(0)
+        for tree in trees:
+            ch = _labeled_children(tree)
+            ys = [sum(1 for v in range(n) if perm[v] == v
+                      for w in ch[v] if perm[w] != w)
+                  for perm in naive_automorphisms(ch)]
+            first += F(sum(ys), len(ys))
+            second += F(sum(y * (y - 1) for y in ys), len(ys))
+        assert first / t_n == b_series[n] / t_n  # E[Y]
+        assert second / t_n == v_series[n] / t_n  # E[Y(Y-1)]

@@ -159,6 +159,12 @@ def test_lmax_check_deterministic():
     assert a == b
 
 
+def test_lmax_check_rejects_sizes_below_two():
+    # log n = 0 at n = 1, and the report divides by it
+    with pytest.raises(ValueError):
+        lmax_check((30, 1), 2)
+
+
 def test_small_sizes_exact():
     rng = random.Random(3)
     assert sample_polya_tree(1, rng) == LEAF

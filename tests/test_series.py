@@ -85,6 +85,7 @@ def test_derivative_and_eval():
     assert all(d[n] == n + 1 for n in range(ORDER))
     assert f.eval_fraction(Fraction(1, 2)) == sum(Fraction(1, 2) ** n
                                                   for n in range(ORDER + 1))
+    assert f.eval_float(0.5) == 2 - 0.5 ** ORDER  # exact in binary floating point
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3,
