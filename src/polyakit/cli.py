@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -28,16 +29,16 @@ from .asymptotics import (DEFAULT_ORDER, decomposition_constants,
                           forest_asymptotics, solve_polya_singularity,
                           solve_variant_singularity)
 from .families import OmegaSet
-from .sampler import lmax_check, run_experiment
-from .series import RationalSeries, UPoly
+from .sampler import MAX_SAMPLES, MAX_SIZE, lmax_check, run_experiment
+from .series import BivariateSeries, RationalSeries, UPoly
 from .verify import run_verification
 
 RESIDUAL_TOL = 1e-10
 SHIFT_TOL = 1e-6
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low, rejected with a one-line error."""
+def _int_in(low: int, high: float):
+    """argparse type: an integer in [low, high], rejected with a one-line error."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -45,13 +46,16 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
 
 
 def _size_list(text: str) -> list[int]:
-    """argparse type for --n-values: comma-separated sizes, each >= 2."""
-    return [_int_at_least(2)(v) for v in text.split(",") if v.strip()]
+    """argparse type for --n-values: comma-separated sizes within the sampler
+    budget, each >= 2."""
+    return [_int_in(2, MAX_SIZE)(v) for v in text.split(",") if v.strip()]
 
 
 def _omega_set(text: str) -> OmegaSet:
@@ -69,7 +73,7 @@ def _omega_set(text: str) -> OmegaSet:
 def _default_order(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get("POLYAKIT_ORDER", "")
     try:
-        return _int_at_least(1)(raw) if raw else DEFAULT_ORDER
+        return _int_in(1, math.inf)(raw) if raw else DEFAULT_ORDER
     except argparse.ArgumentTypeError as exc:
         parser.error(f"POLYAKIT_ORDER: {exc}")
 
@@ -78,15 +82,15 @@ def _frac(x: Fraction) -> str:
     return str(x)
 
 
-def _series_payload(name: str, series: RationalSeries, n: int) -> dict:
-    return {"family": name, "n": n,
-            "coefficients": [_frac(series[k]) for k in range(n + 1)]}
-
-
-def _poly_payload(name: str, rows, n: int) -> dict:
+def _payload(name: str, result: RationalSeries | BivariateSeries, n: int) -> dict:
+    """A series as its coefficient list, a bivariate series as its rows of
+    nonzero marker coefficients."""
+    if isinstance(result, RationalSeries):
+        return {"family": name, "n": n,
+                "coefficients": [_frac(result[k]) for k in range(n + 1)]}
     out = []
     for k in range(n + 1):
-        poly: UPoly = rows.row(k)
+        poly: UPoly = result.row(k)
         out.append({"n": k,
                     "coefficients": {str(j): _frac(poly.coefficient(j))
                                      for j in range(poly.degree + 1)
@@ -94,46 +98,30 @@ def _poly_payload(name: str, rows, n: int) -> dict:
     return {"family": name, "n": n, "rows": out}
 
 
+# each family's builder, called with the truncation order; omega's is called
+# with the --omega set first
+FAMILIES = {
+    "polya": families.polya_coeffs,
+    "cayley": families.cayley_coeffs,
+    "dforest": families.dforest_coeffs,
+    "ctree-poly": families.ctree_polynomials,
+    "pointed": families.pointed_coeffs,
+    "dforest-components": families.dforest_component_bivariate,
+    "hierarchy": families.hierarchy_coeffs,
+    "binary": families.binary_polya_coeffs,
+    "omega": families.omega_polya_coeffs,
+    "identity": lambda n: families.identity_tree_coeffs(n)[0],
+    "identity-dforest": lambda n: families.identity_tree_coeffs(n)[1],
+    "identity-pointed": lambda n: families.identity_tree_coeffs(n)[2],
+    "e-series": families.e_series,
+}
+
+
 def _coeffs_payload(family: str, n: int, omega: OmegaSet | None) -> dict:
-    if family == "polya":
-        return _series_payload(family, families.polya_coeffs(n), n)
-    if family == "cayley":
-        return _series_payload(family, families.cayley_coeffs(n), n)
-    if family == "dforest":
-        return _series_payload(family, families.dforest_coeffs(n), n)
-    if family == "pointed":
-        return _series_payload(family, families.pointed_coeffs(n), n)
-    if family == "hierarchy":
-        table = families.hierarchy_int_table(n)
-        return {"family": family, "n": n,
-                "coefficients": [str(v) for v in table[: n + 1]]}
-    if family == "binary":
-        table = families.binary_int_table(n)
-        return {"family": family, "n": n,
-                "coefficients": [str(v) for v in table[: n + 1]]}
     if family == "omega":
-        if omega is None:
-            raise SystemExit("--omega is required for the omega family")
-        series = families.omega_polya_coeffs(omega, n)
-        payload = _series_payload(family, series, n)
-        payload["omega"] = omega.describe()
-        return payload
-    if family == "identity":
-        r, _, _ = families.identity_tree_coeffs(n)
-        return _series_payload(family, r, n)
-    if family == "identity-dforest":
-        _, dstar, _ = families.identity_tree_coeffs(n)
-        return _series_payload(family, dstar, n)
-    if family == "identity-pointed":
-        _, _, rc = families.identity_tree_coeffs(n)
-        return _series_payload(family, rc, n)
-    if family == "e-series":
-        return _series_payload(family, families.e_series(n), n)
-    if family == "ctree-poly":
-        return _poly_payload(family, families.ctree_polynomials(n), n)
-    if family == "dforest-components":
-        return _poly_payload(family, families.dforest_component_bivariate(n), n)
-    raise SystemExit(f"unknown family: {family}")
+        return {**_payload(family, FAMILIES[family](omega, n), n),
+                "omega": omega.describe()}
+    return _payload(family, FAMILIES[family](n), n)
 
 
 def _payload_to_csv(payload: dict) -> str:
@@ -238,8 +226,6 @@ def _cmd_sample(args) -> int:
                              master_seed=args.seed,
                              exact_mean=args.exact_mean)
     else:
-        if args.n is None:
-            raise SystemExit("--n is required unless --lmax is given")
         payload = run_experiment(args.n, args.samples, args.seed).to_dict()
     _emit(payload, args.format, args.output)
     return 0
@@ -266,11 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write to this path instead of stdout")
 
     p = sub.add_parser("coeffs", help="exact coefficient tables")
-    p.add_argument("--family", required=True, choices=(
-        "polya", "cayley", "dforest", "ctree-poly", "pointed",
-        "dforest-components", "hierarchy", "binary", "omega", "identity",
-        "identity-dforest", "identity-pointed", "e-series"))
-    p.add_argument("--n", type=_int_at_least(0), required=True,
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
+    p.add_argument("--n", type=_int_in(0, math.inf), required=True,
                    help="truncation order")
     p.add_argument("--omega", type=_omega_set,
                    help="outdegree set, e.g. '0,2' or 'all-except:1'")
@@ -280,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("singularity", help="dominant singularity constants")
     p.add_argument("--family", required=True,
                    choices=("polya", "hierarchy", "binary"))
-    p.add_argument("--order", type=_int_at_least(1),
+    p.add_argument("--order", type=_int_in(1, math.inf),
                    help=f"series truncation (default POLYAKIT_ORDER or {DEFAULT_ORDER})")
     common(p)
     p.set_defaults(func=_cmd_singularity)
@@ -288,16 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="forest-size distribution tables")
     p.add_argument("--which", required=True,
                    choices=("forest-size", "forest-size-conditional"))
-    p.add_argument("--mmax", type=_int_at_least(0), required=True)
-    p.add_argument("--exact-n", type=_int_at_least(1), default=300,
+    p.add_argument("--mmax", type=_int_in(0, math.inf), required=True)
+    p.add_argument("--exact-n", type=_int_in(1, math.inf), default=300,
                    help="size for the exact finite-n comparison row")
-    p.add_argument("--order", type=_int_at_least(1))
+    p.add_argument("--order", type=_int_in(1, math.inf))
     common(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("sample", help="seeded sampling experiments")
-    p.add_argument("--n", type=_int_at_least(1), help="tree size")
-    p.add_argument("--samples", type=_int_at_least(1), required=True)
+    p.add_argument("--n", type=_int_in(1, MAX_SIZE), help="tree size")
+    p.add_argument("--samples", type=_int_in(1, MAX_SAMPLES), required=True)
     p.add_argument("--seed", default="0", help="master seed (any string)")
     p.add_argument("--lmax", action="store_true",
                    help="run the largest-forest growth report instead")
@@ -311,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("verify", help="enumeration-vs-series matrix")
-    p.add_argument("--oracle-max", type=_int_at_least(1), default=8,
+    p.add_argument("--oracle-max", type=_int_in(1, math.inf), default=8,
                    help="cap every check's size range")
     common(p)
     p.set_defaults(func=_cmd_verify)
@@ -324,6 +307,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if "order" in args and args.order is None:
         args.order = _default_order(parser)
+    if args.command == "coeffs" and args.family == "omega" \
+            and args.omega is None:
+        parser.error("--omega is required for the omega family")
+    if args.command == "sample" and not args.lmax and args.n is None:
+        parser.error("--n is required unless --lmax is given")
     if args.command == "table" and args.which == "forest-size-conditional" \
             and args.exact_n < 3:
         parser.error("--exact-n must be at least 3 for the conditional table: "

@@ -16,24 +16,39 @@ non-plane trees, 1, 1, 2, 4, 9, 20, ...):
 plus restricted-outdegree variants (hierarchies, binary) and the general
 cycle-index solver for an arbitrary allowed-outdegree set.
 
-Integer tables are computed with plain ints and grown in place, so asking
-for a longer prefix never recomputes the part already known.
+T, D, T/(1-T) and their identity-tree analogues R, D*, R_c come from one
+signed Euler-transform recurrence on integer tables (D and D* scaled by n!),
+and the outdegree-restricted counts from their own integer tables.  All are
+grown in place, so asking for a longer prefix never recomputes the part
+already known; everything else is computed from them on demand, with no
+per-order cache.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .series import BivariateSeries, Q, RationalSeries, UPoly, exp_step
 
 # ---------------------------------------------------------------------------
-# integer tables (shared with the sampler, which needs exact big-int weights)
+# signed Euler-transform tables, grown in place
+#
+# A = z exp(sum_i sigma^(i-1) A(z^i)/i) gives the Polya trees T for sigma = +1
+# and the identity trees R for sigma = -1.  Each sign keeps four integer
+# tables, shared with the sampler for sigma = +1:
+#   a[n]  the counts t_n or r_n, from (n-1) a_n = sum_i a_(n-i) s(i);
+#   s[i]  sum over divisors m of i of sigma^(i/m-1) m a_m;
+#   f[n]  n! d_n for the forest series D or D* = exp(sum_{i>=2} ...), from
+#         n d_n = sum_{i>=2} d_(n-i) (s(i) - i a_i);
+#   p[n]  the pointed series A/(1-A) (T/(1-T) or R_c), from P = A + A P.
 
-_t_table: list[int] = [0, 1]  # t_0 = 0 by convention (no empty tree), t_1 = 1
-_s_table: list[int] = [0, 1]  # s[i] = sum over divisors m of i of m * t_m
+_counts: dict[int, list[int]] = {1: [0, 1], -1: [0, 1]}  # a_0 = 0: no empty tree
+_weights: dict[int, list[int]] = {1: [0, 1], -1: [0, 1]}
+_forests: dict[int, list[int]] = {1: [1], -1: [1]}
+_pointed: dict[int, list[int]] = {1: [0], -1: [0]}
 
 
 def _divisors(n: int) -> list[int]:
@@ -48,25 +63,62 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def polya_int_table(N: int) -> list[int]:
-    """t_0 .. t_N as plain ints; (n-1) t_n = sum_i t_{n-i} s(i)."""
-    while len(_t_table) <= N:
-        n = len(_t_table)
+def _grow_counts(sigma: int, N: int) -> tuple[list[int], list[int]]:
+    """The tables a and s of sign sigma, grown through N."""
+    a, s = _counts[sigma], _weights[sigma]
+    while len(a) <= N:
+        n = len(a)
         total = 0
         for i in range(1, n):
-            total += _t_table[n - i] * _s_table[i]
+            total += a[n - i] * s[i]
         q, r = divmod(total, n - 1)
         if r:
             raise ArithmeticError(f"tree recurrence not divisible at n={n}")
-        _t_table.append(q)
-        _s_table.append(sum(m * _t_table[m] for m in _divisors(n)))
-    return _t_table[: N + 1]
+        a.append(q)
+        s.append(sum(sigma ** (n // m - 1) * m * a[m] for m in _divisors(n)))
+    return a, s
+
+
+def _grow_forests(sigma: int, N: int) -> list[int]:
+    """The table f of n! d_n, grown through N; only sizes i >= 2 enter, as a
+    repeated component never uses the full-size divisor."""
+    a, s = _grow_counts(sigma, N)
+    f = _forests[sigma]
+    while len(f) <= N:
+        n = len(f)
+        total, falling = 0, 1  # falling = (n-1)!/(n-i)!
+        for i in range(2, n + 1):
+            falling *= n - i + 1
+            w = s[i] - i * a[i]
+            if w:
+                total += f[n - i] * w * falling
+        f.append(total)
+    return f
+
+
+def _grow_pointed(sigma: int, N: int) -> list[int]:
+    """The table p of A/(1-A), grown through N."""
+    a, _ = _grow_counts(sigma, N)
+    p = _pointed[sigma]
+    while len(p) <= N:
+        n = len(p)
+        p.append(a[n] + sum(a[i] * p[n - i] for i in range(1, n)))
+    return p
+
+
+def _over_factorials(scaled: list[int], N: int) -> RationalSeries:
+    """The series with coefficients scaled[n] / n!, n = 0..N."""
+    return RationalSeries(tuple(Q(scaled[n], math.factorial(n)) for n in range(N + 1)))
+
+
+def polya_int_table(N: int) -> list[int]:
+    """t_0 .. t_N as plain ints; (n-1) t_n = sum_i t_{n-i} s(i)."""
+    return _grow_counts(1, N)[0][: N + 1]
 
 
 def divisor_weight_table(N: int) -> list[int]:
     """s(0..N) with s(i) = sum over divisors m of i of m * t_m."""
-    polya_int_table(N)
-    return _s_table[: N + 1]
+    return _grow_counts(1, N)[1][: N + 1]
 
 
 def polya_coeffs(N: int) -> RationalSeries:
@@ -74,17 +126,37 @@ def polya_coeffs(N: int) -> RationalSeries:
     return RationalSeries.from_coeffs(polya_int_table(N))
 
 
-@lru_cache(maxsize=None)
+def dforest_coeffs(N: int) -> RationalSeries:
+    """D(z) = exp(sum_{i>=2} T(z^i)/i), from the integer table of n! d_n."""
+    return _over_factorials(_grow_forests(1, N), N)
+
+
+def pointed_coeffs(N: int) -> RationalSeries:
+    """T/(1-T): nodes fixed under a random automorphism, summed over trees."""
+    return RationalSeries.from_coeffs(_grow_pointed(1, N)[: N + 1])
+
+
+def identity_tree_coeffs(N: int) -> tuple[RationalSeries, RationalSeries, RationalSeries]:
+    """(R, D*, R_c): identity trees R = z exp(sum_i (-1)^(i-1) R(z^i)/i),
+    the signed forest series D* = exp(sum_{i>=2} ...), and R_c = R/(1-R)."""
+    return (RationalSeries.from_coeffs(_grow_counts(-1, N)[0][: N + 1]),
+            _over_factorials(_grow_forests(-1, N), N),
+            RationalSeries.from_coeffs(_grow_pointed(-1, N)[: N + 1]))
+
+
+# ---------------------------------------------------------------------------
+# outdegree-restricted count tables, grown in place
+
+_h_counts: list[int] = [0, 1]
+_h_weights: list[int] = [0, 1]  # s[i] = sum over divisors m of i of m * h_m
+_b_counts: list[int] = [0, 1]
+
+
 def hierarchy_int_table(N: int) -> tuple[int, ...]:
     """Counts of Polya trees with no outdegree-1 node: 1, 0, 1, 1, 2, 3, ..."""
-    t = [0] * (N + 1)
-    if N >= 1:
-        t[1] = 1
-    s = [0] * (N + 1)
-    if N >= 1:
-        s[1] = 1
-
-    for n in range(2, N + 1):
+    t, s = _h_counts, _h_weights
+    while len(t) <= N:
+        n = len(t)
         total = 0
         for i in range(1, n - 1):
             total += (t[n - i] + t[n - i - 1]) * s[i]
@@ -92,29 +164,29 @@ def hierarchy_int_table(N: int) -> tuple[int, ...]:
         q, r = divmod(total, n - 1)
         if r:
             raise ArithmeticError(f"hierarchy recurrence not divisible at n={n}")
-        t[n] = q
-        s[n] = sum(m * t[m] for m in _divisors(n))
-    return tuple(t)
+        t.append(q)
+        s.append(sum(m * t[m] for m in _divisors(n)))
+    return tuple(t[: N + 1])
 
 
 def hierarchy_coeffs(N: int) -> RationalSeries:
     return RationalSeries.from_coeffs(hierarchy_int_table(N))
 
 
-@lru_cache(maxsize=None)
 def binary_int_table(N: int) -> tuple[int, ...]:
     """Counts of Polya trees with outdegrees in {0, 2}; zero at even sizes."""
-    t = [0] * (N + 1)
-    if N >= 1:
-        t[1] = 1
-    for n in range(3, N + 1, 2):
+    t = _b_counts
+    while len(t) <= N:
+        n = len(t)
+        if n % 2 == 0:
+            t.append(0)
+            continue
         conv = sum(t[i] * t[n - 1 - i] for i in range(1, n - 1))
-        total = conv + t[(n - 1) // 2]
-        q, r = divmod(total, 2)
+        q, r = divmod(conv + t[(n - 1) // 2], 2)
         if r:
             raise ArithmeticError(f"binary recurrence not even at n={n}")
-        t[n] = q
-    return tuple(t)
+        t.append(q)
+    return tuple(t[: N + 1])
 
 
 def binary_polya_coeffs(N: int) -> RationalSeries:
@@ -125,7 +197,6 @@ def binary_polya_coeffs(N: int) -> RationalSeries:
 # rational families around the decomposition T(z) = C(z D(z))
 
 
-@lru_cache(maxsize=None)
 def cayley_coeffs(N: int) -> RationalSeries:
     """C(z) = sum n^(n-1)/n! z^n; the n = 0 coefficient is 0 (no empty tree)."""
     coeffs = [Q(0)]
@@ -136,27 +207,6 @@ def cayley_coeffs(N: int) -> RationalSeries:
     return RationalSeries(tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
-def dforest_coeffs(N: int) -> RationalSeries:
-    """D(z) by the divisor recurrence n d_n = sum_{i>=2} d_{n-i} s'(i).
-
-    s'(i) sums m t_m over proper divisors m of i (m != i): attaching a
-    repeated component never uses the full-size divisor.
-    """
-    t = polya_int_table(N)
-    s = divisor_weight_table(N)
-    d = [Q(1)] + [Q(0)] * N
-    for n in range(2, N + 1):
-        acc = Q(0)
-        for i in range(2, n + 1):
-            sp = s[i] - i * t[i]
-            if sp and d[n - i]:
-                acc += d[n - i] * sp
-        d[n] = acc / n
-    return RationalSeries(tuple(d))
-
-
-@lru_cache(maxsize=None)
 def dforest_coeffs_exp_route(N: int) -> RationalSeries:
     """D(z) = exp(sum_{i>=2} T(z^i)/i), the definitional route."""
     t = polya_int_table(N)
@@ -168,24 +218,12 @@ def dforest_coeffs_exp_route(N: int) -> RationalSeries:
     return RationalSeries(tuple(arg)).exp()
 
 
-@lru_cache(maxsize=None)
 def polya_composition_route(N: int) -> RationalSeries:
     """T(z) as the genuine composition C(z D(z)), via Horner."""
     inner = dforest_coeffs(N).shift(1)
     return cayley_coeffs(N).compose(inner)
 
 
-@lru_cache(maxsize=None)
-def pointed_coeffs(N: int) -> RationalSeries:
-    """T/(1-T): nodes fixed under a random automorphism, summed over trees."""
-    t = polya_coeffs(N)
-    if t[0] != 0:
-        raise ValueError("pointing needs a series with zero constant term")
-    one_minus = RationalSeries.one(N) - t
-    return t * one_minus.reciprocal()
-
-
-@lru_cache(maxsize=None)
 def gamma_series(N: int) -> RationalSeries:
     """gamma(z) = sum_{i>=2} T(z^i)."""
     t = polya_int_table(N)
@@ -196,7 +234,6 @@ def gamma_series(N: int) -> RationalSeries:
     return RationalSeries.from_coeffs(out)
 
 
-@lru_cache(maxsize=None)
 def gamma2_series(N: int) -> RationalSeries:
     """gamma_2(z) = sum_{i>=2} i T(z^i)."""
     t = polya_int_table(N)
@@ -233,7 +270,6 @@ def exact_forest_size_row(n: int, mmax: int) -> tuple[Fraction, ...]:
                  for m in range(mmax + 1))
 
 
-@lru_cache(maxsize=None)
 def dtree_count_series(N: int) -> tuple[RationalSeries, RationalSeries]:
     """(A, B) with E X_n = [z^n]A / d_n and E Y_n = [z^n]B / t_n.
 
@@ -244,17 +280,14 @@ def dtree_count_series(N: int) -> tuple[RationalSeries, RationalSeries]:
     return dforest_coeffs(N) * g, pointed_coeffs(N) * g
 
 
-@lru_cache(maxsize=None)
 def csize_moment_series(N: int) -> tuple[RationalSeries, RationalSeries]:
     """(T/(1-T), T/(1-T)^3): first moment and exact second moment of the
     fixed-node count, each divided by t_n at coefficient n."""
-    t = polya_coeffs(N)
-    inv = (RationalSeries.one(N) - t).reciprocal()
-    first = t * inv
+    first = pointed_coeffs(N)
+    inv = RationalSeries.one(N) + first  # 1/(1-T) = 1 + T/(1-T)
     return first, first * inv * inv
 
 
-@lru_cache(maxsize=None)
 def dtree_second_moment_series(N: int) -> RationalSeries:
     """Series V with E[Y_n (Y_n - 1)] = [z^n]V / t_n.
 
@@ -265,45 +298,19 @@ def dtree_second_moment_series(N: int) -> RationalSeries:
     t = polya_coeffs(N)
     g = gamma_series(N)
     g2 = gamma2_series(N)
-    inv = (RationalSeries.one(N) - t).reciprocal()
+    pointed = pointed_coeffs(N)
+    inv = RationalSeries.one(N) + pointed  # 1/(1-T) = 1 + T/(1-T)
     inv3 = inv * inv * inv
     two = RationalSeries.one(N).scale(2)
     part1 = t * t * (two - t) * inv3 * g * g
-    part2 = t * inv * (g * g + g2 - g)
+    part2 = pointed * (g * g + g2 - g)
     return part1 + part2
 
 
 # ---------------------------------------------------------------------------
-# identity trees and signed companions
+# the bridge between identity trees and Cayley trees
 
 
-@lru_cache(maxsize=None)
-def identity_tree_coeffs(N: int) -> tuple[RationalSeries, RationalSeries, RationalSeries]:
-    """(R, D*, R_c): identity trees R = z exp(sum_i (-1)^(i-1) R(z^i)/i),
-    the signed forest series D* = exp(sum_{i>=2} ...), and R_c = R/(1-R)."""
-    a = [Q(0)] * (N + 1)
-    g = [Q(0)] * (N + 1)  # full alternating exponent, i >= 1
-    e = [Q(1)] + [Q(0)] * N
-
-    def exponent(m: int) -> Fraction:
-        return sum(((a[m // i] if i % 2 else -a[m // i]) / i
-                    for i in _divisors(m) if a[m // i]), Q(0))
-
-    for n in range(1, N + 1):
-        m = n - 1
-        if m >= 1:
-            g[m] = exponent(m)
-            e[m] = exp_step(g, e, m)
-        a[n] = e[m]
-    g[N] = exponent(N)  # the loop stops filling g at N - 1; D* needs it at N too
-    r = RationalSeries(tuple(a))
-    tail = RationalSeries(tuple(g)) - r  # drop the i = 1 term to start at i = 2
-    dstar = tail.exp()
-    rc = r * (RationalSeries.one(N) - r).reciprocal()
-    return r, dstar, rc
-
-
-@lru_cache(maxsize=None)
 def e_series(N: int) -> RationalSeries:
     """E(z) with z E(z) = R^(-1)(C(z)); starts 1 + 0 z + z^2/2 - z^3/3 + ...
 
@@ -332,21 +339,18 @@ def _marked_rows(forest: RationalSeries, N: int) -> BivariateSeries:
     return BivariateSeries(tuple(UPoly.from_coeffs(r) for r in rows))
 
 
-@lru_cache(maxsize=None)
 def ctree_polynomials(N: int) -> BivariateSeries:
     """T_c(z,u) = C(u z D(z)): row n is the fixed-node polynomial summed over
     all trees of size n; row sums recover t_n."""
     return _marked_rows(dforest_coeffs(N), N)
 
 
-@lru_cache(maxsize=None)
 def identity_ctree_polynomials(N: int) -> BivariateSeries:
     """R_c(z,u) = C(u z D*(z)): signed fixed-node polynomials."""
     _, dstar, _ = identity_tree_coeffs(N)
     return _marked_rows(dstar, N)
 
 
-@lru_cache(maxsize=None)
 def dforest_component_bivariate(N: int) -> BivariateSeries:
     """D(z,v) = exp(sum_{i>=2} v^i T(z^i)/i): v marks forest components."""
     t = polya_int_table(N)

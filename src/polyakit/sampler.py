@@ -39,7 +39,10 @@ def derived_seed(master_seed: int | str, label: int | str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _divisors_desc(n: int) -> list[int]:
+def _divisors_sampling_order(n: int) -> list[int]:
+    """The divisors of n in the order the sampler walks them: those above
+    sqrt(n) ascending, then the rest descending; 12 gives [4, 6, 12, 3, 2, 1].
+    Every seeded tree depends on this order, so it must not change."""
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -90,7 +93,7 @@ class TreeSampler:
             r -= w
         # r is uniform below t[n-k]*s[k]; its residue picks the repeated size
         b = r % s[k]
-        for m in _divisors_desc(k):
+        for m in _divisors_sampling_order(k):
             w = m * t[m]
             if b < w:
                 break

@@ -165,6 +165,11 @@ def test_unknown_family_errors():
     (["coeffs", "--family", "omega", "--omega", "abc", "--n", "5"], None),
     (["coeffs", "--family", "omega", "--omega", "-1", "--n", "5"], None),
     (["singularity", "--family", "polya"], "abc"),
+    (["sample", "--n", "20000", "--samples", "1"], None),
+    (["sample", "--n", "5", "--samples", "200000"], None),
+    (["sample", "--lmax", "--n-values", "20000", "--samples", "1"], None),
+    (["coeffs", "--family", "omega", "--n", "5"], None),
+    (["sample", "--samples", "2"], None),
 ])
 def test_invalid_input_is_a_usage_error(argv, order_env, monkeypatch, capsys):
     # a one-line "error:" and a nonzero exit, never an exception

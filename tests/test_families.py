@@ -86,6 +86,37 @@ def test_identity_pointed_is_integral():
     assert all(rc[n].denominator == 1 for n in range(41))
 
 
+def test_identity_tables_match_exp_of_their_exponents():
+    # R = z exp(sum_{i>=1} (-1)^(i-1) R(z^i)/i) and D* = exp(sum_{i>=2} ...),
+    # the exponents built here from the table's own R
+    n = 60
+    r, dstar, _ = fam.identity_tree_coeffs(n)
+    tail = RationalSeries.zero(n)
+    for i in range(2, n + 1):
+        tail = tail + r.stretch(i).scale(F((-1) ** (i - 1), i))
+    assert (dstar - tail.exp()).is_zero()
+    assert (r - (r + tail).exp().shift(1)).is_zero()
+
+
+def test_pointed_tables_match_reciprocal_route():
+    n = 200
+    r, _, rc = fam.identity_tree_coeffs(n)
+    for a, pointed in ((fam.polya_coeffs(n), fam.pointed_coeffs(n)), (r, rc)):
+        assert (pointed - a * (RationalSeries.one(n) - a).reciprocal()).is_zero()
+
+
+def test_tables_grow_as_prefixes():
+    small, large = fam.dforest_coeffs(60), fam.dforest_coeffs(90)
+    again = fam.dforest_coeffs(60)
+    assert large.coeffs[:61] == small.coeffs == again.coeffs
+    assert all(isinstance(c, F) for c in large.coeffs)
+
+
+def test_families_keep_no_per_order_cache():
+    assert not [name for name, obj in vars(fam).items()
+                if hasattr(obj, "cache_info")]
+
+
 def test_identity_composition():
     # R = C(z D*) mirrors the unrestricted composition with signed weights
     n = 25
