@@ -44,11 +44,14 @@ from .series import BivariateSeries, Q, RationalSeries, UPoly, exp_step
 #   f[n]  n! d_n for the forest series D or D* = exp(sum_{i>=2} ...), from
 #         n d_n = sum_{i>=2} d_(n-i) (s(i) - i a_i);
 #   p[n]  the pointed series A/(1-A) (T/(1-T) or R_c), from P = A + A P.
+# For sigma = +1 a fifth table holds n! [z^n] 1/D, as 1/D = exp(-sum_{i>=2}
+# T(z^i)/i) follows the recurrence of D with the weights negated.
 
 _counts: dict[int, list[int]] = {1: [0, 1], -1: [0, 1]}  # a_0 = 0: no empty tree
 _weights: dict[int, list[int]] = {1: [0, 1], -1: [0, 1]}
 _forests: dict[int, list[int]] = {1: [1], -1: [1]}
 _pointed: dict[int, list[int]] = {1: [0], -1: [0]}
+_inverse_forests: list[int] = [1]  # n! [z^n] 1/D, the same recurrence negated
 
 
 def _divisors(n: int) -> list[int]:
@@ -79,11 +82,11 @@ def _grow_counts(sigma: int, N: int) -> tuple[list[int], list[int]]:
     return a, s
 
 
-def _grow_forests(sigma: int, N: int) -> list[int]:
-    """The table f of n! d_n, grown through N; only sizes i >= 2 enter, as a
-    repeated component never uses the full-size divisor."""
+def _grow_exp(f: list[int], sign: int, sigma: int, N: int) -> list[int]:
+    """Grow f, the table of n! [z^n] exp(sign sum_{i>=2} sigma^(i-1) A(z^i)/i),
+    through N; only sizes i >= 2 enter, as a repeated component never uses
+    the full-size divisor."""
     a, s = _grow_counts(sigma, N)
-    f = _forests[sigma]
     while len(f) <= N:
         n = len(f)
         total, falling = 0, 1  # falling = (n-1)!/(n-i)!
@@ -92,8 +95,13 @@ def _grow_forests(sigma: int, N: int) -> list[int]:
             w = s[i] - i * a[i]
             if w:
                 total += f[n - i] * w * falling
-        f.append(total)
+        f.append(sign * total)
     return f
+
+
+def _grow_forests(sigma: int, N: int) -> list[int]:
+    """The table f of n! d_n for D (sigma = +1) or D* (sigma = -1)."""
+    return _grow_exp(_forests[sigma], 1, sigma, N)
 
 
 def _grow_pointed(sigma: int, N: int) -> list[int]:
@@ -244,11 +252,18 @@ def gamma2_series(N: int) -> RationalSeries:
     return RationalSeries.from_coeffs(out)
 
 
-def _pointed_over_dforest(N: int) -> RationalSeries:
-    """q = (T/(1-T)) / D: fixed nodes counted with the forest at the node cut
-    off, so the fixed nodes of size-n trees whose forest has size m number
-    d_m [z^(n-m)] q."""
-    return pointed_coeffs(N) * dforest_coeffs(N).reciprocal()
+def _pointed_over_dforest(k: int) -> Fraction:
+    """[z^k] q with q = (T/(1-T)) / D: fixed nodes counted with the forest at
+    the node cut off, so the fixed nodes of size-n trees whose forest has
+    size m number d_m [z^(n-m)] q.  With U_j = j! [z^j] 1/D it is
+    sum_j p_(k-j) U_j / j!, summed over k! as one integer."""
+    p = _grow_pointed(1, k)
+    u = _grow_exp(_inverse_forests, -1, 1, k)
+    total, falling = 0, 1  # falling = k!/j!
+    for j in range(k, -1, -1):
+        total += p[k - j] * u[j] * falling
+        falling *= j
+    return Q(total, math.factorial(k))
 
 
 def forest_size_marked(N: int, m: int) -> RationalSeries:
@@ -256,7 +271,8 @@ def forest_size_marked(N: int, m: int) -> RationalSeries:
     forest at a random fixed node has size m): d_m z^m q(z)."""
     if not 0 <= m <= N:
         raise ValueError("marked forest size must lie within the truncation order")
-    return _pointed_over_dforest(N).scale(dforest_coeffs(N)[m]).shift(m)
+    q = RationalSeries(tuple(_pointed_over_dforest(k) for k in range(N + 1)))
+    return q.scale(dforest_coeffs(N)[m]).shift(m)
 
 
 def exact_forest_size_row(n: int, mmax: int) -> tuple[Fraction, ...]:
@@ -265,8 +281,8 @@ def exact_forest_size_row(n: int, mmax: int) -> tuple[Fraction, ...]:
     d_m rho^m / D(rho).  A forest has fewer than n nodes, so m >= n gives 0."""
     if n < 1:
         raise ValueError("the exact forest-size row needs n >= 1")
-    d, q, tc = dforest_coeffs(n), _pointed_over_dforest(n), pointed_coeffs(n)
-    return tuple(d[m] * q[n - m] / tc[n] if m < n else Q(0)
+    d, tc = dforest_coeffs(n), pointed_coeffs(n)
+    return tuple(d[m] * _pointed_over_dforest(n - m) / tc[n] if m < n else Q(0)
                  for m in range(mmax + 1))
 
 

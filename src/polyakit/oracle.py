@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .families import OmegaSet
 from .series import Q, UPoly
@@ -25,7 +25,7 @@ TREE_ENUMERATION_CAP = 14
 FOREST_ENUMERATION_CAP = 12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CanonicalTree:
     """Rooted unlabeled non-plane tree in canonical form."""
 
@@ -50,15 +50,33 @@ class CanonicalTree:
 LEAF = CanonicalTree((), 1, "()")
 
 
+def _class_order(pair: tuple[CanonicalTree, int]) -> tuple[int, str]:
+    return pair[0].size, pair[0].encoding
+
+
+def tree_from_classes(classes: Sequence[tuple[CanonicalTree, int]]) -> CanonicalTree:
+    """Root (subtree, multiplicity) pairs: the classes are sorted by (size,
+    encoding) and equal subtrees, now adjacent, merge their multiplicities.
+    Subtrees are compared by their encoding strings, never hashed."""
+    if len(classes) > 1:
+        ordered = sorted(classes, key=_class_order)
+        classes = [ordered[0]]
+        for t, m in ordered[1:]:
+            last, seen = classes[-1]
+            if t.encoding == last.encoding:
+                classes[-1] = (last, seen + m)
+            else:
+                classes.append((t, m))
+    size = 1
+    for t, m in classes:
+        size += t.size * m
+    encoding = "(" + "".join([t.encoding * m for t, m in classes]) + ")"
+    return CanonicalTree(tuple(classes), size, encoding)
+
+
 def make_tree(subtrees: Iterable[CanonicalTree]) -> CanonicalTree:
     """Root a multiset of subtrees, canonicalizing order."""
-    counts: dict[CanonicalTree, int] = {}
-    for t in subtrees:
-        counts[t] = counts.get(t, 0) + 1
-    pairs = sorted(counts.items(), key=lambda kv: (kv[0].size, kv[0].encoding))
-    size = 1 + sum(t.size * m for t, m in pairs)
-    encoding = "(" + "".join(t.encoding * m for t, m in pairs) + ")"
-    return CanonicalTree(tuple(pairs), size, encoding)
+    return tree_from_classes([(t, 1) for t in subtrees])
 
 
 def chain(n: int) -> CanonicalTree:

@@ -9,6 +9,13 @@ head of size n - m*d and one subtree of size m, then attach d identical copies
 of that subtree to the head's root.  Each tree of size n has probability
 exactly 1/t_n; the walk is over big integers, so nothing is approximated.
 
+The walk keeps an explicit stack, so its depth is not bounded by the
+interpreter's recursion limit.  For each node it first draws the whole chain
+of peels (m, d), head after head down to a single root, and then draws the
+repeated subtrees, last peel first, each by the same procedure; the node is
+built once from its (subtree, copies) classes.  This draw order fixes every
+seeded tree, and with it every seeded report, so it must not change.
+
 A decomposition sample then draws, per fixed node and per isomorphism class of
 its children, a uniform permutation of the identical copies.  Fixed copies are
 recursed into; moved copies contribute their whole subtrees to the forest
@@ -21,12 +28,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .families import divisor_weight_table, polya_int_table
-from .oracle import LEAF, CanonicalTree, make_tree
+from .oracle import LEAF, CanonicalTree, tree_from_classes
 
 MAX_SIZE = 10_000
 MAX_SAMPLES = 100_000
@@ -60,8 +66,7 @@ class TreeSampler:
     def __init__(self) -> None:
         self._t: list[int] = [0, 1]  # t[n] trees of size n
         self._s: list[int] = [0, 1]  # s[k] = sum over d|k of d*t[d]
-        # peeling recursion is ~sqrt(n) deep on average but heavy-tailed
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
+        self._orders: dict[int, list[int]] = {}  # k -> divisor walk order
 
     def extend(self, n: int) -> None:
         if len(self._t) <= n:
@@ -81,28 +86,58 @@ class TreeSampler:
         return self._sample(n, rng)
 
     def _sample(self, n: int, rng: random.Random) -> CanonicalTree:
-        if n == 1:
-            return LEAF
-        t, s = self._t, self._s
-        r = rng.randrange((n - 1) * t[n])
-        # small heads carry most of the mass, so walk k = n - head downward
-        for k in range(n - 1, 0, -1):
-            w = t[n - k] * s[k]
-            if r < w:
-                break
-            r -= w
-        # r is uniform below t[n-k]*s[k]; its residue picks the repeated size
-        b = r % s[k]
-        for m in _divisors_sampling_order(k):
-            w = m * t[m]
-            if b < w:
-                break
-            b -= w
-        head = self._sample(n - k, rng)
-        rep = self._sample(m, rng)
-        kids = [c for c, mult in head.children for _ in range(mult)]
-        kids.extend([rep] * (k // m))
-        return make_tree(kids)
+        t, s, orders = self._t, self._s, self._orders
+        randrange = rng.randrange
+        # open nodes: (peels whose subtree is still to draw, classes drawn)
+        stack: list[tuple[list[tuple[int, int]], list]] = []
+        size = n
+        while True:
+            # the node's whole chain of peels (size m, copies) first; a leaf
+            # draws nothing, so leaf peels become classes at once
+            peels, classes = [], []
+            while size > 1:
+                r = randrange((size - 1) * t[size])
+                # small heads carry most of the mass, so walk k = size - head
+                # downward; the first term is t[1] * s[k] = s[k]
+                k = size - 1
+                w = s[k]
+                while r >= w:
+                    r -= w
+                    k -= 1
+                    w = t[size - k] * s[k]
+                # r is uniform below t[size-k]*s[k]; its residue picks the
+                # repeated size
+                b = r % s[k]
+                order = orders.get(k)
+                if order is None:
+                    order = orders[k] = _divisors_sampling_order(k)
+                for m in order:
+                    w = m * t[m]
+                    if b < w:
+                        break
+                    b -= w
+                if m == 1:
+                    classes.append((LEAF, k))
+                else:
+                    peels.append((m, k // m))
+                size -= k
+            if peels:
+                stack.append((peels, classes))
+                size = peels[-1][0]
+                continue
+            # a finished subtree: hand it to the open node, which draws its
+            # next repeated part or, with none left, is built and handed up
+            tree = tree_from_classes(classes) if classes else LEAF
+            while stack:
+                peels, classes = stack[-1]
+                classes.append((tree, peels.pop()[1]))
+                if peels:
+                    break
+                stack.pop()
+                tree = tree_from_classes(classes)
+            else:
+                return tree
+            size = peels[-1][0]
 
 
 DEFAULT_SAMPLER = TreeSampler()

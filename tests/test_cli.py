@@ -5,8 +5,10 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyakit.cli import main
+from polyakit.cli import FAMILIES, main
 
 
 def run(argv):
@@ -179,3 +181,33 @@ def test_invalid_input_is_a_usage_error(argv, order_env, monkeypatch, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+OMEGA_TEXTS = ("all", "all-except:1", "0,2", "0,3,5", "all-except:", "", "abc",
+               "-1", "2,")
+COEFFS_ARGV = st.builds(
+    lambda family, n, omega: ["coeffs", "--family", family, "--n", str(n)]
+    + ([] if omega is None else ["--omega", omega]),
+    st.sampled_from(sorted(FAMILIES)), st.integers(-5, 40),
+    st.none() | st.sampled_from(OMEGA_TEXTS))
+SAMPLE_ARGV = st.builds(
+    lambda n, samples: ["sample", "--n", str(n), "--samples", str(samples)],
+    st.integers(-2, 60), st.integers(-2, 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(COEFFS_ARGV | SAMPLE_ARGV)
+def test_cli_fuzz_returns_zero_or_one_usage_error(argv):
+    # every call succeeds or ends as a usage error with one "error:" line;
+    # any other exception propagates and fails the example
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        lines = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert len(lines) == 1, (argv, err.getvalue())
+        return
+    assert code == 0, argv
+    assert json.loads(out.getvalue())

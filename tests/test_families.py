@@ -171,6 +171,18 @@ def test_exact_forest_size_row_sums_to_one():
     assert all(p == 0 for p in row[5:])
 
 
+def test_forest_size_rows_match_reciprocal_route():
+    # q = (T/(1-T)) / D through the Fraction reciprocal of D, against the
+    # integer 1/D table the families use
+    n = 60
+    d, pointed = fam.dforest_coeffs(n), fam.pointed_coeffs(n)
+    q = pointed * d.reciprocal()
+    assert fam.forest_size_marked(n, 0) == q
+    assert fam.forest_size_marked(n, 7) == q.scale(d[7]).shift(7)
+    row = fam.exact_forest_size_row(n, 12)
+    assert row == tuple(d[m] * q[n - m] / pointed[n] for m in range(13))
+
+
 def test_csize_moments_small_n():
     # size 3: P(c=3) = 3/4, P(c=1) = 1/4, so E c = 5/2 and E c^2 = 7;
     # the series carry the moments times t_n

@@ -1,6 +1,7 @@
 """Exact uniform sampling and decomposition statistics."""
 
 import math
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +18,8 @@ from polyakit.sampler import (
     sample_decomposition,
     sample_polya_tree,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_derived_seed_rule():
@@ -40,6 +43,38 @@ def test_seeded_corpus_is_pinned():
                      for n in (5, 12, 36, 60) for seed in range(20))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "0babbd44b9352ff1cd43449b2df11d472b705a879e91646220b0ebe2b83dbd4f")
+
+
+def test_seeded_decompositions_are_pinned():
+    # larger trees and the decomposition that follows them on the same RNG:
+    # sibling order and the draw order of the tree walk both show here
+    import hashlib
+    rows = []
+    for seed in range(10):
+        rng = random.Random(seed)
+        tree = sample_polya_tree(500, rng)
+        d = sample_decomposition(tree, rng)
+        rows.append(repr((tree.encoding, d.c_size, d.l_max, d.y_count,
+                          sorted(d.forest_size_histogram.items()))))
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "946232d3277777698da75d89fdcbba450c0816dfb886cd976248d598ac20cb41")
+    report = repr(run_experiment(300, 40, "pin").to_dict())
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "ee9adab1a1b6501cdddb4a9a4483aefe5e263ba47f6237615cc2201b937f24fa")
+
+
+def test_sampling_leaves_the_recursion_limit_alone():
+    # a fresh interpreter, so no earlier import has touched the limit
+    import subprocess
+    import sys
+    code = ("import random, sys\n"
+            "before = sys.getrecursionlimit()\n"
+            "from polyakit.sampler import sample_polya_tree\n"
+            "sample_polya_tree(300, random.Random(1))\n"
+            "assert sys.getrecursionlimit() == before, sys.getrecursionlimit()\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0, done.stderr
 
 
 def test_samples_are_valid_trees():
