@@ -339,25 +339,20 @@ def solve_variant_singularity(family: str,
 # exact scaled-float coefficients at large n (max forest size law)
 
 
-def _scaled_polya_coeffs(n: int, rho: float) -> list[float]:
-    """t_m rho^m for m <= n, stable float recurrence (all terms positive)."""
-    t = [0.0, rho]
-    s = [0.0, rho]  # s_m = sum_{d|m} d t_d rho^m
-    for m in range(2, n + 1):
-        acc = 0.0
-        for i in range(1, m):
-            acc += t[m - i] * s[i]
-        t.append(acc / (m - 1))
-        sv = 0.0
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                sv += d * t[d] * rho ** (m - d)
-                e = m // d
-                if e != d:
-                    sv += e * t[e] * rho ** (m - e)
-            d += 1
-        s.append(sv)
+def _scaled_polya_coeffs(n: int, rho: float) -> "np.ndarray":
+    """t_m rho^m for m <= n, stable float recurrence (all terms positive).
+
+    (m-1) t_m = sum_{i<m} t_(m-i) s_i with s_j = sum_{d|j} d t_d rho^(j-d);
+    each t_d is added to s at the multiples of d as soon as it is known, so
+    s_i is complete before any t_m with m > i reads it.
+    """
+    import numpy as np
+
+    t = np.zeros(n + 1)
+    s = np.zeros(n + 1)
+    for m in range(1, n + 1):
+        t[m] = rho if m == 1 else (t[m - 1 : 0 : -1] @ s[1:m]) / (m - 1)
+        s[m::m] += m * t[m] * rho ** (m * np.arange(n // m))
     return t
 
 
@@ -369,46 +364,50 @@ def lmax_cdf_exact(n: int, kmax: int, rho: float | None = None) -> list[float]:
     is the coefficient ratio [z^n]Y_K / t_n.  Computed in the scaled variable
     z -> rho z, where every series involved has bounded positive
     coefficients, so plain floats are accurate to roundoff.
+
+    All caps advance together, one degree at a time: row K of y/e^y holds
+    Y_K and the last row the uncapped Y, whose degree-n value is t_n rho^n.
+    A capped forest has at most K + 1 terms, so its y step costs O(kmax)
+    per row and degree; the exp step runs once over all rows.
     """
+    if n < 1:
+        raise ValueError(f"lmax_cdf_exact needs n >= 1, got {n}")
+    if kmax < 0:
+        raise ValueError(f"lmax_cdf_exact needs kmax >= 0, got {kmax}")
     import numpy as np
 
     if rho is None:
         rho = solve_polya_singularity().rho
-    t_scaled = np.array(_scaled_polya_coeffs(n, rho))
+    t_scaled = _scaled_polya_coeffs(n, rho)
+    idx = np.arange(n + 1)
 
     # scaled forest series: D(rho z) = exp(sum_{i>=2} T((rho z)^i)/i)
     darg = np.zeros(n + 1)
     for i in range(2, n + 1):
         block = t_scaled[1 : n // i + 1]
-        if block.size == 0:
-            break
         # T(x^i) contributes t_m rho^(i m) at degree i m; t_scaled holds
         # t_m rho^m, so multiply by rho^((i-1) m)
-        darg[i :: i][: block.size] += block * rho ** ((i - 1)
-                                                      * np.arange(1, block.size + 1)) / i
+        darg[i::i] += block * rho ** ((i - 1) * idx[1 : block.size + 1]) / i
     d_scaled = np.zeros(n + 1)
     d_scaled[0] = 1.0
     for m in range(1, n + 1):
-        d_scaled[m] = (np.arange(1, m + 1) * darg[1 : m + 1]) @ d_scaled[m - 1 :: -1][:m] / m
+        d_scaled[m] = (idx[1 : m + 1] * darg[1 : m + 1]) @ d_scaled[m - 1 :: -1] / m
 
-    def compose(forest: "np.ndarray") -> float:
-        """[z^n] of Y = z e^Y forest(z), scaled; returns the degree-n value."""
-        y = np.zeros(n + 1)
-        ey = np.zeros(n + 1)
-        ey[0] = 1.0
-        for m in range(1, n + 1):
-            # y_m = [w^m] (rho w) e^y forest: the scaled z carries a rho
-            y[m] = rho * (forest[: m] @ ey[m - 1 :: -1][: m])
-            ey[m] = (np.arange(1, m + 1) * y[1 : m + 1]) @ ey[m - 1 :: -1][:m] / m
-        return y[n]
-
-    tn = compose(d_scaled)
-    out = []
-    for k in range(kmax + 1):
-        trunc = d_scaled.copy()
-        trunc[k + 1 :] = 0.0
-        out.append(compose(trunc) / tn)
-    return out
+    # row K of trunc is the forest capped at degree K
+    width = min(kmax, n) + 1
+    trunc = np.tril(np.tile(d_scaled[:width], (kmax + 1, 1)))
+    y = np.zeros((kmax + 2, n + 1))
+    ey = np.zeros((kmax + 2, n + 1))
+    ey[:, 0] = 1.0
+    for m in range(1, n + 1):
+        # y_m = [w^m] (rho w) e^y forest: the scaled z carries a rho
+        back = ey[:, m - 1 :: -1]
+        j = min(m, width)
+        y[:-1, m] = rho * np.einsum("ij,ij->i", trunc[:, :j], back[:-1, :j])
+        y[-1, m] = rho * (d_scaled[:m] @ back[-1, :m])
+        ey[:, m] = np.einsum("j,ij,ij->i", idx[1 : m + 1], y[:, 1 : m + 1],
+                             back[:, :m]) / m
+    return (y[:-1, n] / y[-1, n]).tolist()
 
 
 def lmax_exact_mean(n: int, rho: float | None = None,
@@ -420,4 +419,4 @@ def lmax_exact_mean(n: int, rho: float | None = None,
     cdf = lmax_cdf_exact(n, kmax, rho)
     if 1.0 - cdf[-1] > 1e-9:
         raise ValueError("kmax too small for the requested size")
-    return sum(1.0 - p for p in cdf)
+    return float(sum(1.0 - p for p in cdf))

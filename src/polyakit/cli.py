@@ -52,6 +52,17 @@ def _int_in(low: int, high: float):
     return parse
 
 
+def _open_unit(text: str) -> float:
+    """argparse type for --s: a float strictly between 0 and 1 (NaN fails)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
 def _size_list(text: str) -> list[int]:
     """argparse type for --n-values: comma-separated sizes within the sampler
     budget, each >= 2."""
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the largest-forest growth report instead")
     p.add_argument("--n-values", type=_size_list, default="500,2000,8000",
                    help="comma list of sizes for --lmax")
-    p.add_argument("--s", type=float, default=0.5,
+    p.add_argument("--s", type=_open_unit, default=0.5,
                    help="interval exponent for --lmax")
     p.add_argument("--exact-mean", action="store_true",
                    help="include the exact E L_n in the --lmax report")

@@ -301,10 +301,6 @@ class ForestSpec:
     def size(self) -> int:
         return sum(t.size * m for t, m in self.components)
 
-    @property
-    def num_trees(self) -> int:
-        return sum(m for _, m in self.components)
-
 
 def make_forest(pairs: Iterable[tuple[CanonicalTree, int]]) -> ForestSpec:
     pairs = sorted(pairs, key=lambda kv: (kv[0].size, kv[0].encoding))

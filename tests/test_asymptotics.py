@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import polyakit.families as fam
 from polyakit.asymptotics import (
+    _scaled_polya_coeffs,
     decomposition_constants,
     forest_asymptotics,
     lmax_cdf_exact,
@@ -179,14 +181,66 @@ def test_lmax_cdf_matches_brute_force(n):
 
 def test_lmax_cdf_shape():
     cdf = lmax_cdf_exact(50, 50)
+    assert all(type(p) is float for p in cdf)
     assert all(b >= a - 1e-15 for a, b in zip(cdf, cdf[1:]))
     assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
     assert cdf[0] == cdf[1]  # a nonempty forest has at least two nodes
 
 
 def test_lmax_exact_means():
+    assert type(lmax_exact_mean(40)) is float
     assert lmax_exact_mean(40) == pytest.approx(3.438439, abs=1e-5)
     assert lmax_exact_mean(500) == pytest.approx(6.638253, abs=1e-5)
+
+
+def per_cap_lmax_cdf(n: int, kmax: int, rho: float) -> list[float]:
+    """Reference route: one full composition Y_K = z e^(Y_K) D_K(z) per cap K,
+    in the scaled variable z -> rho z, with the scaled forest read off the
+    exact series D."""
+    d = fam.dforest_coeffs(n)
+    d_scaled = np.array([float(d[m]) * rho ** m for m in range(n + 1)])
+
+    def compose(forest: np.ndarray) -> float:
+        y = np.zeros(n + 1)
+        ey = np.zeros(n + 1)
+        ey[0] = 1.0
+        for m in range(1, n + 1):
+            y[m] = rho * (forest[:m] @ ey[m - 1 :: -1][:m])
+            ey[m] = (np.arange(1, m + 1) * y[1 : m + 1]) @ ey[m - 1 :: -1][:m] / m
+        return y[n]
+
+    tn = compose(d_scaled)
+    out = []
+    for k in range(kmax + 1):
+        trunc = d_scaled.copy()
+        trunc[k + 1 :] = 0.0
+        out.append(compose(trunc) / tn)
+    return out
+
+
+@pytest.mark.parametrize("n,kmax", [(60, 60), (500, 64)])
+def test_lmax_cdf_matches_per_cap_route(sing, n, kmax):
+    batched = lmax_cdf_exact(n, kmax, rho=sing.rho)
+    reference = per_cap_lmax_cdf(n, kmax, sing.rho)
+    assert batched == pytest.approx(reference, abs=1e-12)
+
+
+def test_scaled_counts_match_integer_table(sing):
+    scaled = _scaled_polya_coeffs(400, sing.rho)
+    exact = [t * sing.rho ** m for m, t in enumerate(fam.polya_int_table(400))]
+    assert scaled[0] == exact[0] == 0
+    assert list(scaled[1:]) == pytest.approx(exact[1:], rel=1e-12)
+
+
+@pytest.mark.parametrize("n,kmax", [(0, 0), (-3, 5), (5, -1)])
+def test_lmax_cdf_rejects_invalid_sizes(n, kmax):
+    with pytest.raises(ValueError):
+        lmax_cdf_exact(n, kmax)
+
+
+def test_lmax_exact_mean_rejects_negative_cap():
+    with pytest.raises(ValueError):
+        lmax_exact_mean(5, kmax=-1)
 
 
 def test_lmax_interval_and_estimate(deco):

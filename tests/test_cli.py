@@ -172,6 +172,10 @@ def test_unknown_family_errors():
     (["sample", "--lmax", "--n-values", "20000", "--samples", "1"], None),
     (["coeffs", "--family", "omega", "--n", "5"], None),
     (["sample", "--samples", "2"], None),
+    (["sample", "--lmax", "--s", "1.5", "--samples", "1"], None),
+    (["sample", "--lmax", "--s", "0", "--samples", "1"], None),
+    (["sample", "--lmax", "--s", "nan", "--samples", "1"], None),
+    (["sample", "--lmax", "--s", "half", "--samples", "1"], None),
 ])
 def test_invalid_input_is_a_usage_error(argv, order_env, monkeypatch, capsys):
     # a one-line "error:" and a nonzero exit, never an exception

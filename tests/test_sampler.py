@@ -186,7 +186,7 @@ def test_run_experiment_budget_checks():
 
 
 def test_lmax_check_rows():
-    out = lmax_check((30, 60), 40, s=0.5, master_seed="x")
+    out = lmax_check((30, 60), 40, s=0.5, master_seed="x", exact_mean=True)
     rows = out["rows"]
     assert [r["n"] for r in rows] == [30, 60]
     for row in rows:
@@ -194,6 +194,7 @@ def test_lmax_check_rows():
         assert lo < hi
         assert 0 <= row["fraction_in_interval"] <= 1
         assert row["mean_l_max"] > 0
+        assert type(row["exact_mean_l_max"]) is float
         assert row["leading_ratio"] == pytest.approx(
             -2 / math.log(0.33832185689920769), rel=1e-6)
 
