@@ -68,6 +68,26 @@ def _substituted_sum(coeffs: Sequence[float], x: float, start: int,
     return total
 
 
+def _substituted_derivative(dcoeffs: Sequence[float], x: float,
+                            weight: Callable[[int], float] = lambda i: 1.0) -> float:
+    """sum over i >= 2 of weight(i) * x^(i-1) * series'(x^i), from the
+    derivative's coefficients; 0 < x < 1 required."""
+    total = 0.0
+    for i in range(2, 2000):
+        arg = x ** i
+        if arg < 1e-25:
+            break
+        total += weight(i) * x ** (i - 1) * _horner(dcoeffs, arg)
+    return total
+
+
+def _root_and_shift(solve_at: Callable[[int], float], order: int) -> tuple[float, float]:
+    """The root at the truncation order, and how far it moves when the order
+    is raised by 80."""
+    root = solve_at(order)
+    return root, abs(root - solve_at(order + 80))
+
+
 # ---------------------------------------------------------------------------
 # the main tree family
 
@@ -84,46 +104,49 @@ class PolyaSingularity:
     order: int
 
 
+def _polya_floats(order: int) -> list[float]:
+    return [float(v) for v in polya_int_table(order)]
+
+
+def _forest_value(t: Sequence[float], x: float) -> float:
+    """exp(sum_{i>=2} A(x^i)/i) from the float coefficients of A: the forest
+    series D(x) for A = T."""
+    return math.exp(_substituted_sum(t, x, 2, lambda i: 1.0 / i))
+
+
+def _polya_root(order: int) -> float:
+    t = _polya_floats(order)
+    return _bisect(lambda x: math.e * x * _forest_value(t, x) - 1.0, 0.25, 0.45)
+
+
+# the last solve, kept so that asking again at the same order (every L_n law
+# without rho, the constants after the singularity) does not solve again;
+# one slot, not a cache per order
+_last_singularity: PolyaSingularity | None = None
+
+
 def solve_polya_singularity(order: int = DEFAULT_ORDER) -> PolyaSingularity:
     """rho, and the square-root expansion T = 1 - b sqrt(rho-z) + c(rho-z)."""
-    t = [float(v) for v in polya_int_table(order)]
-    tp = _derivative_floats(t)
-
-    def dval(x: float) -> float:
-        return math.exp(_substituted_sum(t, x, 2, lambda i: 1.0 / i))
-
-    def dprime(x: float) -> float:
-        # D' = D * d/dx sum_{i>=2} T(x^i)/i = D * sum_{i>=2} i x^(i-1) T'(x^i) / i
-        total = 0.0
-        for i in range(2, 2000):
-            arg = x ** i
-            if arg < 1e-25:
-                break
-            total += (x ** (i - 1)) * _horner(tp, arg)
-        return dval(x) * total
-
-    rho = _bisect(lambda x: math.e * x * dval(x) - 1.0, 0.25, 0.45)
-    d_rho = dval(rho)
-    d_prime_rho = dprime(rho)
+    global _last_singularity
+    if _last_singularity is not None and _last_singularity.order == order:
+        return _last_singularity
+    rho, rho_shift = _root_and_shift(_polya_root, order)
+    t = _polya_floats(order)
+    d_rho = _forest_value(t, rho)
+    # D' = D * d/dx sum_{i>=2} T(x^i)/i = D * sum_{i>=2} x^(i-1) T'(x^i)
+    d_prime_rho = d_rho * _substituted_derivative(_derivative_floats(t), rho)
     b = math.sqrt(2 * math.e * (d_rho + rho * d_prime_rho))
-
-    t2 = [float(v) for v in polya_int_table(order + 80)]
-
-    def dval2(x: float) -> float:
-        return math.exp(_substituted_sum(t2, x, 2, lambda i: 1.0 / i))
-
-    rho2 = _bisect(lambda x: math.e * x * dval2(x) - 1.0, 0.25, 0.45)
-
-    return PolyaSingularity(
+    _last_singularity = PolyaSingularity(
         rho=rho,
         b=b,
         c=b * b / 3,
         d_rho=d_rho,
         d_prime_rho=d_prime_rho,
         residual=abs(rho * math.e * d_rho - 1.0),
-        rho_shift=abs(rho - rho2),
+        rho_shift=rho_shift,
         order=order,
     )
+    return _last_singularity
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +183,7 @@ class ForestAsymptotics:
 def forest_asymptotics(order: int = DEFAULT_ORDER,
                        sing: PolyaSingularity | None = None) -> ForestAsymptotics:
     sing = sing or solve_polya_singularity(order)
-    t = [float(v) for v in polya_int_table(order)]
-    tp = _derivative_floats(t)
+    t = _polya_floats(order)
     r = math.sqrt(sing.rho)
 
     def xi(x: float) -> float:
@@ -178,14 +200,8 @@ def forest_asymptotics(order: int = DEFAULT_ORDER,
     mu_odd = (xi_p * v_p - xi_m * v_m) / (xi_p - xi_m)
 
     gamma_rho = _substituted_sum(t, sing.rho, 2, lambda i: 1.0)
-    gamma2_rho = _substituted_sum(t, sing.rho, 2, lambda i: float(i))
-
-    gp = 0.0
-    for i in range(2, 2000):
-        arg = sing.rho ** i
-        if arg < 1e-25:
-            break
-        gp += i * sing.rho ** (i - 1) * _horner(tp, arg)
+    gamma2_rho = _substituted_sum(t, sing.rho, 2, float)
+    gp = _substituted_derivative(_derivative_floats(t), sing.rho, float)
 
     return ForestAsymptotics(
         rho=sing.rho, b=sing.b,
@@ -277,29 +293,16 @@ def solve_hierarchy_singularity(order: int = DEFAULT_ORDER) -> VariantSingularit
 
     def solve_at(n: int) -> float:
         h = [float(v) for v in hierarchy_int_table(n)]
+        return _bisect(lambda x: (x / (1 + x)) * math.e * _forest_value(h, x) - 1.0,
+                       0.3, 0.6)
 
-        def g(x: float) -> float:
-            tail = _substituted_sum(h, x, 2, lambda i: 1.0 / i)
-            return (x / (1 + x)) * math.e * math.exp(tail) - 1.0
-
-        return _bisect(g, 0.3, 0.6)
-
-    tau = solve_at(order)
-    tau2 = solve_at(order + 80)
+    tau, tau_shift = _root_and_shift(solve_at, order)
     h = [float(v) for v in hierarchy_int_table(order)]
-    hp = _derivative_floats(h)
-    xi_tail = _substituted_sum(h, tau, 2, lambda i: 1.0 / i)
-    xi_val = math.exp(xi_tail)
-    xi_deriv = 0.0
-    for i in range(2, 2000):
-        arg = tau ** i
-        if arg < 1e-25:
-            break
-        xi_deriv += tau ** (i - 1) * _horner(hp, arg)
+    xi_val = _forest_value(h, tau)
+    xi_deriv = _substituted_derivative(_derivative_floats(h), tau)
     mu = tau ** 2 * math.e * xi_val * xi_deriv
     residual = abs((tau / (1 + tau)) * math.e * xi_val - 1.0)
-    return VariantSingularity("hierarchy", tau, mu, residual,
-                              abs(tau - tau2), order)
+    return VariantSingularity("hierarchy", tau, mu, residual, tau_shift, order)
 
 
 def solve_binary_singularity(order: int = DEFAULT_ORDER) -> VariantSingularity:
@@ -314,16 +317,14 @@ def solve_binary_singularity(order: int = DEFAULT_ORDER) -> VariantSingularity:
         return _bisect(lambda x: x * x * _horner(b, x * x) + 2 * x * x - 1.0,
                        0.5, 0.75)
 
-    tau = solve_at(order)
-    tau2 = solve_at(order + 80)
+    tau, tau_shift = _root_and_shift(solve_at, order)
     b = [float(v) for v in binary_int_table(order)]
     bp = _derivative_floats(b)
     # mu = tau^2/B(tau) * d/dx[(B(tau)^2 + B(x^2))/2] at x=tau; the first slot
     # of the pair cycle index is held fixed, so only B(x^2) contributes.
     mu = tau ** 4 * _horner(bp, tau * tau)
     residual = abs(tau * tau * _horner(b, tau * tau) + 2 * tau * tau - 1.0)
-    return VariantSingularity("binary", tau, mu, residual,
-                              abs(tau - tau2), order)
+    return VariantSingularity("binary", tau, mu, residual, tau_shift, order)
 
 
 def solve_variant_singularity(family: str,

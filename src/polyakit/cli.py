@@ -65,8 +65,11 @@ def _open_unit(text: str) -> float:
 
 def _size_list(text: str) -> list[int]:
     """argparse type for --n-values: comma-separated sizes within the sampler
-    budget, each >= 2."""
-    return [_int_in(2, MAX_SIZE)(v) for v in text.split(",") if v.strip()]
+    budget, each >= 2; at least one is required."""
+    sizes = [_int_in(2, MAX_SIZE)(v) for v in text.split(",") if v.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"no size given: {text!r}")
+    return sizes
 
 
 def _omega_set(text: str) -> OmegaSet:
@@ -175,8 +178,12 @@ def _emit(payload: dict, fmt: str, output: str | None) -> None:
     else:
         text = _payload_to_csv(payload)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise argparse.ArgumentError(
+                None, f"cannot write --output {output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -327,7 +334,10 @@ def main(argv: list[str] | None = None) -> int:
             and args.exact_n < 3:
         parser.error("--exact-n must be at least 3 for the conditional table: "
                      "smaller trees have no nonempty forest")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except argparse.ArgumentError as exc:  # raised by _emit for --output
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -45,7 +45,9 @@ from .series import BivariateSeries, Q, RationalSeries, UPoly, exp_step
 #         n d_n = sum_{i>=2} d_(n-i) (s(i) - i a_i);
 #   p[n]  the pointed series A/(1-A) (T/(1-T) or R_c), from P = A + A P.
 # For sigma = +1 a fifth table holds n! [z^n] 1/D, as 1/D = exp(-sum_{i>=2}
-# T(z^i)/i) follows the recurrence of D with the weights negated.
+# T(z^i)/i) follows the recurrence of D with the weights negated.  Any other
+# power F^k = exp(k log F) is the same recurrence with the weights times k:
+# E and the skeleton rows read their coefficients off such tables.
 
 _counts: dict[int, list[int]] = {1: [0, 1], -1: [0, 1]}  # a_0 = 0: no empty tree
 _weights: dict[int, list[int]] = {1: [0, 1], -1: [0, 1]}
@@ -85,7 +87,9 @@ def _grow_counts(sigma: int, N: int) -> tuple[list[int], list[int]]:
 def _grow_exp(f: list[int], sign: int, sigma: int, N: int) -> list[int]:
     """Grow f, the table of n! [z^n] exp(sign sum_{i>=2} sigma^(i-1) A(z^i)/i),
     through N; only sizes i >= 2 enter, as a repeated component never uses
-    the full-size divisor."""
+    the full-size divisor.  sign is any integer exponent: the table is F^sign
+    for the forest series F (D or D*), so sign = 1 gives F, -1 its inverse,
+    and k its k-th power."""
     a, s = _grow_counts(sigma, N)
     while len(f) <= N:
         n = len(f)
@@ -331,40 +335,42 @@ def e_series(N: int) -> RationalSeries:
     """E(z) with z E(z) = R^(-1)(C(z)); starts 1 + 0 z + z^2/2 - z^3/3 + ...
 
     R = C(z D*) gives R^(-1)(C(z)) = (z D*)^(-1)(z), so z E is the reversion
-    of z D*(z) and C is never composed.
+    of z D*(z) and C is never composed.  Lagrange inversion reads it off the
+    powers of D*: n [z^n] zE = [z^(n-1)] D*^(-n), and D*^(-n) is the exp
+    table of sign -n, so n! [z^n] zE is its entry n - 1.
     """
-    _, dstar, _ = identity_tree_coeffs(N)
-    z_dstar = RationalSeries((Q(0),) + dstar.coeffs)  # order N + 1
-    return RationalSeries(z_dstar.reversion().coeffs[1:])
+    return RationalSeries(tuple(
+        Q(_grow_exp([1], -n, -1, n - 1)[n - 1], math.factorial(n))
+        for n in range(1, N + 2)))
 
 
 # ---------------------------------------------------------------------------
 # bivariate families
 
 
-def _marked_rows(forest: RationalSeries, N: int) -> BivariateSeries:
-    """Rows of C(u z F(z)), u marking the skeleton nodes (the fixed nodes):
-    [u^k z^n] = c_k [z^(n-k)] F^k, from the successive powers of F."""
-    c = cayley_coeffs(N)
-    rows = [[Q(0)] * (n + 1) for n in range(N + 1)]
-    power = RationalSeries.one(N)
+def _marked_rows(sigma: int, N: int) -> BivariateSeries:
+    """Rows of C(u z F(z)) for the forest series F = D (sigma = +1) or D*
+    (sigma = -1), u marking the skeleton nodes (the fixed nodes):
+    [u^k z^n] = c_k [z^j] F^k with j = n - k, and F^k is the exp table of
+    sign k, whose entry j is j! [z^j] F^k."""
+    rows = [[0] * (n + 1) for n in range(N + 1)]
     for k in range(1, N + 1):
-        power = power.truncate(N - k) * forest  # F^k through z^(N-k)
-        for n in range(k, N + 1):
-            rows[n][k] = c[k] * power[n - k]
+        power = _grow_exp([1], k, sigma, N - k)
+        for j in range(N - k + 1):
+            rows[k + j][k] = Q(k ** (k - 1) * power[j],
+                               math.factorial(k) * math.factorial(j))
     return BivariateSeries(tuple(UPoly.from_coeffs(r) for r in rows))
 
 
 def ctree_polynomials(N: int) -> BivariateSeries:
     """T_c(z,u) = C(u z D(z)): row n is the fixed-node polynomial summed over
     all trees of size n; row sums recover t_n."""
-    return _marked_rows(dforest_coeffs(N), N)
+    return _marked_rows(1, N)
 
 
 def identity_ctree_polynomials(N: int) -> BivariateSeries:
     """R_c(z,u) = C(u z D*(z)): signed fixed-node polynomials."""
-    _, dstar, _ = identity_tree_coeffs(N)
-    return _marked_rows(dstar, N)
+    return _marked_rows(-1, N)
 
 
 def dforest_component_bivariate(N: int) -> BivariateSeries:

@@ -13,6 +13,7 @@ parenthesis encoding.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -154,10 +155,7 @@ def aut_order(tree: CanonicalTree) -> int:
     """|Aut(T)| = prod over child classes of m! |Aut(child)|^m."""
     order = 1
     for child, m in tree.children:
-        f = 1
-        for k in range(2, m + 1):
-            f *= k
-        order *= f * aut_order(child) ** m
+        order *= math.factorial(m) * aut_order(child) ** m
     return order
 
 
@@ -171,15 +169,16 @@ def pointed_tree_count(tree: CanonicalTree) -> int:
     return 1 + sum(pointed_tree_count(child) for child, _ in tree.children)
 
 
-def _cycle_index_one_slot(poly: UPoly, m: int) -> UPoly:
-    """Z(S_m; s_1 = poly, s_j = 1 for j >= 2) by the standard recurrence."""
+def _cycle_index(slots: Sequence[UPoly]) -> UPoly:
+    """Z(S_m; s_1, ..., s_m) for m = len(slots), by the standard recurrence
+    k Z_k = sum_{i=1..k} s_i Z_(k-i)."""
     zs = [UPoly.constant(1)]
-    for k in range(1, m + 1):
-        acc = zs[k - 1] * poly
-        for i in range(2, k + 1):
-            acc = acc + zs[k - i]
-        zs.append(acc.scale(Q(1, k)))
-    return zs[m]
+    for k in range(1, len(slots) + 1):
+        part = UPoly.zero()
+        for i in range(1, k + 1):
+            part = part + slots[i - 1] * zs[k - i]
+        zs.append(part.scale(Q(1, k)))
+    return zs[-1]
 
 
 @lru_cache(maxsize=None)
@@ -189,20 +188,11 @@ def fixed_point_polynomial(tree: CanonicalTree) -> UPoly:
     A child class (S, m) contributes Z(S_m; t_S(u), 1, ..., 1): copies on a
     nontrivial cycle of the wreath permutation contain no fixed node at all.
     """
-    acc = UPoly.constant(1)
+    one = UPoly.constant(1)
+    acc = one
     for child, m in tree.children:
-        acc = acc * _cycle_index_one_slot(fixed_point_polynomial(child), m)
+        acc = acc * _cycle_index([fixed_point_polynomial(child)] + [one] * (m - 1))
     return acc.shift_marker(1)  # the root is always fixed
-
-
-def _rising_factorial_over_mfact(x: Fraction, m: int) -> Fraction:
-    """Z(S_m; x, x, ..., x) = x (x+1) ... (x+m-1) / m!."""
-    num = Q(1)
-    fact = 1
-    for k in range(m):
-        num *= x + k
-        fact *= k + 1
-    return num / fact
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +204,9 @@ def _sign_balance(tree: CanonicalTree) -> Fraction:
     """
     acc = -Q(1)  # the root contributes a single 1-cycle
     for child, m in tree.children:
-        acc *= _rising_factorial_over_mfact(_sign_balance(child), m)
+        # Z(S_m; x, ..., x) = x (x+1) ... (x+m-1) / m! with x the child's value
+        x = _sign_balance(child)
+        acc *= math.prod((x + k for k in range(m)), start=Q(1)) / math.factorial(m)
     return acc
 
 
@@ -231,18 +223,10 @@ def signed_fixed_point_polynomial(tree: CanonicalTree) -> UPoly:
     acc = UPoly.constant(1)
     for child, m in tree.children:
         r_child = signed_fixed_point_polynomial(child)
-        slots: list[UPoly] = [r_child]
         even_val = UPoly.constant(_sign_balance(child))
         odd_val = UPoly.constant(r_child.eval(1))
-        for j in range(2, m + 1):
-            slots.append(even_val if j % 2 == 0 else odd_val)
-        zs = [UPoly.constant(1)]
-        for k in range(1, m + 1):
-            part = UPoly.zero()
-            for i in range(1, k + 1):
-                part = part + slots[i - 1] * zs[k - i]
-            zs.append(part.scale(Q(1, k)))
-        acc = acc * zs[m]
+        acc = acc * _cycle_index([r_child] + [even_val if j % 2 == 0 else odd_val
+                                              for j in range(2, m + 1)])
     return acc.shift_marker(1)
 
 
@@ -250,16 +234,9 @@ def signed_fixed_point_polynomial(tree: CanonicalTree) -> UPoly:
 def plane_embeddings(tree: CanonicalTree) -> int:
     """Number of plane (ordered) trees collapsing to T: the root orders its
     child multiset in multinomial(d; m_1, ..., m_k) ways, children recurse."""
-    d = tree.outdegree
-    fact = 1
-    for k in range(2, d + 1):
-        fact *= k
-    count = fact
+    count = math.factorial(tree.outdegree)
     for child, m in tree.children:
-        mf = 1
-        for k in range(2, m + 1):
-            mf *= k
-        count //= mf
+        count //= math.factorial(m)
         count *= plane_embeddings(child) ** m
     return count
 
@@ -270,10 +247,7 @@ def ctree_weight(tree: CanonicalTree) -> Fraction:
     collapses to prod over child classes w(child)^m / m!."""
     w = Q(1)
     for child, m in tree.children:
-        mf = 1
-        for k in range(2, m + 1):
-            mf *= k
-        w *= ctree_weight(child) ** m / mf
+        w *= ctree_weight(child) ** m / math.factorial(m)
     return w
 
 
@@ -360,10 +334,7 @@ def forest_weight(forest: ForestSpec) -> Fraction:
     """
     w = Q(1)
     for _, m in forest.components:
-        fact = 1
-        for k in range(2, m + 1):
-            fact *= k
-        w *= Q(_derangements(m), fact)
+        w *= Q(_derangements(m), math.factorial(m))
     return w
 
 
@@ -379,10 +350,7 @@ def signed_forest_weight(forest: ForestSpec) -> Fraction:
             raise ValueError("signed weights are defined for identity-tree forests")
     w = Q(1)
     for _, m in forest.components:
-        fact = 1
-        for k in range(2, m + 1):
-            fact *= k
-        w *= Q((-1) ** (m - 1) * (m - 1), fact)
+        w *= Q((-1) ** (m - 1) * (m - 1), math.factorial(m))
     return w
 
 
@@ -463,27 +431,10 @@ def cycle_type(perm: tuple[int, ...]) -> dict[int, int]:
     return out
 
 
-def _forest_labeled_children(forest: ForestSpec) -> list[list[int]]:
-    """The forest with a virtual root joining the component roots."""
-    children: list[list[int]] = [[]]
-
-    def visit(t: CanonicalTree) -> int:
-        idx = len(children)
-        children.append([])
-        for child, m in t.children:
-            for _ in range(m):
-                children[idx].append(visit(child))
-        return idx
-
-    for t, m in forest.components:
-        for _ in range(m):
-            children[0].append(visit(t))
-    return children
-
-
 def naive_forest_weight(forest: ForestSpec) -> Fraction:
     """forest_weight by explicit enumeration over node-level automorphisms."""
-    children = _forest_labeled_children(forest)
+    # the forest with a virtual root joining the component roots
+    children = _labeled_children(tree_from_classes(forest.components))
     total = 0
     free = 0
     for perm in naive_automorphisms(children):
@@ -500,27 +451,17 @@ def naive_signed_forest_weight(forest: ForestSpec) -> Fraction:
     on node cycles: that is the convention under which the signed weights
     sum to the coefficients of exp(sum_{i>=2} (-1)^(i-1) R(z^i)/i).
     """
-    children = _forest_labeled_children(forest)
+    children = _labeled_children(tree_from_classes(forest.components))
     roots = children[0]
+    position = {r: i for i, r in enumerate(roots)}
     total = 0
     acc = 0
     for perm in naive_automorphisms(children):
         total += 1
         if any(perm[i] == i for i in range(1, len(perm))):
             continue
-        induced = {r: perm[r] for r in roots}
-        seen: set[int] = set()
-        sign = 1
-        for r in roots:
-            if r in seen:
-                continue
-            length = 0
-            v = r
-            while v not in seen:
-                seen.add(v)
-                v = induced[v]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        acc += sign
+        induced = tuple(position[perm[r]] for r in roots)
+        evens = sum(c for length, c in cycle_type(induced).items()
+                    if length % 2 == 0)
+        acc += (-1) ** evens
     return Q(acc, total)

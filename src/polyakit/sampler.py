@@ -31,7 +31,7 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-from .families import divisor_weight_table, polya_int_table
+from .families import _divisors, divisor_weight_table, polya_int_table
 from .oracle import LEAF, CanonicalTree, tree_from_classes
 
 MAX_SIZE = 10_000
@@ -49,15 +49,8 @@ def _divisors_sampling_order(n: int) -> list[int]:
     """The divisors of n in the order the sampler walks them: those above
     sqrt(n) ascending, then the rest descending; 12 gives [4, 6, 12, 3, 2, 1].
     Every seeded tree depends on this order, so it must not change."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return large[::-1] + small[::-1]
+    ds = _divisors(n)  # ascending
+    return [d for d in ds if d * d > n] + [d for d in reversed(ds) if d * d <= n]
 
 
 class TreeSampler:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
-from .families import (binary_int_table, cayley_coeffs, ctree_polynomials,
-                       dforest_coeffs, hierarchy_int_table,
+from .families import (OmegaSet, binary_int_table, cayley_coeffs,
+                       ctree_polynomials, dforest_coeffs, hierarchy_int_table,
                        identity_tree_coeffs, pointed_coeffs, polya_int_table)
 from .oracle import (aut_order, ctree_weight, cycle_type, enumerate_dforests,
                      enumerate_trees, fixed_point_polynomial, forest_weight,
@@ -58,64 +57,66 @@ def _row(name: str, max_n: int, failures: list[str]) -> CheckRow:
     return CheckRow(name, max_n, True, "exact match")
 
 
-def _tree_census(max_n: int) -> CheckRow:
-    t = polya_int_table(max_n)
-    bad = [f"n={n}: {len(enumerate_trees(n))} != {t[n]}"
-           for n in range(1, max_n + 1)
-           if len(enumerate_trees(n)) != t[n]]
-    return _row("tree census = t_n", max_n, bad)
+# A check maps the largest size to its list of failures.  Most are built by
+# one of two row builders: enumerated weights summing to a series
+# coefficient, or an invariant agreeing with a brute-force count per object.
 
 
-def _outdegree_census(max_n: int) -> CheckRow:
-    from .families import OmegaSet
-    hier = hierarchy_int_table(max_n)
-    bini = binary_int_table(max_n)
-    omega_h = OmegaSet.parse("all-except:1")
-    omega_b = OmegaSet.parse("0,2")
+def _sums(objects, weight, series, zero=0):
+    """At every size n, the weights of the objects of size n sum to entry n
+    of series(max_n)."""
+    def check(max_n: int) -> list[str]:
+        expected = series(max_n)
+        bad = []
+        for n in range(1, max_n + 1):
+            total = sum(map(weight, objects(n)), zero)
+            if total != expected[n]:
+                bad.append(f"n={n}: {total} != {expected[n]}")
+        return bad
+    return check
+
+
+def _agrees(objects, value, reference):
+    """value equals the independent reference on every object of every size."""
+    def check(max_n: int) -> list[str]:
+        return [f"{x!r}: {value(x)} != {reference(x)}"
+                for n in range(1, max_n + 1) for x in objects(n)
+                if value(x) != reference(x)]
+    return check
+
+
+def _one(_) -> int:
+    return 1
+
+
+def _identity_trees(n: int) -> list:
+    return [t for t in enumerate_trees(n) if is_identity_tree(t)]
+
+
+def _identity_forests(n: int) -> tuple:
+    return enumerate_dforests(n, identity_only=True)
+
+
+def _catalan(max_n: int) -> list[int]:
+    """Plane rooted trees of size n: the Catalan number C_(n-1)."""
+    return [0] + [math.comb(2 * (n - 1), n - 1) // n for n in range(1, max_n + 1)]
+
+
+def _brute_force_aut_order(tree) -> int:
+    return sum(1 for _ in naive_automorphisms(_labeled_children(tree)))
+
+
+def _outdegree_census(max_n: int) -> list[str]:
     bad = []
-    for n in range(1, max_n + 1):
-        ch = len(enumerate_trees(n, omega_h))
-        cb = len(enumerate_trees(n, omega_b))
-        if ch != hier[n]:
-            bad.append(f"hierarchy n={n}: {ch} != {hier[n]}")
-        if cb != bini[n]:
-            bad.append(f"binary n={n}: {cb} != {bini[n]}")
-    return _row("outdegree-filtered census", max_n, bad)
+    for label, text, table in (("hierarchy", "all-except:1", hierarchy_int_table),
+                               ("binary", "0,2", binary_int_table)):
+        omega = OmegaSet.parse(text)
+        census = _sums(lambda n: enumerate_trees(n, omega), _one, table)
+        bad += [f"{label} {failure}" for failure in census(max_n)]
+    return bad
 
 
-def _identity_census(max_n: int) -> CheckRow:
-    r, _, _ = identity_tree_coeffs(max_n)
-    bad = []
-    for n in range(1, max_n + 1):
-        c = sum(1 for t in enumerate_trees(n) if is_identity_tree(t))
-        if c != r[n]:
-            bad.append(f"n={n}: {c} != {r[n]}")
-    return _row("rigid-tree census = r_n", max_n, bad)
-
-
-def _aut_order_naive(max_n: int) -> CheckRow:
-    bad = []
-    for n in range(1, max_n + 1):
-        for t in enumerate_trees(n):
-            count = sum(1 for _ in naive_automorphisms(_labeled_children(t)))
-            if count != aut_order(t):
-                bad.append(f"{t.encoding}: {count} != {aut_order(t)}")
-    return _row("aut order = brute-force count", max_n, bad)
-
-
-def _fixed_point_rows(max_n: int) -> CheckRow:
-    rows = ctree_polynomials(max_n)
-    bad = []
-    for n in range(1, max_n + 1):
-        total = UPoly.zero()
-        for t in enumerate_trees(n):
-            total = total + fixed_point_polynomial(t)
-        if total != rows.row(n):
-            bad.append(f"n={n}")
-    return _row("sum of t_T(u) = row polynomial", max_n, bad)
-
-
-def _fixed_point_basics(max_n: int) -> CheckRow:
+def _fixed_point_basics(max_n: int) -> list[str]:
     bad = []
     for n in range(1, max_n + 1):
         for t in enumerate_trees(n):
@@ -126,81 +127,10 @@ def _fixed_point_basics(max_n: int) -> CheckRow:
                 bad.append(f"{t.encoding}: negative probability")
             elif poly.derivative().eval(1) != pointed_tree_count(t):
                 bad.append(f"{t.encoding}: mean != orbit count")
-    return _row("t_T(u) is a probability law with mean |P(T)|", max_n, bad)
+    return bad
 
 
-def _pointed_total(max_n: int) -> CheckRow:
-    series = pointed_coeffs(max_n)
-    bad = []
-    for n in range(1, max_n + 1):
-        total = sum(pointed_tree_count(t) for t in enumerate_trees(n))
-        if total != series[n]:
-            bad.append(f"n={n}: {total} != {series[n]}")
-    return _row("sum of |P(T)| = [z^n] T/(1-T)", max_n, bad)
-
-
-def _plane_total(max_n: int) -> CheckRow:
-    bad = []
-    for n in range(1, max_n + 1):
-        total = sum(plane_embeddings(t) for t in enumerate_trees(n))
-        catalan = math.comb(2 * (n - 1), n - 1) // n
-        if total != catalan:
-            bad.append(f"n={n}: {total} != {catalan}")
-    return _row("plane embeddings sum to Catalan", max_n, bad)
-
-
-def _ctree_weight_total(max_n: int) -> CheckRow:
-    cayley = cayley_coeffs(max_n)
-    bad = []
-    for n in range(1, max_n + 1):
-        total = sum(ctree_weight(t) for t in enumerate_trees(n))
-        if total != cayley[n]:
-            bad.append(f"n={n}: {total} != {cayley[n]}")
-    return _row("sum of w(T) = n^(n-1)/n!", max_n, bad)
-
-
-def _forest_weight_total(max_n: int) -> CheckRow:
-    d = dforest_coeffs(max_n)
-    bad = []
-    for n in range(1, max_n + 1):
-        total = sum((forest_weight(f) for f in enumerate_dforests(n)),
-                    Fraction(0))
-        if total != d[n]:
-            bad.append(f"n={n}: {total} != {d[n]}")
-    return _row("sum of forest weights = d_n", max_n, bad)
-
-
-def _forest_weight_naive(max_n: int) -> CheckRow:
-    bad = []
-    for n in range(1, max_n + 1):
-        for f in enumerate_dforests(n):
-            if forest_weight(f) != naive_forest_weight(f):
-                bad.append(f"n={n}: {f}")
-    return _row("forest weight = fixed-point-free fraction", max_n, bad)
-
-
-def _signed_weight_total(max_n: int) -> CheckRow:
-    _, dstar, _ = identity_tree_coeffs(max_n)
-    bad = []
-    for n in range(1, max_n + 1):
-        total = sum((signed_forest_weight(f)
-                     for f in enumerate_dforests(n, identity_only=True)),
-                    Fraction(0))
-        if total != dstar[n]:
-            bad.append(f"n={n}: {total} != {dstar[n]}")
-    return _row("sum of signed weights = d*_n", max_n, bad)
-
-
-def _signed_weight_naive(max_n: int) -> CheckRow:
-    bad = []
-    for n in range(1, max_n + 1):
-        for f in enumerate_dforests(n, identity_only=True):
-            if signed_forest_weight(f) != naive_signed_forest_weight(f):
-                bad.append(f"n={n}: {f}")
-    return _row("signed weight = signed enumeration", max_n, bad)
-
-
-def _sign_balance_naive(max_n: int) -> CheckRow:
+def _sign_balance_naive(max_n: int) -> list[str]:
     # r_T(1) is 1 when every automorphism permutes nodes evenly, else 0;
     # rigid trees are the special case with only the identity automorphism
     bad = []
@@ -219,36 +149,42 @@ def _sign_balance_naive(max_n: int) -> CheckRow:
                 bad.append(f"{t.encoding}: r_T(1)={got} != {expected}")
             if is_identity_tree(t) and got != 1:
                 bad.append(f"{t.encoding}: rigid tree with r_T(1)={got}")
-    return _row("r_T(1) = [all automorphisms even]", max_n, bad)
+    return bad
 
 
-def _identity_r_sum(max_n: int) -> CheckRow:
-    r, _, _ = identity_tree_coeffs(max_n)
-    bad = []
-    for n in range(1, max_n + 1):
-        total = sum(signed_fixed_point_polynomial(t).eval(1)
-                    for t in enumerate_trees(n) if is_identity_tree(t))
-        if total != r[n]:
-            bad.append(f"n={n}: {total} != {r[n]}")
-    return _row("sum of r_T(1) over rigid trees = r_n", max_n, bad)
+def _identity_counts(max_n: int):
+    return identity_tree_coeffs(max_n)[0]
 
 
+# (row name, check, nominal largest size), in report order
 _CHECKS = (
-    (_tree_census, 10),
-    (_outdegree_census, 10),
-    (_identity_census, 10),
-    (_aut_order_naive, 8),
-    (_fixed_point_rows, 8),
-    (_fixed_point_basics, 8),
-    (_pointed_total, 8),
-    (_plane_total, 8),
-    (_ctree_weight_total, 8),
-    (_forest_weight_total, 10),
-    (_forest_weight_naive, 8),
-    (_signed_weight_total, 10),
-    (_signed_weight_naive, 8),
-    (_sign_balance_naive, 7),
-    (_identity_r_sum, 8),
+    ("tree census = t_n", _sums(enumerate_trees, _one, polya_int_table), 10),
+    ("outdegree-filtered census", _outdegree_census, 10),
+    ("rigid-tree census = r_n", _sums(_identity_trees, _one, _identity_counts), 10),
+    ("aut order = brute-force count",
+     _agrees(enumerate_trees, _brute_force_aut_order, aut_order), 8),
+    ("sum of t_T(u) = row polynomial",
+     _sums(enumerate_trees, fixed_point_polynomial,
+           lambda k: ctree_polynomials(k).rows, UPoly.zero()), 8),
+    ("t_T(u) is a probability law with mean |P(T)|", _fixed_point_basics, 8),
+    ("sum of |P(T)| = [z^n] T/(1-T)",
+     _sums(enumerate_trees, pointed_tree_count, pointed_coeffs), 8),
+    ("plane embeddings sum to Catalan",
+     _sums(enumerate_trees, plane_embeddings, _catalan), 8),
+    ("sum of w(T) = n^(n-1)/n!", _sums(enumerate_trees, ctree_weight, cayley_coeffs), 8),
+    ("sum of forest weights = d_n",
+     _sums(enumerate_dforests, forest_weight, dforest_coeffs), 10),
+    ("forest weight = fixed-point-free fraction",
+     _agrees(enumerate_dforests, forest_weight, naive_forest_weight), 8),
+    ("sum of signed weights = d*_n",
+     _sums(_identity_forests, signed_forest_weight,
+           lambda k: identity_tree_coeffs(k)[1]), 10),
+    ("signed weight = signed enumeration",
+     _agrees(_identity_forests, signed_forest_weight, naive_signed_forest_weight), 8),
+    ("r_T(1) = [all automorphisms even]", _sign_balance_naive, 7),
+    ("sum of r_T(1) over rigid trees = r_n",
+     _sums(_identity_trees, lambda t: signed_fixed_point_polynomial(t).eval(1),
+           _identity_counts), 8),
 )
 
 
@@ -256,6 +192,8 @@ def run_verification(oracle_max: int = 8) -> VerificationReport:
     """Run every equivalence up to min(its nominal range, oracle_max)."""
     if oracle_max < 1:
         raise ValueError("oracle_max must be at least 1")
-    rows = tuple(check(min(nominal, oracle_max))
-                 for check, nominal in _CHECKS)
-    return VerificationReport(oracle_max, rows)
+    rows = []
+    for name, check, nominal in _CHECKS:
+        max_n = min(nominal, oracle_max)
+        rows.append(_row(name, max_n, check(max_n)))
+    return VerificationReport(oracle_max, tuple(rows))

@@ -52,6 +52,25 @@ def test_singularity_constants(sing):
     assert sing.d_prime_rho == pytest.approx(0.694237917, abs=1e-6)
 
 
+def test_second_solve_at_the_same_order_is_remembered(monkeypatch):
+    import polyakit.asymptotics as asy
+    monkeypatch.setattr(asy, "_last_singularity", None)
+    solved = []
+    root = asy._polya_root
+    monkeypatch.setattr(asy, "_polya_root",
+                        lambda order: solved.append(order) or root(order))
+    first = solve_polya_singularity(60)
+    assert solved == [60, 140]  # the order and the raised order of rho_shift
+    assert solve_polya_singularity(60) is first
+    decomposition_constants(60)
+    assert solved == [60, 140]
+    # an L_n law without rho solves once at the default order, then reuses it
+    assert lmax_exact_mean(40) == lmax_exact_mean(40)
+    assert solved == [60, 140, 400, 480]
+    monkeypatch.setattr(asy, "_last_singularity", None)
+    assert solve_polya_singularity(60) == first  # the same bits when re-solved
+
+
 def test_forest_constants(forest):
     assert forest.xi_plus == pytest.approx(1.159401991, abs=1e-6)
     assert forest.xi_minus == pytest.approx(0.969123357, abs=1e-6)

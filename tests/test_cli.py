@@ -1,6 +1,7 @@
 """Command line interface: subcommands, formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -152,6 +153,15 @@ def test_verify_passes():
     assert "PASS" in err
 
 
+def test_verify_report_is_pinned():
+    # sha256 of the JSON report, computed before the checks were rebuilt from
+    # the two row builders; it fixes every row name, range and detail
+    code, out, _ = run(["verify", "--oracle-max", "8"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8d5bd22ba3a9a97665e10d4e1a043be1a7b4374591c696ef8646ab9bee3679cf")
+
+
 def test_unknown_family_errors():
     with pytest.raises(SystemExit):
         run(["coeffs", "--family", "nonsense", "--n", "5"])
@@ -176,6 +186,9 @@ def test_unknown_family_errors():
     (["sample", "--lmax", "--s", "0", "--samples", "1"], None),
     (["sample", "--lmax", "--s", "nan", "--samples", "1"], None),
     (["sample", "--lmax", "--s", "half", "--samples", "1"], None),
+    (["coeffs", "--family", "polya", "--n", "5", "--output",
+      "/nonexistent/x.json"], None),
+    (["sample", "--lmax", "--n-values", ",", "--samples", "2"], None),
 ])
 def test_invalid_input_is_a_usage_error(argv, order_env, monkeypatch, capsys):
     # a one-line "error:" and a nonzero exit, never an exception

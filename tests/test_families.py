@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import polyakit.families as fam
-from polyakit.series import RationalSeries
+from polyakit.series import BivariateSeries, RationalSeries, UPoly
 
 F = Fraction
 
@@ -127,6 +127,38 @@ def test_identity_composition():
 def test_e_series_head():
     e = fam.e_series(6)
     assert tuple(e[n] for n in range(7)) == E_HEAD
+
+
+def reversion_e_series(N):
+    """Reference route: z E as the Fraction series reversion of z D*(z)."""
+    _, dstar, _ = fam.identity_tree_coeffs(N)
+    z_dstar = RationalSeries((F(0),) + dstar.coeffs)  # order N + 1
+    return RationalSeries(z_dstar.reversion().coeffs[1:])
+
+
+def power_marked_rows(forest, N):
+    """Reference route: [u^k z^n] C(u z F) = c_k [z^(n-k)] F^k from the
+    successive Fraction powers of F."""
+    c = fam.cayley_coeffs(N)
+    rows = [[F(0)] * (n + 1) for n in range(N + 1)]
+    power = RationalSeries.one(N)
+    for k in range(1, N + 1):
+        power = power.truncate(N - k) * forest  # F^k through z^(N-k)
+        for n in range(k, N + 1):
+            rows[n][k] = c[k] * power[n - k]
+    return BivariateSeries(tuple(UPoly.from_coeffs(r) for r in rows))
+
+
+def test_e_series_matches_reversion_route():
+    for N in range(41):
+        assert fam.e_series(N) == reversion_e_series(N)
+
+
+def test_skeleton_rows_match_fraction_power_route():
+    for N in range(41):
+        dstar = fam.identity_tree_coeffs(N)[1]
+        assert fam.ctree_polynomials(N) == power_marked_rows(fam.dforest_coeffs(N), N)
+        assert fam.identity_ctree_polynomials(N) == power_marked_rows(dstar, N)
 
 
 def test_gamma_series_definitions():

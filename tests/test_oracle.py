@@ -1,5 +1,6 @@
 """Enumeration oracle checks: canonical trees, automorphisms, forests."""
 
+import hashlib
 from fractions import Fraction
 
 import polyakit.families as fam
@@ -7,6 +8,7 @@ from polyakit.oracle import (
     LEAF,
     aut_order,
     chain,
+    ctree_weight,
     cycle_type,
     enumerate_dforests,
     enumerate_trees,
@@ -16,11 +18,15 @@ from polyakit.oracle import (
     make_forest,
     make_tree,
     naive_automorphisms,
+    naive_forest_weight,
+    naive_signed_forest_weight,
     plane_embeddings,
     pointed_tree_count,
     signed_fixed_point_polynomial,
     signed_forest_weight,
+    tree_from_classes,
     _labeled_children,
+    _sign_balance,
 )
 from polyakit.series import RationalSeries
 
@@ -250,3 +256,35 @@ def test_component_count_moments_match_brute_force():
             second += F(sum(y * (y - 1) for y in ys), len(ys))
         assert first / t_n == b_series[n] / t_n  # E[Y]
         assert second / t_n == v_series[n] / t_n  # E[Y(Y-1)]
+
+
+ORACLE_PIN = "55df8d5cf0b2e65c3d30689b02b0583df35355a7433bfa6be77ea95a03065367"
+
+
+def oracle_values():
+    """Every oracle value over the trees and forests up to size 10, the
+    brute-force forest weights up to size 8."""
+    out = []
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            out.append((t.encoding, aut_order(t), pointed_tree_count(t),
+                        fixed_point_polynomial(t).coeffs,
+                        signed_fixed_point_polynomial(t).coeffs,
+                        plane_embeddings(t), ctree_weight(t), _sign_balance(t),
+                        _labeled_children(t)))
+    for n in range(11):
+        for f in enumerate_dforests(n):
+            identity = all(is_identity_tree(t) for t, _ in f.components)
+            out.append((repr(f), forest_weight(f),
+                        signed_forest_weight(f) if identity else None,
+                        _labeled_children(tree_from_classes(f.components))))
+            if n <= 8:
+                out.append((naive_forest_weight(f), naive_signed_forest_weight(f)))
+    return out
+
+
+def test_oracle_values_are_pinned():
+    # sha256 of the values above, computed before the oracle's cycle-index,
+    # factorial and forest-labelling helpers were merged
+    digest = hashlib.sha256(repr(oracle_values()).encode()).hexdigest()
+    assert digest == ORACLE_PIN
