@@ -24,16 +24,78 @@ from .families import (
 
 DEFAULT_ORDER = 400
 
+# every root is also solved at order + ROOT_SHIFT_ORDERS to see how far it
+# moves; past MAX_ORDER the count at that raised order no longer fits in a float
+ROOT_SHIFT_ORDERS = 80
+MAX_ORDER = {"polya": 584, "hierarchy": 839, "binary": 1504}
 
-def _horner(coeffs: Sequence[float], x: float) -> float:
+# A Horner pass leaves out the terms whose sum stays below TAIL_MARGIN times
+# the table's first nonzero term: 2^-110 is the square of the double unit
+# roundoff with four bits to spare, so the cut tail never reaches the last bit
+# of the result.  The full loop is the reference route in the tests.
+TAIL_MARGIN = 2.0 ** -110
+_LN_TAIL_MARGIN = math.log(TAIL_MARGIN)
+
+
+class OrderTooLarge(ValueError):
+    """A truncation order past the float range of a solver's tables."""
+
+
+def _check_order(family: str, order: int) -> None:
+    if order > MAX_ORDER[family]:
+        raise OrderTooLarge(
+            f"order {order} is too large for the {family} solver: its "
+            f"largest order is {MAX_ORDER[family]}, past which the counts "
+            "overflow a float")
+
+
+@dataclass(frozen=True)
+class _FloatTable:
+    """Float coefficients of a power series, with the bound on their growth:
+    r = max |c_b/c_a|^(1/(b-a)) over consecutive nonzero c_a, c_b, so that
+    |c_k| <= |c_first| r^(k-first) for every k past the first nonzero one."""
+    coeffs: list[float]
+    first: int
+    ratio: float
+
+
+def _float_table(values: Sequence) -> _FloatTable:
+    coeffs = [float(v) for v in values]
+    nonzero = [k for k, c in enumerate(coeffs) if c]
+    ratio = max((abs(coeffs[b] / coeffs[a]) ** (1 / (b - a))
+                 for a, b in zip(nonzero, nonzero[1:])), default=0.0)
+    return _FloatTable(coeffs, nonzero[0] if nonzero else 0, ratio)
+
+
+def _derivative_table(table: _FloatTable) -> _FloatTable:
+    return _float_table([k * c for k, c in enumerate(table.coeffs)][1:])
+
+
+def _horner_terms(table: _FloatTable, y: float) -> int:
+    """How many leading coefficients a Horner pass at y needs: up to the
+    degree K past which the terms cannot reach the last bit.
+
+    With q = r|y| < 1 the terms after K sum to at most
+    q^(K+1-first)/(1-q) times the first term, which is below TAIL_MARGIN
+    for K = first + 1 + ceil((ln TAIL_MARGIN + ln(1-q)) / ln q).  When q is
+    too close to 1 for that K to fall inside the table, every term is used.
+    """
+    size = len(table.coeffs)
+    q = table.ratio * abs(y)
+    if not 0.0 < q < 1.0:
+        return size
+    k = table.first + 1 + math.ceil(
+        (_LN_TAIL_MARGIN + math.log1p(-q)) / math.log(q))
+    return min(k + 1, size)
+
+
+def _horner(table: _FloatTable, y: float) -> float:
+    """The table's series at y by Horner's rule over its first
+    _horner_terms(table, y) coefficients."""
     acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
+    for c in reversed(table.coeffs[:_horner_terms(table, y)]):
+        acc = acc * y + c
     return acc
-
-
-def _derivative_floats(coeffs: Sequence[float]) -> list[float]:
-    return [k * c for k, c in enumerate(coeffs)][1:]
 
 
 def _bisect(g: Callable[[float], float], lo: float, hi: float) -> float:
@@ -51,7 +113,7 @@ def _bisect(g: Callable[[float], float], lo: float, hi: float) -> float:
     return (lo + hi) / 2
 
 
-def _substituted_sum(coeffs: Sequence[float], x: float, start: int,
+def _substituted_sum(table: _FloatTable, x: float, start: int,
                      weight: Callable[[int], float]) -> float:
     """sum over i >= start of weight(i) * series(x^i); |x| < 1 required.
 
@@ -64,28 +126,28 @@ def _substituted_sum(coeffs: Sequence[float], x: float, start: int,
         xi *= x
         if abs(xi) < 1e-25:
             break
-        total += weight(i) * _horner(coeffs, xi)
+        total += weight(i) * _horner(table, xi)
     return total
 
 
-def _substituted_derivative(dcoeffs: Sequence[float], x: float,
+def _substituted_derivative(dtable: _FloatTable, x: float,
                             weight: Callable[[int], float] = lambda i: 1.0) -> float:
     """sum over i >= 2 of weight(i) * x^(i-1) * series'(x^i), from the
-    derivative's coefficients; 0 < x < 1 required."""
+    derivative's table; 0 < x < 1 required."""
     total = 0.0
     for i in range(2, 2000):
         arg = x ** i
         if arg < 1e-25:
             break
-        total += weight(i) * x ** (i - 1) * _horner(dcoeffs, arg)
+        total += weight(i) * x ** (i - 1) * _horner(dtable, arg)
     return total
 
 
 def _root_and_shift(solve_at: Callable[[int], float], order: int) -> tuple[float, float]:
     """The root at the truncation order, and how far it moves when the order
-    is raised by 80."""
+    is raised by ROOT_SHIFT_ORDERS."""
     root = solve_at(order)
-    return root, abs(root - solve_at(order + 80))
+    return root, abs(root - solve_at(order + ROOT_SHIFT_ORDERS))
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +166,18 @@ class PolyaSingularity:
     order: int
 
 
-def _polya_floats(order: int) -> list[float]:
-    return [float(v) for v in polya_int_table(order)]
+def _polya_table(order: int) -> _FloatTable:
+    return _float_table(polya_int_table(order))
 
 
-def _forest_value(t: Sequence[float], x: float) -> float:
+def _forest_value(t: _FloatTable, x: float) -> float:
     """exp(sum_{i>=2} A(x^i)/i) from the float coefficients of A: the forest
     series D(x) for A = T."""
     return math.exp(_substituted_sum(t, x, 2, lambda i: 1.0 / i))
 
 
 def _polya_root(order: int) -> float:
-    t = _polya_floats(order)
+    t = _polya_table(order)
     return _bisect(lambda x: math.e * x * _forest_value(t, x) - 1.0, 0.25, 0.45)
 
 
@@ -130,11 +192,12 @@ def solve_polya_singularity(order: int = DEFAULT_ORDER) -> PolyaSingularity:
     global _last_singularity
     if _last_singularity is not None and _last_singularity.order == order:
         return _last_singularity
+    _check_order("polya", order)
     rho, rho_shift = _root_and_shift(_polya_root, order)
-    t = _polya_floats(order)
+    t = _polya_table(order)
     d_rho = _forest_value(t, rho)
     # D' = D * d/dx sum_{i>=2} T(x^i)/i = D * sum_{i>=2} x^(i-1) T'(x^i)
-    d_prime_rho = d_rho * _substituted_derivative(_derivative_floats(t), rho)
+    d_prime_rho = d_rho * _substituted_derivative(_derivative_table(t), rho)
     b = math.sqrt(2 * math.e * (d_rho + rho * d_prime_rho))
     _last_singularity = PolyaSingularity(
         rho=rho,
@@ -183,7 +246,7 @@ class ForestAsymptotics:
 def forest_asymptotics(order: int = DEFAULT_ORDER,
                        sing: PolyaSingularity | None = None) -> ForestAsymptotics:
     sing = sing or solve_polya_singularity(order)
-    t = _polya_floats(order)
+    t = _polya_table(order)
     r = math.sqrt(sing.rho)
 
     def xi(x: float) -> float:
@@ -201,7 +264,7 @@ def forest_asymptotics(order: int = DEFAULT_ORDER,
 
     gamma_rho = _substituted_sum(t, sing.rho, 2, lambda i: 1.0)
     gamma2_rho = _substituted_sum(t, sing.rho, 2, float)
-    gp = _substituted_derivative(_derivative_floats(t), sing.rho, float)
+    gp = _substituted_derivative(_derivative_table(t), sing.rho, float)
 
     return ForestAsymptotics(
         rho=sing.rho, b=sing.b,
@@ -291,15 +354,17 @@ def solve_hierarchy_singularity(order: int = DEFAULT_ORDER) -> VariantSingularit
     (tau/(1+tau)) * e * exp(sum_{i>=2} H(tau^i)/i) = 1.
     """
 
+    _check_order("hierarchy", order)
+
     def solve_at(n: int) -> float:
-        h = [float(v) for v in hierarchy_int_table(n)]
+        h = _float_table(hierarchy_int_table(n))
         return _bisect(lambda x: (x / (1 + x)) * math.e * _forest_value(h, x) - 1.0,
                        0.3, 0.6)
 
     tau, tau_shift = _root_and_shift(solve_at, order)
-    h = [float(v) for v in hierarchy_int_table(order)]
+    h = _float_table(hierarchy_int_table(order))
     xi_val = _forest_value(h, tau)
-    xi_deriv = _substituted_derivative(_derivative_floats(h), tau)
+    xi_deriv = _substituted_derivative(_derivative_table(h), tau)
     mu = tau ** 2 * math.e * xi_val * xi_deriv
     residual = abs((tau / (1 + tau)) * math.e * xi_val - 1.0)
     return VariantSingularity("hierarchy", tau, mu, residual, tau_shift, order)
@@ -312,14 +377,16 @@ def solve_binary_singularity(order: int = DEFAULT_ORDER) -> VariantSingularity:
     into tau^2 B(tau^2) + 2 tau^2 - 1 = 0 (argument tau^2, well inside).
     """
 
+    _check_order("binary", order)
+
     def solve_at(n: int) -> float:
-        b = [float(v) for v in binary_int_table(n)]
+        b = _float_table(binary_int_table(n))
         return _bisect(lambda x: x * x * _horner(b, x * x) + 2 * x * x - 1.0,
                        0.5, 0.75)
 
     tau, tau_shift = _root_and_shift(solve_at, order)
-    b = [float(v) for v in binary_int_table(order)]
-    bp = _derivative_floats(b)
+    b = _float_table(binary_int_table(order))
+    bp = _derivative_table(b)
     # mu = tau^2/B(tau) * d/dx[(B(tau)^2 + B(x^2))/2] at x=tau; the first slot
     # of the pair cycle index is held fixed, so only B(x^2) contributes.
     mu = tau ** 4 * _horner(bp, tau * tau)

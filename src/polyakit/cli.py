@@ -25,9 +25,9 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import families
-from .asymptotics import (DEFAULT_ORDER, decomposition_constants,
-                          forest_asymptotics, solve_polya_singularity,
-                          solve_variant_singularity)
+from .asymptotics import (DEFAULT_ORDER, OrderTooLarge,
+                          decomposition_constants, forest_asymptotics,
+                          solve_polya_singularity, solve_variant_singularity)
 from .families import OmegaSet
 from .sampler import MAX_SAMPLES, MAX_SIZE, lmax_check, run_experiment
 from .series import BivariateSeries, RationalSeries, UPoly
@@ -336,7 +336,9 @@ def main(argv: list[str] | None = None) -> int:
                      "smaller trees have no nonempty forest")
     try:
         return args.func(args)
-    except argparse.ArgumentError as exc:  # raised by _emit for --output
+    # _emit raises ArgumentError for --output, the solvers OrderTooLarge for
+    # an --order or POLYAKIT_ORDER past their float range
+    except (argparse.ArgumentError, OrderTooLarge) as exc:
         parser.error(str(exc))
 
 

@@ -1,17 +1,30 @@
 """Numeric constants, parity asymptotics, and the exact max-forest law."""
 
+import functools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import polyakit.asymptotics as asy
 import polyakit.families as fam
 from polyakit.asymptotics import (
+    MAX_ORDER,
+    ROOT_SHIFT_ORDERS,
+    _derivative_table,
+    _float_table,
+    _horner,
+    _horner_terms,
     _scaled_polya_coeffs,
     decomposition_constants,
     forest_asymptotics,
     lmax_cdf_exact,
     lmax_exact_mean,
+    solve_binary_singularity,
+    solve_hierarchy_singularity,
     solve_polya_singularity,
     solve_variant_singularity,
 )
@@ -268,3 +281,98 @@ def test_lmax_interval_and_estimate(deco):
     assert lo < center < hi
     assert deco.lmax_location(2000) == pytest.approx(
         -2 * math.log(2000) / math.log(deco.rho), rel=1e-12)
+
+def full_horner(table, y: float) -> float:
+    """Reference route: Horner's rule over every coefficient of the table."""
+    acc = 0.0
+    for c in reversed(table.coeffs):
+        acc = acc * y + c
+    return acc
+
+
+def _solver_results(family: str, order: int) -> str:
+    if family == "polya":
+        sing = solve_polya_singularity(order)
+        return repr((asdict(sing), asdict(forest_asymptotics(order, sing)),
+                     asdict(decomposition_constants(order))))
+    return repr(asdict(solve_variant_singularity(family, order)))
+
+
+CUT_ORDERS = (1, 5, 20, 60, 200, 400, 584)
+
+
+@pytest.mark.parametrize("family, order", [
+    *((family, order) for family in ("polya", "hierarchy", "binary")
+      for order in CUT_ORDERS),
+    ("hierarchy", 839), ("binary", 1504)])
+def test_cut_evaluation_matches_full_route(family, order, monkeypatch):
+    # every constant of every solver, to the last bit, against Horner's rule
+    # over the whole table; forest_asymptotics covers the negative arguments
+    monkeypatch.setattr(asy, "_last_singularity", None)
+    cut = _solver_results(family, order)
+    monkeypatch.setattr(asy, "_last_singularity", None)
+    monkeypatch.setattr(asy, "_horner", full_horner)
+    assert cut == _solver_results(family, order)
+
+
+@functools.lru_cache(maxsize=None)
+def solver_table(name: str):
+    """The solvers' tables at order 480 (the raised order of 400), and their
+    derivative tables, by name: T, T', H, H', B, B'."""
+    ints = {"T": fam.polya_int_table, "H": fam.hierarchy_int_table,
+            "B": fam.binary_int_table}[name[0]](480)
+    table = _float_table(ints)
+    return _derivative_table(table) if name.endswith("'") else table
+
+
+# the bisection bracket of the solver that evaluates each table
+BRACKETS = {"T": (0.25, 0.45), "H": (0.3, 0.6), "B": (0.5, 0.75)}
+SQRT_RHO = math.sqrt(0.338321856899)
+
+
+def _argument(name: str):
+    lo, hi = BRACKETS[name[0]]
+    x = st.floats(lo, hi) | st.sampled_from((SQRT_RHO, -SQRT_RHO))
+    return st.tuples(st.just(name), x, st.integers(2, 80))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("T", "T'", "H", "H'", "B", "B'")).flatmap(_argument))
+def test_cut_horner_is_bit_identical(case):
+    name, x, i = case
+    table, y = solver_table(name), x ** i
+    assert _horner(table, y).hex() == full_horner(table, y).hex(), case
+
+
+def test_cut_leaves_out_most_of_the_table():
+    # at the arguments of the Polya constants the pass stops after a few
+    # dozen terms; near the radius it keeps the whole table
+    t = solver_table("T")
+    rho = 0.338321856899
+    assert len(t.coeffs) == 481 and t.first == 1
+    assert t.ratio == pytest.approx(1 / rho, rel=1e-2)
+    assert _horner_terms(t, rho ** 2) == 74
+    assert _horner_terms(t, -SQRT_RHO ** 3) == 145
+    assert _horner_terms(t, rho) == len(t.coeffs)
+    assert _horner_terms(t, 0.0) == len(t.coeffs)
+
+
+@pytest.mark.parametrize("family, counts", [
+    ("polya", fam.polya_int_table), ("hierarchy", fam.hierarchy_int_table),
+    ("binary", fam.binary_int_table)])
+def test_max_order_is_the_float_range_of_the_raised_table(family, counts):
+    top = MAX_ORDER[family] + ROOT_SHIFT_ORDERS
+    table = counts(top + 1)
+    assert all(math.isfinite(float(v)) for v in table[: top + 1])
+    with pytest.raises(OverflowError):
+        float(table[top + 1])
+
+
+@pytest.mark.parametrize("solve, family", [
+    (solve_polya_singularity, "polya"), (decomposition_constants, "polya"),
+    (solve_hierarchy_singularity, "hierarchy"),
+    (solve_binary_singularity, "binary")])
+def test_orders_past_the_float_range_are_a_value_error(solve, family):
+    top = MAX_ORDER[family]
+    with pytest.raises(ValueError, match=f"largest order is {top}"):
+        solve(top + 1)

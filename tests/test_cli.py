@@ -189,6 +189,11 @@ def test_unknown_family_errors():
     (["coeffs", "--family", "polya", "--n", "5", "--output",
       "/nonexistent/x.json"], None),
     (["sample", "--lmax", "--n-values", ",", "--samples", "2"], None),
+    (["singularity", "--family", "polya", "--order", "585"], None),
+    (["singularity", "--family", "hierarchy", "--order", "840"], None),
+    (["singularity", "--family", "binary", "--order", "1505"], None),
+    (["table", "--which", "forest-size", "--mmax", "7", "--order", "600"], None),
+    (["table", "--which", "forest-size", "--mmax", "7"], "600"),
 ])
 def test_invalid_input_is_a_usage_error(argv, order_env, monkeypatch, capsys):
     # a one-line "error:" and a nonzero exit, never an exception
