@@ -18,8 +18,9 @@ cycle-index solver for an arbitrary allowed-outdegree set.
 
 T, D, T/(1-T) and their identity-tree analogues R, D*, R_c come from one
 signed Euler-transform recurrence on integer tables (D and D* scaled by n!),
-and the outdegree-restricted counts from their own integer tables.  All are
-grown in place, so asking for a longer prefix never recomputes the part
+and the counts for any allowed-outdegree set, binary trees among them, from
+one integer cycle-index table (hierarchies also from a hand-written one).  All
+are grown in place, so asking for a longer prefix never recomputes the part
 already known; everything else is computed from them on demand, with no
 per-order cache.
 """
@@ -29,9 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
-from .series import BivariateSeries, Q, RationalSeries, UPoly, exp_step
+from .series import BivariateSeries, Q, RationalSeries, UPoly
 
 # ---------------------------------------------------------------------------
 # signed Euler-transform tables, grown in place
@@ -157,11 +159,11 @@ def identity_tree_coeffs(N: int) -> tuple[RationalSeries, RationalSeries, Ration
 
 
 # ---------------------------------------------------------------------------
-# outdegree-restricted count tables, grown in place
+# the hierarchy count table, grown in place: a hand-written recurrence kept
+# apart from the omega table as the independent route for all-except:1
 
 _h_counts: list[int] = [0, 1]
 _h_weights: list[int] = [0, 1]  # s[i] = sum over divisors m of i of m * h_m
-_b_counts: list[int] = [0, 1]
 
 
 def hierarchy_int_table(N: int) -> tuple[int, ...]:
@@ -183,26 +185,6 @@ def hierarchy_int_table(N: int) -> tuple[int, ...]:
 
 def hierarchy_coeffs(N: int) -> RationalSeries:
     return RationalSeries.from_coeffs(hierarchy_int_table(N))
-
-
-def binary_int_table(N: int) -> tuple[int, ...]:
-    """Counts of Polya trees with outdegrees in {0, 2}; zero at even sizes."""
-    t = _b_counts
-    while len(t) <= N:
-        n = len(t)
-        if n % 2 == 0:
-            t.append(0)
-            continue
-        conv = sum(t[i] * t[n - 1 - i] for i in range(1, n - 1))
-        q, r = divmod(conv + t[(n - 1) // 2], 2)
-        if r:
-            raise ArithmeticError(f"binary recurrence not even at n={n}")
-        t.append(q)
-    return tuple(t[: N + 1])
-
-
-def binary_polya_coeffs(N: int) -> RationalSeries:
-    return RationalSeries.from_coeffs(binary_int_table(N))
 
 
 # ---------------------------------------------------------------------------
@@ -425,37 +407,63 @@ class OmegaSet:
         return "all-except:" + ",".join(str(v) for v in sorted(self.excluded))
 
 
+class _OmegaTable:
+    """Integer counts a of the Polya trees with outdegrees in omega, from
+    A = z sum_(k in omega) Z(S_k; A(z), A(z^2), ...).  Row p[k][m] is [z^m] of
+    Z(S_k; ...), the multisets of k trees of total size m, from
+    k p_k = sum_i A(z^i) p_(k-i).  A cofinite omega also needs e[m], all
+    multisets of trees, from m e_m = sum_j s_j e_(m-j), s_j = sum_(d|j) d a_d.
+    A node of outdegree k needs k + 1 nodes, so p_k(m) = 0 for m < k and row
+    k starts only once m reaches k."""
+
+    def __init__(self, omega: OmegaSet) -> None:
+        self.omega, self.a, self.p, self.s, self.e = omega, [0], [[1]], [0], [1]
+
+
+def _grow_omega(table: _OmegaTable, N: int) -> list[int]:
+    """Grow the table through N: a_(m+1) is the sum of p_k(m) over k in omega
+    or, for a cofinite omega, e_m minus that sum over the excluded k."""
+    omega, a, p, s, e = table.omega, table.a, table.p, table.s, table.e
+    listed = omega.allowed if omega.allowed is not None else omega.excluded
+    top = max(listed, default=0)
+    while len(a) <= N:
+        m = len(a) - 1
+        if m:
+            p[0].append(0)
+            if m <= top:
+                p.append([0] * m)
+            for k in range(1, len(p)):
+                total = 0 if m % k else a[m // k]  # i = k: A(z^k) p_0 = A(z^k)
+                for i in range(1, k):  # a_j p_(k-i)(m - i j) until row k - i starts
+                    total += sum(map(mul, a[1:(m - k + i) // i + 1], p[k - i][m - i::-i]))
+                q, r = divmod(total, k)
+                if r:
+                    raise ArithmeticError(f"cycle-index row {k} not divisible at m={m}")
+                p[k].append(q)
+            if omega.allowed is None:
+                s.append(sum(d * a[d] for d in _divisors(m)))
+                q, r = divmod(sum(map(mul, s[1:], e[::-1])), m)
+                if r:
+                    raise ArithmeticError(f"multiset recurrence not divisible at m={m}")
+                e.append(q)
+        rows = sum(p[k][m] for k in listed if k < len(p))
+        a.append(rows if omega.allowed is not None else e[m] - rows)
+    return a
+
+
 def omega_polya_coeffs(omega: OmegaSet, N: int) -> RationalSeries:
     """Counting series of Polya trees whose every outdegree lies in omega:
     A = z sum_{k in omega} Z(S_k; A(z), A(z^2), ..., A(z^k))."""
-    a = [Q(0)] * (N + 1)
-    if omega.allowed is not None:
-        tracked = max(omega.allowed, default=0)
-    else:
-        tracked = max(omega.excluded, default=0)
-    # p[k][m] = [z^m] Z(S_k; A(z), ..., A(z^k)), filled degree-synchronously
-    p = [[Q(0)] * (N + 1) for _ in range(tracked + 1)]
-    if tracked >= 0:
-        p[0][0] = Q(1)
-    g = [Q(0)] * (N + 1)  # sum_i A(z^i)/i, cofinite case
-    e = [Q(1)] + [Q(0)] * N  # exp(g)
+    return RationalSeries.from_coeffs(_grow_omega(_OmegaTable(omega), N))
 
-    for n in range(1, N + 1):
-        m = n - 1
-        if m >= 1:
-            for k in range(1, tracked + 1):
-                acc = Q(0)
-                for i in range(1, k + 1):
-                    for j in range(i, m + 1, i):
-                        c = a[j // i]
-                        if c and p[k - i][m - j]:
-                            acc += c * p[k - i][m - j]
-                p[k][m] = acc / k
-            if omega.allowed is None:
-                g[m] = sum((a[m // i] / i for i in _divisors(m) if a[m // i]), Q(0))
-                e[m] = exp_step(g, e, m)
-        if omega.allowed is not None:
-            a[n] = sum((p[k][m] for k in omega.allowed if k <= tracked), Q(0))
-        else:
-            a[n] = e[m] - sum((p[k][m] for k in omega.excluded), Q(0))
-    return RationalSeries(tuple(a))
+
+_binary = _OmegaTable(OmegaSet.finite((0, 2)))
+
+
+def binary_int_table(N: int) -> tuple[int, ...]:
+    """Counts of Polya trees with outdegrees in {0, 2}; zero at even sizes."""
+    return tuple(_grow_omega(_binary, N)[: N + 1])
+
+
+def binary_polya_coeffs(N: int) -> RationalSeries:
+    return RationalSeries.from_coeffs(binary_int_table(N))

@@ -66,10 +66,6 @@ class TreeSampler:
             self._t = polya_int_table(n)
             self._s = divisor_weight_table(n)
 
-    def count(self, n: int) -> int:
-        self.extend(n)
-        return self._t[n]
-
     def sample(self, n: int, rng: random.Random) -> CanonicalTree:
         if n < 1:
             raise ValueError("tree size must be positive")

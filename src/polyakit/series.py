@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Q = Fraction
 Scalar = Union[int, Fraction]
@@ -19,19 +19,6 @@ Scalar = Union[int, Fraction]
 
 def _to_fraction_tuple(values: Iterable[Scalar]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
-
-
-def exp_step(a: Sequence[Fraction], e: Sequence[Fraction], m: int) -> Fraction:
-    """[z^m] exp(A) from a_1..a_m and e_0..e_{m-1}, the coefficients of A and
-    of exp(A) below z^m: (exp A)' = A' exp A gives m e_m = sum_k k a_k e_{m-k}.
-
-    Fixed-point solvers call it once per degree, as soon as a_m is known.
-    """
-    acc = Q(0)
-    for k in range(1, m + 1):
-        if a[k] and e[m - k]:
-            acc += k * a[k] * e[m - k]
-    return acc / m
 
 
 @dataclass(frozen=True)
@@ -143,12 +130,18 @@ class RationalSeries:
         return self.truncate(n) * other.truncate(n).reciprocal()
 
     def exp(self) -> "RationalSeries":
-        """exp of a series with zero constant term, one exp_step per degree."""
-        if self.coeffs[0] != 0:
+        """exp of a series with zero constant term: (exp A)' = A' exp A gives
+        m e_m = sum_k k a_k e_(m-k)."""
+        a = self.coeffs
+        if a[0] != 0:
             raise ValueError("exp needs a zero constant term")
         out = [Q(1)]
         for m in range(1, self.order + 1):
-            out.append(exp_step(self.coeffs, out, m))
+            acc = Q(0)
+            for k in range(1, m + 1):
+                if a[k] and out[m - k]:
+                    acc += k * a[k] * out[m - k]
+            out.append(acc / m)
         return RationalSeries(tuple(out))
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":

@@ -162,6 +162,24 @@ def test_verify_report_is_pinned():
         "8d5bd22ba3a9a97665e10d4e1a043be1a7b4374591c696ef8646ab9bee3679cf")
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("coeffs --family omega --omega all-except:1 --n 120",
+     "e5adfe840de9f4c66df2becf78dbd1d7129d7140a8cf22c31ddd97243415a44e"),
+    ("coeffs --family omega --omega 0,2 --n 60 --format csv",
+     "e66e083af254ffcd9e7f6d1e8cd68187ae78975f571bcd6019455c76290cb375"),
+    ("coeffs --family omega --omega 0,3,5 --n 40",
+     "3843ba7a7a599da067647eedf903c91aa84d384dea3fd139b07893b9108a6a05"),
+    ("coeffs --family binary --n 200",
+     "31588fd529f55e94aa5ced4fd2bbe8d5ac5ed4e10b3bed4361a18b8bda0f6f3e"),
+])
+def test_outdegree_counts_are_pinned(argv, digest):
+    # sha256 of the output, computed when omega still ran in Fraction and
+    # binary had its own hand-written recurrence
+    code, out, _ = run(argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_unknown_family_errors():
     with pytest.raises(SystemExit):
         run(["coeffs", "--family", "nonsense", "--n", "5"])
@@ -206,7 +224,7 @@ def test_invalid_input_is_a_usage_error(argv, order_env, monkeypatch, capsys):
 
 
 OMEGA_TEXTS = ("all", "all-except:1", "0,2", "0,3,5", "all-except:", "", "abc",
-               "-1", "2,")
+               "-1", "2,", "0,2,100000")
 COEFFS_ARGV = st.builds(
     lambda family, n, omega: ["coeffs", "--family", family, "--n", str(n)]
     + ([] if omega is None else ["--omega", omega]),

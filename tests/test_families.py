@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 import polyakit.families as fam
 from polyakit.series import BivariateSeries, RationalSeries, UPoly
 
@@ -253,6 +255,94 @@ def test_omega_all_recovers_polya():
     omega = fam.OmegaSet.parse("all")
     got = fam.omega_polya_coeffs(omega, 12)
     assert (got - fam.polya_coeffs(12)).is_zero()
+
+
+# the brute-force and reference-route cases: finite sets with and without
+# unary nodes or gaps, cofinite sets, no leaves at all, and the empty set
+OMEGA_TEXTS = ("0", "0,1", "0,2", "0,3", "0,1,2", "0,2,3", "0,2,5", "all-except:1",
+               "all-except:2", "all-except:1,2", "all-except:0", ",")
+
+
+def omega_fraction_route(omega, N):
+    """The Fraction fixed-point solve the integer table replaced: the cycle-index
+    rows for every k up to the largest listed outdegree, whatever N is, and
+    exp(sum_i A(z^i)/i) one exp step per degree for a cofinite omega."""
+    a = [F(0)] * (N + 1)
+    if omega.allowed is not None:
+        tracked = max(omega.allowed, default=0)
+    else:
+        tracked = max(omega.excluded, default=0)
+    p = [[F(0)] * (N + 1) for _ in range(tracked + 1)]
+    p[0][0] = F(1)
+    g = [F(0)] * (N + 1)
+    e = [F(1)] + [F(0)] * N
+    for n in range(1, N + 1):
+        m = n - 1
+        if m >= 1:
+            for k in range(1, tracked + 1):
+                acc = F(0)
+                for i in range(1, k + 1):
+                    for j in range(i, m + 1, i):
+                        c = a[j // i]
+                        if c and p[k - i][m - j]:
+                            acc += c * p[k - i][m - j]
+                p[k][m] = acc / k
+            if omega.allowed is None:
+                g[m] = sum((a[m // i] / i for i in fam._divisors(m) if a[m // i]), F(0))
+                acc = F(0)
+                for k in range(1, m + 1):
+                    if g[k] and e[m - k]:
+                        acc += k * g[k] * e[m - k]
+                e[m] = acc / m
+        if omega.allowed is not None:
+            a[n] = sum((p[k][m] for k in omega.allowed if k <= tracked), F(0))
+        else:
+            a[n] = e[m] - sum((p[k][m] for k in omega.excluded), F(0))
+    return tuple(a)
+
+
+def binary_hand_route(N):
+    """The hand-written {0, 2} recurrence the integer table replaced:
+    2 b_n = sum_(i+j=n-1) b_i b_j + b_((n-1)/2) at odd n."""
+    t = [0, 1]
+    for n in range(2, N + 1):
+        if n % 2 == 0:
+            t.append(0)
+            continue
+        q, r = divmod(sum(t[i] * t[n - 1 - i] for i in range(1, n - 1)) + t[(n - 1) // 2], 2)
+        assert r == 0
+        t.append(q)
+    return tuple(t[: N + 1])
+
+
+@pytest.mark.parametrize("text", OMEGA_TEXTS)
+def test_omega_counts_match_brute_force(text):
+    from polyakit.oracle import enumerate_trees
+    omega = fam.OmegaSet.parse(text)
+    got = fam.omega_polya_coeffs(omega, 9)
+    assert [got[n] for n in range(1, 10)] == [
+        len(enumerate_trees(n, outdegrees=omega)) for n in range(1, 10)]
+
+
+@pytest.mark.parametrize("text", OMEGA_TEXTS)
+def test_omega_table_matches_fraction_route(text):
+    omega = fam.OmegaSet.parse(text)
+    for N in (0, 1, 2, 3, 7, 40):
+        assert fam.omega_polya_coeffs(omega, N).coeffs == omega_fraction_route(omega, N)
+
+
+def test_binary_table_matches_hand_route():
+    from polyakit.asymptotics import MAX_ORDER, ROOT_SHIFT_ORDERS
+    N = MAX_ORDER["binary"] + ROOT_SHIFT_ORDERS  # the largest table a solver builds
+    assert fam.binary_int_table(N) == binary_hand_route(N)
+
+
+@pytest.mark.parametrize("text, big", [("0,2", "0,2,1000000"),
+                                       ("all-except:1", "all-except:1,1000000")])
+def test_listed_outdegrees_past_the_order_cost_nothing(text, big):
+    # an outdegree k needs k + 1 nodes, so k = 10^6 must cost nothing at n = 30
+    want = fam.omega_polya_coeffs(fam.OmegaSet.parse(text), 30)
+    assert fam.omega_polya_coeffs(fam.OmegaSet.parse(big), 30) == want
 
 
 def test_omega_parse_and_describe():
