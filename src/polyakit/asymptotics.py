@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .families import (
@@ -278,6 +279,11 @@ def forest_asymptotics(order: int = DEFAULT_ORDER,
 # decomposition constants of a random tree
 
 
+def _forest_term(d_m: Fraction, rho: float, m: int) -> float:
+    """d_m rho^m, rounded once: float(d_m) and rho^m leave the float range first."""
+    return float(d_m * Fraction(rho) ** m)
+
+
 @dataclass(frozen=True)
 class DecompositionConstants:
     rho: float
@@ -293,13 +299,13 @@ class DecompositionConstants:
     def forest_size_distribution(self, mmax: int) -> list[float]:
         """Limiting P(|F(v)| = m) for a random skeleton node, m = 0..mmax."""
         d = dforest_coeffs(mmax)
-        return [float(d[m]) * self.rho ** m / self.d_rho for m in range(mmax + 1)]
+        return [_forest_term(d[m], self.rho, m) / self.d_rho for m in range(mmax + 1)]
 
     def conditional_forest_size(self, mmax: int) -> list[float]:
         """Same conditioned on a nonempty forest, m = 2..mmax."""
         d = dforest_coeffs(mmax)
         denom = self.d_rho - 1.0
-        return [float(d[m]) * self.rho ** m / denom for m in range(2, mmax + 1)]
+        return [_forest_term(d[m], self.rho, m) / denom for m in range(2, mmax + 1)]
 
     def lmax_location(self, n: int) -> float:
         return -2 * math.log(n) / math.log(self.rho)

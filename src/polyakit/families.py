@@ -43,13 +43,12 @@ from .series import BivariateSeries, Q, RationalSeries, UPoly
 # tables, shared with the sampler for sigma = +1:
 #   a[n]  the counts t_n or r_n, from (n-1) a_n = sum_i a_(n-i) s(i);
 #   s[i]  sum over divisors m of i of sigma^(i/m-1) m a_m;
-#   f[n]  n! d_n for the forest series D or D* = exp(sum_{i>=2} ...), from
-#         n d_n = sum_{i>=2} d_(n-i) (s(i) - i a_i);
+#   f[n]  n! d_n for D or D* = exp(G), G = sum_{i>=2} sigma^(i-1) A(z^i)/i,
+#         from n d_n = sum_{i>=2} d_(n-i) w_i, w_j = j [z^j] G;
 #   p[n]  the pointed series A/(1-A) (T/(1-T) or R_c), from P = A + A P.
-# For sigma = +1 a fifth table holds n! [z^n] 1/D, as 1/D = exp(-sum_{i>=2}
-# T(z^i)/i) follows the recurrence of D with the weights negated.  Any other
-# power F^k = exp(k log F) is the same recurrence with the weights times k:
-# E and the skeleton rows read their coefficients off such tables.
+# For sigma = +1 a fifth table holds n! [z^n] 1/D = exp(-G): the recurrence of
+# D with the weights negated.  Any power F^k = exp(k G) has the weights times
+# k; E and the skeleton rows read their coefficients off such tables.
 
 _counts: dict[int, list[int]] = {1: [0, 1], -1: [0, 1]}  # a_0 = 0: no empty tree
 _weights: dict[int, list[int]] = {1: [0, 1], -1: [0, 1]}
@@ -86,28 +85,38 @@ def _grow_counts(sigma: int, N: int) -> tuple[list[int], list[int]]:
     return a, s
 
 
-def _grow_exp(f: list[int], sign: int, sigma: int, N: int) -> list[int]:
-    """Grow f, the table of n! [z^n] exp(sign sum_{i>=2} sigma^(i-1) A(z^i)/i),
-    through N; only sizes i >= 2 enter, as a repeated component never uses
-    the full-size divisor.  sign is any integer exponent: the table is F^sign
-    for the forest series F (D or D*), so sign = 1 gives F, -1 its inverse,
-    and k its k-th power."""
-    a, s = _grow_counts(sigma, N)
+def _substituted(a: list[int], N: int, coeff) -> list:
+    """sum_{i>=2} sum_k coeff(i, k) a_k z^(i k) through z^N, as a list."""
+    out = [0] * (N + 1)
+    for i in range(2, N + 1):
+        for k in range(1, N // i + 1):
+            out[i * k] += coeff(i, k) * a[k]
+    return out
+
+
+def _exp_weights(sigma: int, N: int) -> list[int]:
+    """w_0 .. w_N, w_j = j [z^j] sum_{i>=2} sigma^(i-1) A(z^i)/i."""
+    return _substituted(_grow_counts(sigma, N)[0], N, lambda i, k: sigma ** (i - 1) * k)
+
+
+def _grow_exp(f: list[int], sign: int, w: list[int], N: int) -> list[int]:
+    """Grow f, the table of n! [z^n] exp(sign G), through N from the weights
+    w_j = j [z^j] G (w_0 = w_1 = 0).  sign is any integer exponent: the table
+    is F^sign for F = exp(G), so 1 gives F, -1 its inverse, k its k-th power."""
     while len(f) <= N:
         n = len(f)
         total, falling = 0, 1  # falling = (n-1)!/(n-i)!
         for i in range(2, n + 1):
             falling *= n - i + 1
-            w = s[i] - i * a[i]
-            if w:
-                total += f[n - i] * w * falling
+            if w[i]:
+                total += f[n - i] * w[i] * falling
         f.append(sign * total)
     return f
 
 
 def _grow_forests(sigma: int, N: int) -> list[int]:
     """The table f of n! d_n for D (sigma = +1) or D* (sigma = -1)."""
-    return _grow_exp(_forests[sigma], 1, sigma, N)
+    return _grow_exp(_forests[sigma], 1, _exp_weights(sigma, N), N)
 
 
 def _grow_pointed(sigma: int, N: int) -> list[int]:
@@ -203,13 +212,8 @@ def cayley_coeffs(N: int) -> RationalSeries:
 
 def dforest_coeffs_exp_route(N: int) -> RationalSeries:
     """D(z) = exp(sum_{i>=2} T(z^i)/i), the definitional route."""
-    t = polya_int_table(N)
-    arg = [Q(0)] * (N + 1)
-    for i in range(2, N + 1):
-        for k in range(1, N // i + 1):
-            if t[k]:
-                arg[k * i] += Q(t[k], i)
-    return RationalSeries(tuple(arg)).exp()
+    arg = _substituted(polya_int_table(N), N, lambda i, k: Q(1, i))
+    return RationalSeries.from_coeffs(arg).exp()
 
 
 def polya_composition_route(N: int) -> RationalSeries:
@@ -220,22 +224,12 @@ def polya_composition_route(N: int) -> RationalSeries:
 
 def gamma_series(N: int) -> RationalSeries:
     """gamma(z) = sum_{i>=2} T(z^i)."""
-    t = polya_int_table(N)
-    out = [0] * (N + 1)
-    for i in range(2, N + 1):
-        for k in range(1, N // i + 1):
-            out[k * i] += t[k]
-    return RationalSeries.from_coeffs(out)
+    return RationalSeries.from_coeffs(_substituted(polya_int_table(N), N, lambda i, k: 1))
 
 
 def gamma2_series(N: int) -> RationalSeries:
     """gamma_2(z) = sum_{i>=2} i T(z^i)."""
-    t = polya_int_table(N)
-    out = [0] * (N + 1)
-    for i in range(2, N + 1):
-        for k in range(1, N // i + 1):
-            out[k * i] += i * t[k]
-    return RationalSeries.from_coeffs(out)
+    return RationalSeries.from_coeffs(_substituted(polya_int_table(N), N, lambda i, k: i))
 
 
 def _pointed_over_dforest(k: int) -> Fraction:
@@ -244,7 +238,7 @@ def _pointed_over_dforest(k: int) -> Fraction:
     size m number d_m [z^(n-m)] q.  With U_j = j! [z^j] 1/D it is
     sum_j p_(k-j) U_j / j!, summed over k! as one integer."""
     p = _grow_pointed(1, k)
-    u = _grow_exp(_inverse_forests, -1, 1, k)
+    u = _grow_exp(_inverse_forests, -1, _exp_weights(1, k), k)
     total, falling = 0, 1  # falling = k!/j!
     for j in range(k, -1, -1):
         total += p[k - j] * u[j] * falling
@@ -321,8 +315,9 @@ def e_series(N: int) -> RationalSeries:
     powers of D*: n [z^n] zE = [z^(n-1)] D*^(-n), and D*^(-n) is the exp
     table of sign -n, so n! [z^n] zE is its entry n - 1.
     """
+    w = _exp_weights(-1, N)
     return RationalSeries(tuple(
-        Q(_grow_exp([1], -n, -1, n - 1)[n - 1], math.factorial(n))
+        Q(_grow_exp([1], -n, w, n - 1)[n - 1], math.factorial(n))
         for n in range(1, N + 2)))
 
 
@@ -336,8 +331,9 @@ def _marked_rows(sigma: int, N: int) -> BivariateSeries:
     [u^k z^n] = c_k [z^j] F^k with j = n - k, and F^k is the exp table of
     sign k, whose entry j is j! [z^j] F^k."""
     rows = [[0] * (n + 1) for n in range(N + 1)]
+    w = _exp_weights(sigma, N)
     for k in range(1, N + 1):
-        power = _grow_exp([1], k, sigma, N - k)
+        power = _grow_exp([1], k, w, N - k)
         for j in range(N - k + 1):
             rows[k + j][k] = Q(k ** (k - 1) * power[j],
                                math.factorial(k) * math.factorial(j))
@@ -356,15 +352,17 @@ def identity_ctree_polynomials(N: int) -> BivariateSeries:
 
 
 def dforest_component_bivariate(N: int) -> BivariateSeries:
-    """D(z,v) = exp(sum_{i>=2} v^i T(z^i)/i): v marks forest components."""
-    t = polya_int_table(N)
-    rows = [UPoly.zero() for _ in range(N + 1)]
-    for i in range(2, N + 1):
-        mono = UPoly.from_coeffs([0] * i + [1]).scale(Q(1, i))  # v^i / i
-        for k in range(1, N // i + 1):
-            if t[k]:
-                rows[k * i] = rows[k * i] + mono.scale(t[k])
-    return BivariateSeries(tuple(rows)).exp()
+    """D(z,v) = exp(sum_{i>=2} v^i T(z^i)/i): v marks forest components.
+
+    The exp table with v^i packed as 2^(B i) (Kronecker substitution).  Each
+    term summed into n! D_n(v) has nonnegative integer coefficients at most
+    n! d_n < 2^B, so no slot carries; row n is its B-bit slots over n!."""
+    B = max(_grow_forests(1, N)[: N + 1]).bit_length() + 1
+    w = _substituted(polya_int_table(N), N, lambda i, k: k << B * i)
+    mask = (1 << B) - 1
+    return BivariateSeries(tuple(
+        UPoly.from_coeffs([Q(f >> B * j & mask, math.factorial(n)) for j in range(n + 1)])
+        for n, f in enumerate(_grow_exp([1], 1, w, N))))
 
 
 # ---------------------------------------------------------------------------

@@ -97,15 +97,14 @@ def star(leaves: int) -> CanonicalTree:
 _tree_cache: dict[tuple[int, str], tuple[CanonicalTree, ...]] = {}
 
 
-def enumerate_trees(n: int, outdegrees: Optional[OmegaSet] = None,
-                    cap: int = TREE_ENUMERATION_CAP) -> tuple[CanonicalTree, ...]:
+def enumerate_trees(n: int, outdegrees: Optional[OmegaSet] = None) -> tuple[CanonicalTree, ...]:
     """All canonical trees of size n, optionally with restricted outdegrees.
 
-    Refuses n > cap: the counts grow like 2.956^n and the point of the
-    oracle is small-size ground truth, not bulk generation.
+    Refuses n > TREE_ENUMERATION_CAP: the counts grow like 2.956^n and the
+    point of the oracle is small-size ground truth, not bulk generation.
     """
-    if n > cap:
-        raise ValueError(f"enumerate_trees(n={n}) exceeds cap {cap}; raise cap explicitly")
+    if n > TREE_ENUMERATION_CAP:
+        raise ValueError(f"enumerate_trees(n={n}) exceeds the cap {TREE_ENUMERATION_CAP}")
     if n < 1:
         return ()
     key = (n, outdegrees.describe() if outdegrees else "all")
@@ -124,7 +123,7 @@ def enumerate_trees(n: int, outdegrees: Optional[OmegaSet] = None,
     else:
         pool: list[CanonicalTree] = []
         for k in range(1, n):
-            pool.extend(enumerate_trees(k, outdegrees, cap))
+            pool.extend(enumerate_trees(k, outdegrees))
         found: list[CanonicalTree] = []
 
         def build(remaining: int, max_index: int, chosen: list[CanonicalTree]) -> None:
@@ -284,11 +283,10 @@ def make_forest(pairs: Iterable[tuple[CanonicalTree, int]]) -> ForestSpec:
     return ForestSpec(tuple(pairs))
 
 
-def enumerate_dforests(n: int, identity_only: bool = False,
-                       cap: int = FOREST_ENUMERATION_CAP) -> tuple[ForestSpec, ...]:
+def enumerate_dforests(n: int, identity_only: bool = False) -> tuple[ForestSpec, ...]:
     """All forests of total size n with every component multiplicity >= 2."""
-    if n > cap:
-        raise ValueError(f"enumerate_dforests(n={n}) exceeds cap {cap}; raise cap explicitly")
+    if n > FOREST_ENUMERATION_CAP:
+        raise ValueError(f"enumerate_dforests(n={n}) exceeds the cap {FOREST_ENUMERATION_CAP}")
     if n < 0:
         return ()
     pool: list[CanonicalTree] = []

@@ -234,6 +234,13 @@ def _mean_var(values: list[int]) -> tuple[float, float, float]:
     return mean, var, 1.96 * math.sqrt(var / n)
 
 
+def _seeded_draw(n: int, master_seed: int | str, label: int | str) -> DecompositionSample:
+    """A uniform size-n tree and its decomposition, from one seeded generator."""
+    seed = derived_seed(master_seed, label)
+    rng = random.Random(seed)
+    return sample_decomposition(sample_polya_tree(n, rng), rng, seed=seed)
+
+
 def run_experiment(n: int, samples: int,
                    master_seed: int | str = 0) -> StatsReport:
     """Aggregate decomposition samples, bit-for-bit reproducible by seed."""
@@ -242,16 +249,10 @@ def run_experiment(n: int, samples: int,
             f"budget exceeded: n <= {MAX_SIZE}, samples <= {MAX_SAMPLES}")
     if samples < 1:
         raise ValueError("need at least one sample")
-    seeds = []
     c_vals, l_vals, y_vals = [], [], []
     hist: Counter[int] = Counter()
     for i in range(samples):
-        seed = derived_seed(master_seed, i)
-        if i < 4:
-            seeds.append(seed)
-        rng = random.Random(seed)
-        tree = sample_polya_tree(n, rng)
-        dec = sample_decomposition(tree, rng, seed=seed)
+        dec = _seeded_draw(n, master_seed, i)
         c_vals.append(dec.c_size)
         l_vals.append(dec.l_max)
         y_vals.append(dec.y_count)
@@ -261,7 +262,8 @@ def run_experiment(n: int, samples: int,
     mc, vc, hc = _mean_var(c_vals)
     ml, vl, hl = _mean_var(l_vals)
     my, vy, hy = _mean_var(y_vals)
-    return StatsReport(n, samples, str(master_seed), SEED_RULE, tuple(seeds),
+    first_seeds = tuple(derived_seed(master_seed, i) for i in range(min(samples, 4)))
+    return StatsReport(n, samples, str(master_seed), SEED_RULE, first_seeds,
                        mc, vc, hc, ml, vl, hl, my, vy, hy, dist)
 
 
@@ -279,21 +281,15 @@ def lmax_check(n_values: list[int], samples: int, s: float = 0.5,
         raise ValueError("s must lie in (0, 1)")
     if any(n < 2 for n in n_values):
         raise ValueError("lmax_check needs every n >= 2: the report divides by log n")
-    from .asymptotics import lmax_exact_mean, solve_polya_singularity
+    from .asymptotics import decomposition_constants, lmax_exact_mean
 
-    rho = solve_polya_singularity().rho
-    log_rho = math.log(rho)
+    consts = decomposition_constants()
+    log_rho = math.log(consts.rho)
     rows = []
     for n in n_values:
-        l_vals = []
-        for i in range(samples):
-            seed = derived_seed(master_seed, f"{n}:{i}")
-            rng = random.Random(seed)
-            tree = sample_polya_tree(n, rng)
-            l_vals.append(sample_decomposition(tree, rng, seed=seed).l_max)
-        center = -2.0 * math.log(n) / log_rho
-        eps = math.log(n) ** (-s)
-        lo, hi = (1.0 - eps) * center, (1.0 + eps) * center
+        l_vals = [_seeded_draw(n, master_seed, f"{n}:{i}").l_max
+                  for i in range(samples)]
+        lo, hi = consts.lmax_interval(n, s)
         mean = sum(l_vals) / len(l_vals)
         row = {
             "n": n,
@@ -308,7 +304,7 @@ def lmax_check(n_values: list[int], samples: int, s: float = 0.5,
                 (2.0 * math.log(n) - 3.0 * math.log(math.log(n))) / -log_rho,
         }
         if exact_mean:
-            row["exact_mean_l_max"] = lmax_exact_mean(n, rho=rho)
+            row["exact_mean_l_max"] = lmax_exact_mean(n, rho=consts.rho)
         rows.append(row)
     return {"s": s, "master_seed": str(master_seed), "seed_rule": SEED_RULE,
             "rows": rows}

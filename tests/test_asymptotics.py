@@ -3,6 +3,8 @@
 import functools
 import math
 from dataclasses import asdict
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from polyakit.asymptotics import (
     ROOT_SHIFT_ORDERS,
     _derivative_table,
     _float_table,
+    _forest_term,
     _horner,
     _horner_terms,
     _scaled_polya_coeffs,
@@ -120,6 +123,24 @@ def test_forest_size_distribution(deco):
     cond = deco.conditional_forest_size(9)
     assert cond[0] == pytest.approx(row[2] / (1 - row[0]), rel=1e-12)
     assert len(cond) == 8
+
+
+def test_forest_size_entry_past_the_float_range_of_rho_power(deco):
+    # rho^700 is below the smallest normal float and a plain float product
+    # reads 0.0 here; the entry is about 1e-169
+    entry = deco.forest_size_distribution(700)[700]
+    exact = fam.dforest_coeffs(700)[700] * Fraction(deco.rho) ** 700 / Fraction(deco.d_rho)
+    assert entry == pytest.approx(float(exact), rel=1e-12)
+    assert entry > 0
+
+
+def test_forest_term_with_d_m_above_the_float_range():
+    # float(d_m) would overflow; the product is about 0.26
+    d_m, rho, m = Fraction(10 ** 400, 3), 0.3383218568992077, 850
+    with localcontext() as ctx:
+        ctx.prec = 60
+        expected = Decimal(10) ** 400 / 3 * Decimal(rho) ** m
+    assert _forest_term(d_m, rho, m) == pytest.approx(float(expected), rel=1e-15)
 
 
 def test_exact_row_approaches_asymptotic(deco):

@@ -171,10 +171,15 @@ def test_verify_report_is_pinned():
      "3843ba7a7a599da067647eedf903c91aa84d384dea3fd139b07893b9108a6a05"),
     ("coeffs --family binary --n 200",
      "31588fd529f55e94aa5ced4fd2bbe8d5ac5ed4e10b3bed4361a18b8bda0f6f3e"),
+    ("coeffs --family dforest-components --n 30",
+     "54a4b85d999992d47d1afe2611baf254fd090296be1fae4fcd659ce9eaa4cba0"),
+    ("coeffs --family dforest-components --n 12 --format csv",
+     "2e4e6374e04fb71441c5ff4dd67a603be3ea6d2fe769c816585d34d28aee92cb"),
 ])
 def test_outdegree_counts_are_pinned(argv, digest):
-    # sha256 of the output, computed when omega still ran in Fraction and
-    # binary had its own hand-written recurrence
+    # sha256 of the output, computed when omega still ran in Fraction, binary
+    # had its own hand-written recurrence and D(z,v) ran a Fraction
+    # bivariate exp
     code, out, _ = run(argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import polyakit.families as fam
+from polyakit.oracle import enumerate_dforests, forest_weight
 from polyakit.series import BivariateSeries, RationalSeries, UPoly
 
 F = Fraction
@@ -389,3 +390,31 @@ def test_dforest_component_mean_matches_count_series():
     mean = rows.marked_mean_series()
     for n in range(11):
         assert mean[n] == A[n]
+
+
+def fraction_component_bivariate(N):
+    """Reference route: D(z,v) as the Fraction bivariate exp of its argument
+    sum_{i>=2} v^i T(z^i)/i, built on UPoly rows."""
+    t = fam.polya_int_table(N)
+    rows = [UPoly.zero() for _ in range(N + 1)]
+    for i in range(2, N + 1):
+        mono = UPoly.from_coeffs([0] * i + [1]).scale(F(1, i))  # v^i / i
+        for k in range(1, N // i + 1):
+            rows[k * i] = rows[k * i] + mono.scale(t[k])
+    return BivariateSeries(tuple(rows)).exp()
+
+
+@pytest.mark.parametrize("N", (0, 1, 2, 5, 20, 40))
+def test_dforest_component_rows_match_fraction_exp_route(N):
+    assert fam.dforest_component_bivariate(N) == fraction_component_bivariate(N)
+
+
+def test_dforest_component_rows_match_forest_enumeration():
+    # row n, coefficient by coefficient: the forests of size n, each weighted
+    # by forest_weight and marked by v^(number of copies)
+    rows = fam.dforest_component_bivariate(10)
+    for n in range(11):
+        expected = [F(0)] * (n + 1)
+        for forest in enumerate_dforests(n):
+            expected[sum(m for _, m in forest.components)] += forest_weight(forest)
+        assert rows.row(n) == UPoly.from_coeffs(expected)

@@ -3,9 +3,13 @@
 import hashlib
 from fractions import Fraction
 
+import pytest
+
 import polyakit.families as fam
 from polyakit.oracle import (
+    FOREST_ENUMERATION_CAP,
     LEAF,
+    TREE_ENUMERATION_CAP,
     aut_order,
     chain,
     ctree_weight,
@@ -288,3 +292,12 @@ def test_oracle_values_are_pinned():
     # factorial and forest-labelling helpers were merged
     digest = hashlib.sha256(repr(oracle_values()).encode()).hexdigest()
     assert digest == ORACLE_PIN
+
+
+@pytest.mark.parametrize("enumerate_, cap", [
+    (enumerate_trees, TREE_ENUMERATION_CAP),
+    (enumerate_dforests, FOREST_ENUMERATION_CAP),
+])
+def test_enumeration_refuses_sizes_past_the_cap(enumerate_, cap):
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        enumerate_(cap + 1)
