@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from operator import mul
 from typing import Optional
@@ -56,6 +57,9 @@ _forests: dict[int, list[int]] = {1: [1], -1: [1]}
 _pointed: dict[int, list[int]] = {1: [0], -1: [0]}
 _inverse_forests: list[int] = [1]  # n! [z^n] 1/D, the same recurrence negated
 
+_PLAIN_BELOW = 512  # count tables shorter than this grow term by term
+_LEAF = 64  # the largest range the doubling step sums term by term
+
 
 def _divisors(n: int) -> list[int]:
     small, large = [], []
@@ -69,20 +73,90 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _packed_product(x: list[str], y: list[str], lo: int, hi: int) -> list[int]:
+    """Coefficients lo .. hi-1 of the product of two polynomials whose
+    coefficients, all nonnegative, are given as their decimal digit strings.
+
+    Each polynomial is packed into one Decimal, a slot of `width` digits per
+    coefficient, and the two are multiplied once by libmpdec, which switches
+    to a number-theoretic transform on large operands.  A product coefficient
+    sums fewer than 10^len(str(min(len(x), len(y)))) terms, each below
+    10^(digits of x + digits of y), so no slot carries into the next.  The
+    context is a local exact one; Decimal <-> int conversions are not subject
+    to the int/str digit limit, so slots of any width read back."""
+    if any(v.startswith("-") for v in x) or any(v.startswith("-") for v in y):
+        raise ValueError("packed products need nonnegative coefficients")
+    width = (max(map(len, x)) + max(map(len, y))
+             + len(str(min(len(x), len(y)))) + 1)
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    product = str(exact.multiply(Decimal("".join(v.zfill(width) for v in reversed(x))),
+                                 Decimal("".join(v.zfill(width) for v in reversed(y)))))
+    end = len(product)
+    return [int(Decimal(product[max(end - width * (k + 1), 0):end - width * k]))
+            if end > width * k else 0 for k in range(lo, hi)]
+
+
+def _append_count(sigma: int, a: list[int], s: list[int], total: int) -> None:
+    """Append a_n = total / (n - 1) and s_n, for n = len(a)."""
+    n = len(a)
+    q, r = divmod(total, n - 1)
+    if r:
+        raise ArithmeticError(f"tree recurrence not divisible at n={n}")
+    a.append(q)
+    s.append(sum(sigma ** (n // m - 1) * m * a[m] for m in _divisors(n)))
+
+
 def _grow_counts(sigma: int, N: int) -> tuple[list[int], list[int]]:
-    """The tables a and s of sign sigma, grown through N."""
+    """The tables a and s of sign sigma, grown through N.
+
+    (n - 1) a_n is entry n of the product a s (a_0 = s_0 = 0).  Below
+    _PLAIN_BELOW entries, and for the last _LEAF entries or fewer of a
+    request, each a_n is that sum, term by term: a doubling step packs the
+    whole held table whatever its span, so for a few entries the sums are
+    cheaper.  Otherwise the table doubles (_double_counts)."""
     a, s = _counts[sigma], _weights[sigma]
     while len(a) <= N:
         n = len(a)
-        total = 0
-        for i in range(1, n):
-            total += a[n - i] * s[i]
-        q, r = divmod(total, n - 1)
-        if r:
-            raise ArithmeticError(f"tree recurrence not divisible at n={n}")
-        a.append(q)
-        s.append(sum(sigma ** (n // m - 1) * m * a[m] for m in _divisors(n)))
+        if n < _PLAIN_BELOW or N - n < _LEAF:
+            _append_count(sigma, a, s, sum(map(mul, a[n - 1:0:-1], s[1:n])))
+        else:
+            _double_counts(sigma, a, s, min(N, 2 * n - 1))
     return a, s
+
+
+def _double_counts(sigma: int, a: list[int], s: list[int], top: int) -> None:
+    """Grow a and s from their L entries through top <= 2L - 1.
+
+    Every n in [L, top] takes its pairs with both indices below L from one
+    packed product; no pair has both indices at L or above, since 2L > top.
+    The pairs with one index i >= L come from an online divide-and-conquer
+    over [L, top]: once the entries of [l, mid) are known, a[l:mid] s[0:r-l]
+    and s[l:mid] a[0:r-l] add their share to [mid, r), every partner index
+    below r - l <= L, and a leaf of at most _LEAF entries sums the pairs
+    inside it before it divides."""
+    L = len(a)
+    da = [str(Decimal(v)) for v in a]  # digit strings, for this call only
+    ds = [str(Decimal(v)) for v in s]
+    acc = _packed_product(da, ds, L, top + 1)  # acc[n - L]: pairs known so far
+
+    def grow(l: int, r: int) -> None:
+        if r - l > _LEAF:
+            mid = (l + r) // 2
+            grow(l, mid)
+            for x, y in ((da, ds), (ds, da)):
+                for n, v in enumerate(_packed_product(x[l:mid], y[:r - l], mid - l, r - l),
+                                      mid - L):
+                    acc[n] += v
+            grow(mid, r)
+            return
+        for n in range(l, r):  # the pairs (i, n - i) with l <= i < n
+            k = n - l
+            _append_count(sigma, a, s, acc[n - L] + sum(map(mul, a[l:n], s[k:0:-1]))
+                          + sum(map(mul, s[l:n], a[k:0:-1])))
+            da.append(str(Decimal(a[n])))
+            ds.append(str(Decimal(s[n])))
+
+    grow(L, top + 1)
 
 
 def _substituted(a: list[int], N: int, coeff) -> list:
@@ -232,13 +306,14 @@ def gamma2_series(N: int) -> RationalSeries:
     return RationalSeries.from_coeffs(_substituted(polya_int_table(N), N, lambda i, k: i))
 
 
-def _pointed_over_dforest(k: int) -> Fraction:
+def _pointed_over_dforest(k: int, w: list[int]) -> Fraction:
     """[z^k] q with q = (T/(1-T)) / D: fixed nodes counted with the forest at
     the node cut off, so the fixed nodes of size-n trees whose forest has
     size m number d_m [z^(n-m)] q.  With U_j = j! [z^j] 1/D it is
-    sum_j p_(k-j) U_j / j!, summed over k! as one integer."""
+    sum_j p_(k-j) U_j / j!, summed over k! as one integer.  w holds the
+    weights of D, _exp_weights(1, N) for some N >= k."""
     p = _grow_pointed(1, k)
-    u = _grow_exp(_inverse_forests, -1, _exp_weights(1, k), k)
+    u = _grow_exp(_inverse_forests, -1, w, k)
     total, falling = 0, 1  # falling = k!/j!
     for j in range(k, -1, -1):
         total += p[k - j] * u[j] * falling
@@ -251,7 +326,8 @@ def forest_size_marked(N: int, m: int) -> RationalSeries:
     forest at a random fixed node has size m): d_m z^m q(z)."""
     if not 0 <= m <= N:
         raise ValueError("marked forest size must lie within the truncation order")
-    q = RationalSeries(tuple(_pointed_over_dforest(k) for k in range(N + 1)))
+    w = _exp_weights(1, N)
+    q = RationalSeries(tuple(_pointed_over_dforest(k, w) for k in range(N + 1)))
     return q.scale(dforest_coeffs(N)[m]).shift(m)
 
 
@@ -261,8 +337,8 @@ def exact_forest_size_row(n: int, mmax: int) -> tuple[Fraction, ...]:
     d_m rho^m / D(rho).  A forest has fewer than n nodes, so m >= n gives 0."""
     if n < 1:
         raise ValueError("the exact forest-size row needs n >= 1")
-    d, tc = dforest_coeffs(n), pointed_coeffs(n)
-    return tuple(d[m] * _pointed_over_dforest(n - m) / tc[n] if m < n else Q(0)
+    d, tc, w = dforest_coeffs(n), pointed_coeffs(n), _exp_weights(1, n)
+    return tuple(d[m] * _pointed_over_dforest(n - m, w) / tc[n] if m < n else Q(0)
                  for m in range(mmax + 1))
 
 

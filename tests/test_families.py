@@ -1,6 +1,9 @@
 """Frozen coefficient values and cross-route identities for the tree families."""
 
+from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 import pytest
 
@@ -32,6 +35,116 @@ def test_divisor_weight_table():
     t = fam.polya_int_table(12)
     for k in range(1, 13):
         assert s[k] == sum(d * t[d] for d in range(1, k + 1) if k % d == 0)
+
+
+@lru_cache(maxsize=None)
+def plain_counts(sigma, N):
+    """Reference route: the term-by-term recurrence the count table used at
+    every length before it doubled, (n - 1) a_n = sum_i a_(n-i) s_i."""
+    a, s = [0, 1], [0, 1]
+    for n in range(2, N + 1):
+        total = 0
+        for i in range(1, n):
+            total += a[n - i] * s[i]
+        q, r = divmod(total, n - 1)
+        assert r == 0
+        a.append(q)
+        s.append(sum(sigma ** (n // m - 1) * m * a[m] for m in fam._divisors(n)))
+    return tuple(a[: N + 1]), tuple(s[: N + 1])
+
+
+def modular_counts(sigma, N, p=(1 << 61) - 1):
+    """Independent route: a and s mod p, each a_d added to s at the multiples
+    of d once known, each division by n - 1 an inverse mod p."""
+    a, s, pending = [0] * (N + 1), [0] * (N + 1), [0] * (N + 1)
+    for n in range(1, N + 1):
+        a[n] = 1 if n == 1 else (
+            sum(map(mul, a[n - 1:0:-1], s[1:n])) * pow(n - 1, -1, p) % p)
+        for j in range(n, N + 1, n):
+            pending[j] += sigma ** (j // n - 1) * n * a[n]
+        s[n] = pending[n] % p
+    return a, s
+
+
+@pytest.fixture
+def fresh_counts(monkeypatch):
+    """Empty count tables for both signs, so each test grows its own."""
+    monkeypatch.setattr(fam, "_counts", {1: [0, 1], -1: [0, 1]})
+    monkeypatch.setattr(fam, "_weights", {1: [0, 1], -1: [0, 1]})
+
+
+CUTOFF, LEAF = fam._PLAIN_BELOW, fam._LEAF
+
+
+@pytest.mark.parametrize("sigma", (1, -1))
+@pytest.mark.parametrize("N", (0, 1, 2, CUTOFF - 1, CUTOFF, CUTOFF + 1,
+                               CUTOFF + LEAF - 1, CUTOFF + LEAF, 2 * CUTOFF, 1500))
+def test_count_table_matches_plain_route(fresh_counts, sigma, N):
+    a, s = fam._grow_counts(sigma, N)
+    want_a, want_s = plain_counts(sigma, 1500)
+    assert (tuple(a[: N + 1]), tuple(s[: N + 1])) == (want_a[: N + 1], want_s[: N + 1])
+
+
+@pytest.mark.parametrize("sigma", (1, -1))
+@pytest.mark.parametrize("steps", ((300, 700, 1500), (1499, 1500),
+                                   (CUTOFF, 2 * CUTOFF + 1)))
+def test_count_table_grows_in_place_as_prefixes(fresh_counts, sigma, steps):
+    want_a, want_s = plain_counts(sigma, 1500)
+    held = fam._counts[sigma], fam._weights[sigma]
+    for N in steps:
+        a, s = fam._grow_counts(sigma, N)
+        assert a is held[0] and s is held[1]
+        assert (tuple(a), tuple(s)) == (want_a[: N + 1], want_s[: N + 1])
+
+
+@pytest.mark.parametrize("sigma", (1, -1))
+def test_count_table_matches_modular_recurrence(sigma):
+    p, N = (1 << 61) - 1, 2000
+    a, s = fam._grow_counts(sigma, N)
+    assert ([v % p for v in a[: N + 1]], [v % p for v in s[: N + 1]]) == (
+        modular_counts(sigma, N))
+
+
+def digits(values):
+    return [str(Decimal(v)) for v in values]
+
+
+def naive_product(x, y):
+    out = [0] * (len(x) + len(y) - 1)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            out[i + j] += u * v
+    return out
+
+
+@pytest.mark.parametrize("x, y", [
+    ([10 ** 4400 + 7, 3 ** 9000, 0, 5], [2 ** 15000 + 1, 10 ** 4500 - 1, 11]),  # > 4300 digits
+    ([0, 0, 5, 0], [0, 3, 0]),
+    ([0, 0], [0]),
+    ([7], [0, 0, 0, 9]),
+    ([10 ** 12 - 1] * 9, [10 ** 5 - 1] * 20),  # every slot at its digit count's top
+    ([10 ** 12 - 1] * 10, [10 ** 5 - 1] * 10),
+    ([10 ** 300 - 1] * 99, [9] * 100),
+])
+def test_packed_product_matches_naive_convolution(x, y):
+    want = naive_product(x, y)
+    assert fam._packed_product(digits(x), digits(y), 0, len(want)) == want
+
+
+def test_packed_product_reads_a_window():
+    x = [3 ** k for k in range(40, 90)]
+    y = [5 ** k + k for k in range(30)]
+    want = naive_product(x, y)
+    assert fam._packed_product(digits(x), digits(y), 31, 57) == want[31:57]
+    # slots past the product's top read as zero
+    assert fam._packed_product(digits(x), digits(y), 75, 85) == want[75:] + [0] * 6
+
+
+def test_packed_product_refuses_negative_coefficients():
+    with pytest.raises(ValueError):
+        fam._packed_product(digits([1, -2]), digits([3]), 0, 2)
+    with pytest.raises(ValueError):
+        fam._packed_product(digits([1]), digits([0, -3]), 0, 2)
 
 
 def test_polya_routes_agree():

@@ -63,15 +63,38 @@ def test_seeded_decompositions_are_pinned():
         "ee9adab1a1b6501cdddb4a9a4483aefe5e263ba47f6237615cc2201b937f24fa")
 
 
-def test_sampling_leaves_the_recursion_limit_alone():
-    # a fresh interpreter, so no earlier import has touched the limit
+def test_seeded_decompositions_past_the_plain_table_are_pinned():
+    # n = 1200 reads a count table grown by doubling; recorded on the
+    # term-by-term table
+    import hashlib
+    assert 1200 > fam._PLAIN_BELOW + fam._LEAF
+    rows = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        tree = sample_polya_tree(1200, rng)
+        d = sample_decomposition(tree, rng)
+        rows.append(repr((tree.encoding, d.c_size, d.l_max, d.y_count,
+                          sorted(d.forest_size_histogram.items()))))
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "5c96aa539fa61e40440e9feb576345e417dfa7d35cd0cee7852dfb7967ff77c0")
+
+
+def test_sampling_leaves_global_state_alone():
+    # a fresh interpreter, so no earlier import has touched any of it: the
+    # decimal context, the int/str digit limit and the recursion limit, and
+    # numpy stays unloaded (it would add ~12 MiB to every sampling process)
     import subprocess
     import sys
-    code = ("import random, sys\n"
-            "before = sys.getrecursionlimit()\n"
+    code = ("import decimal, random, sys\n"
+            "def state():\n"
+            "    c = decimal.getcontext()\n"
+            "    return (c.prec, c.Emax, c.Emin, dict(c.traps), dict(c.flags),\n"
+            "            sys.get_int_max_str_digits(), sys.getrecursionlimit())\n"
+            "before = state()\n"
             "from polyakit.sampler import sample_polya_tree\n"
-            "sample_polya_tree(300, random.Random(1))\n"
-            "assert sys.getrecursionlimit() == before, sys.getrecursionlimit()\n")
+            "sample_polya_tree(1200, random.Random(1))\n"
+            "assert state() == before, (state(), before)\n"
+            "assert 'numpy' not in sys.modules\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert done.returncode == 0, done.stderr
