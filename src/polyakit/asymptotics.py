@@ -37,6 +37,9 @@ MAX_ORDER = {"polya": 584, "hierarchy": 839, "binary": 1504}
 TAIL_MARGIN = 2.0 ** -110
 _LN_TAIL_MARGIN = math.log(TAIL_MARGIN)
 
+# the forest-size rows read the table of D this many terms at a time
+_FOREST_CHUNK = 128
+
 
 class OrderTooLarge(ValueError):
     """A truncation order past the float range of a solver's tables."""
@@ -182,9 +185,9 @@ def _polya_root(order: int) -> float:
     return _bisect(lambda x: math.e * x * _forest_value(t, x) - 1.0, 0.25, 0.45)
 
 
-# the last solve, kept so that asking again at the same order (every L_n law
-# without rho, the constants after the singularity) does not solve again;
-# one slot, not a cache per order
+# the last solve, kept so that asking again at the same order (every L_n law,
+# the forest and decomposition constants after the singularity) does not solve
+# again; the only hand-off of rho, one slot, not a cache per order
 _last_singularity: PolyaSingularity | None = None
 
 
@@ -244,9 +247,8 @@ class ForestAsymptotics:
         return 3 + (self.mu_even if n_parity % 2 == 0 else self.mu_odd)
 
 
-def forest_asymptotics(order: int = DEFAULT_ORDER,
-                       sing: PolyaSingularity | None = None) -> ForestAsymptotics:
-    sing = sing or solve_polya_singularity(order)
+def forest_asymptotics(order: int = DEFAULT_ORDER) -> ForestAsymptotics:
+    sing = solve_polya_singularity(order)
     t = _polya_table(order)
     r = math.sqrt(sing.rho)
 
@@ -296,16 +298,27 @@ class DecompositionConstants:
     d_rho: float
     lmax_c1: float          # scale constant of the max-forest-size law
 
+    def _forest_terms(self, mmax: int) -> list[float]:
+        """d_m rho^m for m = 0..mmax.  Even and odd m each decay like
+        rho^(m/2), so once two consecutive terms round to 0.0 all later ones
+        do: they are padded as zeros, and D is grown no further."""
+        terms: list[float] = []
+        for m in range(mmax + 1):
+            if terms[-2:] == [0.0, 0.0]:
+                return terms + [0.0] * (mmax + 1 - m)
+            if m % _FOREST_CHUNK == 0:
+                d = dforest_coeffs(min(mmax, m + _FOREST_CHUNK - 1))
+            terms.append(_forest_term(d[m], self.rho, m))
+        return terms
+
     def forest_size_distribution(self, mmax: int) -> list[float]:
         """Limiting P(|F(v)| = m) for a random skeleton node, m = 0..mmax."""
-        d = dforest_coeffs(mmax)
-        return [_forest_term(d[m], self.rho, m) / self.d_rho for m in range(mmax + 1)]
+        return [v / self.d_rho for v in self._forest_terms(mmax)]
 
     def conditional_forest_size(self, mmax: int) -> list[float]:
         """Same conditioned on a nonempty forest, m = 2..mmax."""
-        d = dforest_coeffs(mmax)
         denom = self.d_rho - 1.0
-        return [_forest_term(d[m], self.rho, m) / denom for m in range(2, mmax + 1)]
+        return [v / denom for v in self._forest_terms(mmax)[2:]]
 
     def lmax_location(self, n: int) -> float:
         return -2 * math.log(n) / math.log(self.rho)
@@ -318,7 +331,7 @@ class DecompositionConstants:
 
 def decomposition_constants(order: int = DEFAULT_ORDER) -> DecompositionConstants:
     sing = solve_polya_singularity(order)
-    fa = forest_asymptotics(order, sing)
+    fa = forest_asymptotics(order)
     b2rho = sing.b ** 2 * sing.rho
     c1 = sing.b / (2 * math.sqrt(math.pi) * (1 - math.sqrt(sing.rho))
                    * (sing.d_rho + sing.rho * sing.d_prime_rho))
@@ -430,14 +443,14 @@ def _scaled_polya_coeffs(n: int, rho: float) -> "np.ndarray":
     return t
 
 
-def lmax_cdf_exact(n: int, kmax: int, rho: float | None = None) -> list[float]:
+def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
     """P[L_n <= K] for K = 0..kmax from the composition with truncated forests.
 
     Capping every skeleton node's forest at size K replaces the forest series
     by its degree-K truncation inside Y = z e^Y D(z), so the K-th CDF value
     is the coefficient ratio [z^n]Y_K / t_n.  Computed in the scaled variable
-    z -> rho z, where every series involved has bounded positive
-    coefficients, so plain floats are accurate to roundoff.
+    z -> rho z (rho at the default order), where every series involved has
+    bounded positive coefficients, so plain floats are accurate to roundoff.
 
     All caps advance together, one degree at a time: row K of y/e^y holds
     Y_K and the last row the uncapped Y, whose degree-n value is t_n rho^n.
@@ -450,8 +463,7 @@ def lmax_cdf_exact(n: int, kmax: int, rho: float | None = None) -> list[float]:
         raise ValueError(f"lmax_cdf_exact needs kmax >= 0, got {kmax}")
     import numpy as np
 
-    if rho is None:
-        rho = solve_polya_singularity().rho
+    rho = solve_polya_singularity().rho
     t_scaled = _scaled_polya_coeffs(n, rho)
     idx = np.arange(n + 1)
 
@@ -484,13 +496,10 @@ def lmax_cdf_exact(n: int, kmax: int, rho: float | None = None) -> list[float]:
     return (y[:-1, n] / y[-1, n]).tolist()
 
 
-def lmax_exact_mean(n: int, rho: float | None = None,
-                    kmax: int | None = None) -> float:
-    """E L_n from the exact CDF (kmax chosen past the distribution's tail)."""
-    if kmax is None:
-        # a node's forest holds at most n - 1 nodes, so kmax = n is always exact
-        kmax = min(n, max(64, int(8 * math.log(n))))
-    cdf = lmax_cdf_exact(n, kmax, rho)
+def lmax_exact_mean(n: int) -> float:
+    """E L_n from the exact CDF, cut past the distribution's tail."""
+    # a node's forest holds at most n - 1 nodes, so kmax = n is always exact
+    cdf = lmax_cdf_exact(n, min(n, max(64, int(8 * math.log(n)))))
     if 1.0 - cdf[-1] > 1e-9:
         raise ValueError("kmax too small for the requested size")
     return float(sum(1.0 - p for p in cdf))

@@ -200,7 +200,7 @@ def _cmd_singularity(args) -> int:
         sing = solve_polya_singularity(order)
         payload = asdict(sing)
         payload["family"] = "polya"
-        payload["forest"] = asdict(forest_asymptotics(order, sing))
+        payload["forest"] = asdict(forest_asymptotics(order))
         payload["decomposition"] = asdict(decomposition_constants(order))
         converged = (sing.residual < RESIDUAL_TOL
                      and sing.rho_shift < SHIFT_TOL)

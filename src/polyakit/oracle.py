@@ -94,44 +94,41 @@ def star(leaves: int) -> CanonicalTree:
 # ---------------------------------------------------------------------------
 # enumeration
 
-_tree_cache: dict[tuple[int, str], tuple[CanonicalTree, ...]] = {}
+_trees: list[tuple[CanonicalTree, ...]] = [(), (LEAF,)]  # [n]: the trees of size n
+
+
+def _outdegrees_within(tree: CanonicalTree, omega: OmegaSet) -> bool:
+    """Whether every node of the tree has its outdegree in omega."""
+    k = tree.outdegree
+    if (k not in omega.allowed) if omega.allowed is not None else (k in omega.excluded):
+        return False
+    return all(_outdegrees_within(child, omega) for child, _ in tree.children)
 
 
 def enumerate_trees(n: int, outdegrees: Optional[OmegaSet] = None) -> tuple[CanonicalTree, ...]:
-    """All canonical trees of size n, optionally with restricted outdegrees.
+    """All canonical trees of size n, optionally with restricted outdegrees,
+    sorted by encoding.
 
-    Refuses n > TREE_ENUMERATION_CAP: the counts grow like 2.956^n and the
-    point of the oracle is small-size ground truth, not bulk generation.
+    One table of every tree per size is grown in place; a restricted set is a
+    filter of it.  Refuses n > TREE_ENUMERATION_CAP: the counts grow like
+    2.956^n and the point of the oracle is small-size ground truth, not bulk
+    generation.
     """
     if n > TREE_ENUMERATION_CAP:
         raise ValueError(f"enumerate_trees(n={n}) exceeds the cap {TREE_ENUMERATION_CAP}")
     if n < 1:
         return ()
-    key = (n, outdegrees.describe() if outdegrees else "all")
-    if key in _tree_cache:
-        return _tree_cache[key]
-
-    def admits(k: int) -> bool:
-        if outdegrees is None:
-            return True
-        if outdegrees.allowed is not None:
-            return k in outdegrees.allowed
-        return k not in outdegrees.excluded
-
-    if n == 1:
-        result = (LEAF,) if admits(0) else ()
-    else:
-        pool: list[CanonicalTree] = []
-        for k in range(1, n):
-            pool.extend(enumerate_trees(k, outdegrees))
+    while len(_trees) <= n:
+        # root every multiset of smaller trees of total size len(_trees) - 1,
+        # picked in non-increasing pool order so that each multiset comes once
+        pool = [t for trees in _trees for t in trees]
         found: list[CanonicalTree] = []
 
         def build(remaining: int, max_index: int, chosen: list[CanonicalTree]) -> None:
             if remaining == 0:
-                if admits(len(chosen)):
-                    found.append(make_tree(chosen))
+                found.append(make_tree(chosen))
                 return
-            for idx in range(min(max_index, len(pool) - 1), -1, -1):
+            for idx in range(max_index, -1, -1):
                 t = pool[idx]
                 if t.size > remaining:
                     continue
@@ -139,10 +136,11 @@ def enumerate_trees(n: int, outdegrees: Optional[OmegaSet] = None) -> tuple[Cano
                 build(remaining - t.size, idx, chosen)
                 chosen.pop()
 
-        build(n - 1, len(pool) - 1, [])
-        result = tuple(sorted(found, key=lambda t: t.encoding))
-    _tree_cache[key] = result
-    return result
+        build(len(_trees) - 1, len(pool) - 1, [])
+        _trees.append(tuple(sorted(found, key=lambda t: t.encoding)))
+    if outdegrees is None:
+        return _trees[n]
+    return tuple(t for t in _trees[n] if _outdegrees_within(t, outdegrees))
 
 
 # ---------------------------------------------------------------------------
@@ -284,33 +282,17 @@ def make_forest(pairs: Iterable[tuple[CanonicalTree, int]]) -> ForestSpec:
 
 
 def enumerate_dforests(n: int, identity_only: bool = False) -> tuple[ForestSpec, ...]:
-    """All forests of total size n with every component multiplicity >= 2."""
+    """All forests of total size n with every component multiplicity >= 2,
+    sorted by repr: the child classes of the size-(n+1) trees whose every
+    class repeats."""
     if n > FOREST_ENUMERATION_CAP:
         raise ValueError(f"enumerate_dforests(n={n}) exceeds the cap {FOREST_ENUMERATION_CAP}")
     if n < 0:
         return ()
-    pool: list[CanonicalTree] = []
-    for k in range(1, n // 2 + 1):
-        for t in enumerate_trees(k):
-            if not identity_only or is_identity_tree(t):
-                pool.append(t)
-    found: list[ForestSpec] = []
-
-    def build(remaining: int, idx: int, chosen: list[tuple[CanonicalTree, int]]) -> None:
-        if remaining == 0:
-            found.append(make_forest(chosen))
-            return
-        if idx < 0:
-            return
-        build(remaining, idx - 1, chosen)
-        t = pool[idx]
-        for m in range(2, remaining // t.size + 1):
-            chosen.append((t, m))
-            build(remaining - m * t.size, idx - 1, chosen)
-            chosen.pop()
-
-    build(n, len(pool) - 1, [])
-    return tuple(sorted(found, key=lambda f: repr(f)))
+    forests = (ForestSpec(t.children) for t in enumerate_trees(n + 1)
+               if all(m >= 2 and (not identity_only or is_identity_tree(c))
+                      for c, m in t.children))
+    return tuple(sorted(forests, key=repr))
 
 
 @lru_cache(maxsize=None)

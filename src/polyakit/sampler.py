@@ -53,88 +53,68 @@ def _divisors_sampling_order(n: int) -> list[int]:
     return [d for d in ds if d * d > n] + [d for d in reversed(ds) if d * d <= n]
 
 
-class TreeSampler:
-    """Exact uniform sampler over the shared big-integer count tables."""
-
-    def __init__(self) -> None:
-        self._t: list[int] = [0, 1]  # t[n] trees of size n
-        self._s: list[int] = [0, 1]  # s[k] = sum over d|k of d*t[d]
-        self._orders: dict[int, list[int]] = {}  # k -> divisor walk order
-
-    def extend(self, n: int) -> None:
-        if len(self._t) <= n:
-            self._t = polya_int_table(n)
-            self._s = divisor_weight_table(n)
-
-    def sample(self, n: int, rng: random.Random) -> CanonicalTree:
-        if n < 1:
-            raise ValueError("tree size must be positive")
-        if n > MAX_SIZE:
-            raise ValueError(f"size budget exceeded: {n} > {MAX_SIZE}")
-        self.extend(n)
-        return self._sample(n, rng)
-
-    def _sample(self, n: int, rng: random.Random) -> CanonicalTree:
-        t, s, orders = self._t, self._s, self._orders
-        randrange = rng.randrange
-        # open nodes: (peels whose subtree is still to draw, classes drawn)
-        stack: list[tuple[list[tuple[int, int]], list]] = []
-        size = n
-        while True:
-            # the node's whole chain of peels (size m, copies) first; a leaf
-            # draws nothing, so leaf peels become classes at once
-            peels, classes = [], []
-            while size > 1:
-                r = randrange((size - 1) * t[size])
-                # small heads carry most of the mass, so walk k = size - head
-                # downward; the first term is t[1] * s[k] = s[k]
-                k = size - 1
-                w = s[k]
-                while r >= w:
-                    r -= w
-                    k -= 1
-                    w = t[size - k] * s[k]
-                # r is uniform below t[size-k]*s[k]; its residue picks the
-                # repeated size
-                b = r % s[k]
-                order = orders.get(k)
-                if order is None:
-                    order = orders[k] = _divisors_sampling_order(k)
-                for m in order:
-                    w = m * t[m]
-                    if b < w:
-                        break
-                    b -= w
-                if m == 1:
-                    classes.append((LEAF, k))
-                else:
-                    peels.append((m, k // m))
-                size -= k
-            if peels:
-                stack.append((peels, classes))
-                size = peels[-1][0]
-                continue
-            # a finished subtree: hand it to the open node, which draws its
-            # next repeated part or, with none left, is built and handed up
-            tree = tree_from_classes(classes) if classes else LEAF
-            while stack:
-                peels, classes = stack[-1]
-                classes.append((tree, peels.pop()[1]))
-                if peels:
-                    break
-                stack.pop()
-                tree = tree_from_classes(classes)
-            else:
-                return tree
-            size = peels[-1][0]
-
-
-DEFAULT_SAMPLER = TreeSampler()
+_orders: dict[int, list[int]] = {}  # k -> divisor walk order, k < MAX_SIZE
 
 
 def sample_polya_tree(n: int, rng: random.Random) -> CanonicalTree:
-    """One tree of size n, each of the t_n trees with probability 1/t_n."""
-    return DEFAULT_SAMPLER.sample(n, rng)
+    """One tree of size n, each of the t_n trees with probability 1/t_n,
+    drawn over the shared big-integer count tables."""
+    if n < 1:
+        raise ValueError("tree size must be positive")
+    if n > MAX_SIZE:
+        raise ValueError(f"size budget exceeded: {n} > {MAX_SIZE}")
+    t, s = polya_int_table(n), divisor_weight_table(n)
+    randrange = rng.randrange
+    # open nodes: (peels whose subtree is still to draw, classes drawn)
+    stack: list[tuple[list[tuple[int, int]], list]] = []
+    size = n
+    while True:
+        # the node's whole chain of peels (size m, copies) first; a leaf
+        # draws nothing, so leaf peels become classes at once
+        peels, classes = [], []
+        while size > 1:
+            r = randrange((size - 1) * t[size])
+            # small heads carry most of the mass, so walk k = size - head
+            # downward; the first term is t[1] * s[k] = s[k]
+            k = size - 1
+            w = s[k]
+            while r >= w:
+                r -= w
+                k -= 1
+                w = t[size - k] * s[k]
+            # r is uniform below t[size-k]*s[k]; its residue picks the
+            # repeated size
+            b = r % s[k]
+            order = _orders.get(k)
+            if order is None:
+                order = _orders[k] = _divisors_sampling_order(k)
+            for m in order:
+                w = m * t[m]
+                if b < w:
+                    break
+                b -= w
+            if m == 1:
+                classes.append((LEAF, k))
+            else:
+                peels.append((m, k // m))
+            size -= k
+        if peels:
+            stack.append((peels, classes))
+            size = peels[-1][0]
+            continue
+        # a finished subtree: hand it to the open node, which draws its
+        # next repeated part or, with none left, is built and handed up
+        tree = tree_from_classes(classes) if classes else LEAF
+        while stack:
+            peels, classes = stack[-1]
+            classes.append((tree, peels.pop()[1]))
+            if peels:
+                break
+            stack.pop()
+            tree = tree_from_classes(classes)
+        else:
+            return tree
+        size = peels[-1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +284,7 @@ def lmax_check(n_values: list[int], samples: int, s: float = 0.5,
                 (2.0 * math.log(n) - 3.0 * math.log(math.log(n))) / -log_rho,
         }
         if exact_mean:
-            row["exact_mean_l_max"] = lmax_exact_mean(n, rho=consts.rho)
+            row["exact_mean_l_max"] = lmax_exact_mean(n)
         rows.append(row)
     return {"s": s, "master_seed": str(master_seed), "seed_rule": SEED_RULE,
             "rows": rows}

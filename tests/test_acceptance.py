@@ -48,7 +48,7 @@ def sing():
 
 @pytest.fixture(scope="module")
 def forest(sing):
-    return forest_asymptotics(sing=sing)
+    return forest_asymptotics()
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +274,7 @@ def test_criterion_09_lmax_growth(acceptance_log, deco):
     means, in_interval = [], []
     for n in sizes:
         # the cut lmax_exact_mean uses; the tail beyond it is below 1e-9
-        cdf = lmax_cdf_exact(n, max(64, int(8 * math.log(n))), rho=deco.rho)
+        cdf = lmax_cdf_exact(n, max(64, int(8 * math.log(n))))
         assert 1.0 - cdf[-1] < 1e-9
         means.append(sum(1.0 - p for p in cdf))
         lo, hi = deco.lmax_interval(n, 0.5)

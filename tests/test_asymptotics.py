@@ -2,7 +2,7 @@
 
 import functools
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -49,7 +49,7 @@ def sing():
 
 @pytest.fixture(scope="module")
 def forest(sing):
-    return forest_asymptotics(ORDER, sing)
+    return forest_asymptotics(ORDER)
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +79,14 @@ def test_second_solve_at_the_same_order_is_remembered(monkeypatch):
     assert solved == [60, 140]  # the order and the raised order of rho_shift
     assert solve_polya_singularity(60) is first
     decomposition_constants(60)
+    forest_asymptotics(60)
     assert solved == [60, 140]
-    # an L_n law without rho solves once at the default order, then reuses it
+    # an L_n law solves once at the default order, then reuses it
     assert lmax_exact_mean(40) == lmax_exact_mean(40)
+    assert solved == [60, 140, 400, 480]
+    forest_asymptotics(asy.DEFAULT_ORDER)
+    lmax_cdf_exact(40, 40)
+    lmax_exact_mean(50)
     assert solved == [60, 140, 400, 480]
     monkeypatch.setattr(asy, "_last_singularity", None)
     assert solve_polya_singularity(60) == first  # the same bits when re-solved
@@ -132,6 +137,25 @@ def test_forest_size_entry_past_the_float_range_of_rho_power(deco):
     exact = fam.dforest_coeffs(700)[700] * Fraction(deco.rho) ** 700 / Fraction(deco.d_rho)
     assert entry == pytest.approx(float(exact), rel=1e-12)
     assert entry > 0
+
+
+def test_forest_rows_stop_where_the_terms_underflow(deco, monkeypatch):
+    # at rho = 1e-30 the terms round to 0.0 from m = 11 on: a row through
+    # m = 10^6 reads D no further than its first chunk and pads with zeros
+    tiny = replace(deco, rho=1e-30)
+    d = fam.dforest_coeffs(60)
+    terms = [_forest_term(d[m], tiny.rho, m) for m in range(61)]
+    stop = next(m for m in range(2, 61) if terms[m - 1] == terms[m] == 0.0) + 1
+    assert terms[stop:] == [0.0] * (61 - stop)
+    tops = []
+    monkeypatch.setattr(asy, "dforest_coeffs",
+                        lambda n: tops.append(n) or fam.dforest_coeffs(n))
+    mmax = 10 ** 6
+    row = tiny.forest_size_distribution(mmax)
+    assert row == [v / tiny.d_rho for v in terms[:stop]] + [0.0] * (mmax + 1 - stop)
+    cond = tiny.conditional_forest_size(mmax)
+    assert cond == [v / (tiny.d_rho - 1.0) for v in terms[2:stop]] + [0.0] * (mmax + 1 - stop)
+    assert tops == [asy._FOREST_CHUNK - 1] * 2
 
 
 def test_forest_term_with_d_m_above_the_float_range():
@@ -273,7 +297,7 @@ def per_cap_lmax_cdf(n: int, kmax: int, rho: float) -> list[float]:
 
 @pytest.mark.parametrize("n,kmax", [(60, 60), (500, 64)])
 def test_lmax_cdf_matches_per_cap_route(sing, n, kmax):
-    batched = lmax_cdf_exact(n, kmax, rho=sing.rho)
+    batched = lmax_cdf_exact(n, kmax)
     reference = per_cap_lmax_cdf(n, kmax, sing.rho)
     assert batched == pytest.approx(reference, abs=1e-12)
 
@@ -289,11 +313,6 @@ def test_scaled_counts_match_integer_table(sing):
 def test_lmax_cdf_rejects_invalid_sizes(n, kmax):
     with pytest.raises(ValueError):
         lmax_cdf_exact(n, kmax)
-
-
-def test_lmax_exact_mean_rejects_negative_cap():
-    with pytest.raises(ValueError):
-        lmax_exact_mean(5, kmax=-1)
 
 
 def test_lmax_interval_and_estimate(deco):
@@ -314,7 +333,7 @@ def full_horner(table, y: float) -> float:
 def _solver_results(family: str, order: int) -> str:
     if family == "polya":
         sing = solve_polya_singularity(order)
-        return repr((asdict(sing), asdict(forest_asymptotics(order, sing)),
+        return repr((asdict(sing), asdict(forest_asymptotics(order)),
                      asdict(decomposition_constants(order))))
     return repr(asdict(solve_variant_singularity(family, order)))
 

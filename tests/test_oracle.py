@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import polyakit.families as fam
+import polyakit.oracle as oracle
 from polyakit.oracle import (
     FOREST_ENUMERATION_CAP,
     LEAF,
@@ -301,3 +302,35 @@ def test_oracle_values_are_pinned():
 def test_enumeration_refuses_sizes_past_the_cap(enumerate_, cap):
     with pytest.raises(ValueError, match="exceeds the cap"):
         enumerate_(cap + 1)
+
+
+ENUMERATION_PIN = "97604c74419c5786da06a1a4342e6183465601b3ad97c081f7de164ba8cf4a88"
+
+
+def test_enumerations_are_pinned():
+    # sha256 of every enumeration in order, computed while each outdegree set
+    # had its own backtracking table and the forests their own enumerator
+    lines = []
+    for text in (None, "all-except:1", "0,2", "0,1,2", "all-except:0", "1"):
+        omega = None if text is None else fam.OmegaSet.parse(text)
+        for n in range(14):
+            lines.append(f"{text} {n} " + " ".join(
+                t.encoding for t in enumerate_trees(n, omega)))
+    for flag in (False, True):
+        for n in range(13):
+            lines.append(f"forests {flag} {n} " + " ".join(
+                repr(f) for f in enumerate_dforests(n, flag)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ENUMERATION_PIN
+
+
+def test_outdegree_sets_share_one_tree_table():
+    # twelve outdegree sets up to size 11 are filters of one table per size
+    for text in ("0,2", "0,1,2", "0,3", "0,2,3", "0,1,2,3", "0,4", "all",
+                 "all-except:1", "all-except:2", "all-except:3",
+                 "all-except:1,2", "all-except:2,3"):
+        for n in range(1, 12):
+            enumerate_trees(n, fam.OmegaSet.parse(text))
+    held = sum(len(v) for name, v in vars(oracle).items()
+               if not name.startswith("__") and isinstance(v, (dict, list)))
+    assert held <= TREE_ENUMERATION_CAP + 1

@@ -11,7 +11,6 @@ import pytest
 import polyakit.families as fam
 from polyakit.oracle import LEAF, aut_order, chain, enumerate_trees, make_tree
 from polyakit.sampler import (
-    TreeSampler,
     derived_seed,
     lmax_check,
     run_experiment,
@@ -125,12 +124,6 @@ def test_uniformity_chi_square_size_seven():
     expected = m / 48
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 72.44
-
-
-def test_extend_matches_reference_table():
-    s = TreeSampler()
-    s.extend(30)
-    assert s._t[:11] == fam.polya_int_table(10)
 
 
 def test_decomposition_conservation():
