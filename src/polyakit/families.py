@@ -321,16 +321,6 @@ def _pointed_over_dforest(k: int, w: list[int]) -> Fraction:
     return Q(total, math.factorial(k))
 
 
-def forest_size_marked(N: int, m: int) -> RationalSeries:
-    """Series whose n-th coefficient, divided by [z^n] T/(1-T), is P(the
-    forest at a random fixed node has size m): d_m z^m q(z)."""
-    if not 0 <= m <= N:
-        raise ValueError("marked forest size must lie within the truncation order")
-    w = _exp_weights(1, N)
-    q = RationalSeries(tuple(_pointed_over_dforest(k, w) for k in range(N + 1)))
-    return q.scale(dforest_coeffs(N)[m]).shift(m)
-
-
 def exact_forest_size_row(n: int, mmax: int) -> tuple[Fraction, ...]:
     """P(forest size = m) at a uniform fixed node of a uniform size-n
     (tree, automorphism) pair, m = 0..mmax; the finite-n row whose limit is

@@ -369,29 +369,36 @@ def naive_automorphisms(children: list[list[int]]) -> Iterator[tuple[int, ...]]:
     No isomorphism shortcuts: sibling images are tried permutation by
     permutation (pruned only by raw subtree size), so this is structurally
     independent of the canonical-form recursions it cross-checks.
+
+    Mapped pairs (u, v) wait in one shared FIFO queue, read at depth i and
+    cut back to its length on return.  Only pairs whose u has children are
+    queued: equal raw subtree size makes v a leaf whenever u is one, and a
+    leaf pair has exactly one (empty) image, so skipping it yields the same
+    tuples in the same order.
     """
     sizes = _subtree_sizes(children)
-    n = len(children)
-    perm = [-1] * n
+    perm = [0] * len(children)  # the root is fixed; the rest is set before each yield
+    queue = [(0, 0)] if children[0] else []
 
-    def extend(queue: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
-        if not queue:
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
+        if i == len(queue):
             yield tuple(perm)
             return
-        u, v = queue[0]
-        rest = queue[1:]
-        cu, cv = children[u], children[v]
-        for image in itertools.permutations(cv):
-            if any(sizes[a] != sizes[b] for a, b in zip(cu, image)):
+        u, v = queue[i]
+        cu = children[u]
+        wanted = [sizes[a] for a in cu]
+        base = len(queue)
+        for image in itertools.permutations(children[v]):
+            if [sizes[b] for b in image] != wanted:
                 continue
             for a, b in zip(cu, image):
                 perm[a] = b
-            yield from extend(rest + list(zip(cu, image)))
-        for a in cu:
-            perm[a] = -1
+                if children[a]:
+                    queue.append((a, b))
+            yield from extend(i + 1)
+            del queue[base:]
 
-    perm[0] = 0
-    yield from extend([(0, 0)])
+    yield from extend(0)
 
 
 def cycle_type(perm: tuple[int, ...]) -> dict[int, int]:

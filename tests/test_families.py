@@ -301,11 +301,20 @@ def test_gamma_weights_forest_components():
     assert over_d[2] == fam.gamma_series(n)[2]
 
 
+def _forest_size_q(N):
+    """q = (T/(1-T)) / D through order N, built once per N.  Row m is
+    d_m z^m q: its [z^n] over [z^n] T/(1-T) is P(the forest at a random
+    fixed node of a size-n tree has size m)."""
+    w = fam._exp_weights(1, N)
+    return RationalSeries(tuple(fam._pointed_over_dforest(k, w) for k in range(N + 1)))
+
+
 def test_forest_size_rows_sum_to_one():
     n = 40
+    d, q = fam.dforest_coeffs(n), _forest_size_q(n)
     total = RationalSeries.zero(n)
     for m in range(n + 1):
-        total = total + fam.forest_size_marked(n, m)
+        total = total + q.scale(d[m]).shift(m)
     assert (total - fam.pointed_coeffs(n)).is_zero()
 
 
@@ -325,8 +334,9 @@ def test_forest_size_rows_match_reciprocal_route():
     n = 60
     d, pointed = fam.dforest_coeffs(n), fam.pointed_coeffs(n)
     q = pointed * d.reciprocal()
-    assert fam.forest_size_marked(n, 0) == q
-    assert fam.forest_size_marked(n, 7) == q.scale(d[7]).shift(7)
+    rows = _forest_size_q(n)
+    assert rows.scale(d[0]).shift(0) == q
+    assert rows.scale(d[7]).shift(7) == q.scale(d[7]).shift(7)
     row = fam.exact_forest_size_row(n, 12)
     assert row == tuple(d[m] * q[n - m] / pointed[n] for m in range(13))
 
