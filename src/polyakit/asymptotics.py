@@ -331,7 +331,7 @@ class DecompositionConstants:
 
 def decomposition_constants(order: int = DEFAULT_ORDER) -> DecompositionConstants:
     sing = solve_polya_singularity(order)
-    fa = forest_asymptotics(order)
+    gamma_rho = _substituted_sum(_polya_table(order), sing.rho, 2, lambda i: 1.0)
     b2rho = sing.b ** 2 * sing.rho
     c1 = sing.b / (2 * math.sqrt(math.pi) * (1 - math.sqrt(sing.rho))
                    * (sing.d_rho + sing.rho * sing.d_prime_rho))
@@ -340,8 +340,8 @@ def decomposition_constants(order: int = DEFAULT_ORDER) -> DecompositionConstant
         c_share=2 / b2rho,
         c_var_coeff=11 / (12 * b2rho),
         mean_forest_size=b2rho / 2 - 1,
-        y_share=2 * fa.gamma_rho / b2rho,
-        gamma_rho=fa.gamma_rho,
+        y_share=2 * gamma_rho / b2rho,
+        gamma_rho=gamma_rho,
         d_rho=sing.d_rho,
         lmax_c1=c1,
     )

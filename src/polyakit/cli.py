@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
 from . import families
 from .asymptotics import (DEFAULT_ORDER, OrderTooLarge,
@@ -92,21 +91,17 @@ def _default_order(parser: argparse.ArgumentParser) -> int:
         parser.error(f"POLYAKIT_ORDER: {exc}")
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _payload(name: str, result: RationalSeries | BivariateSeries, n: int) -> dict:
     """A series as its coefficient list, a bivariate series as its rows of
     nonzero marker coefficients."""
     if isinstance(result, RationalSeries):
         return {"family": name, "n": n,
-                "coefficients": [_frac(result[k]) for k in range(n + 1)]}
+                "coefficients": [str(result[k]) for k in range(n + 1)]}
     out = []
     for k in range(n + 1):
         poly: UPoly = result.row(k)
         out.append({"n": k,
-                    "coefficients": {str(j): _frac(poly.coefficient(j))
+                    "coefficients": {str(j): str(poly.coefficient(j))
                                      for j in range(poly.degree + 1)
                                      if poly.coefficient(j) != 0}})
     return {"family": name, "n": n, "rows": out}

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from operator import mul
-from typing import Optional
 
 from .series import BivariateSeries, Q, RationalSeries, UPoly
 
@@ -353,20 +352,20 @@ def csize_moment_series(N: int) -> tuple[RationalSeries, RationalSeries]:
 def dtree_second_moment_series(N: int) -> RationalSeries:
     """Series V with E[Y_n (Y_n - 1)] = [z^n]V / t_n.
 
-    From T(z,v) = C(z D(z,v)) and x C'(x) = C/(1-C), x^2 C''(x) =
-    C^2 (2-C)/(1-C)^3 evaluated at x = z D(z):
-    V = T^2 (2-T)/(1-T)^3 gamma^2 + T/(1-T) (gamma^2 + gamma_2 - gamma).
+    With v marking components, D(z,v) = exp(sum_{i>=2} v^i T(z^i)/i) has
+    D gamma and D (gamma^2 + gamma_2 - gamma) as its first two v-derivatives
+    at v = 1, so T(z,v) = C(z D(z,v)) gives
+    V = x^2 C''(x) gamma^2 + x C'(x) (gamma^2 + gamma_2 - gamma) at x = z D(z).
+    There C = T and both factors are polynomials in P = T/(1-T):
+    x C' = C/(1-C) = P and x^2 C'' = C^2 (2-C)/(1-C)^3 = P^2 (2+P), so
+    V = P (((1+P) gamma)^2 + gamma_2 - gamma).
+    Every operand is a nonnegative integer series, gamma_2 - gamma being
+    sum_{i>=2} (i-1) T(z^i).
     """
-    t = polya_coeffs(N)
-    g = gamma_series(N)
-    g2 = gamma2_series(N)
     pointed = pointed_coeffs(N)
-    inv = RationalSeries.one(N) + pointed  # 1/(1-T) = 1 + T/(1-T)
-    inv3 = inv * inv * inv
-    two = RationalSeries.one(N).scale(2)
-    part1 = t * t * (two - t) * inv3 * g * g
-    part2 = pointed * (g * g + g2 - g)
-    return part1 + part2
+    g = gamma_series(N)
+    lifted = (RationalSeries.one(N) + pointed) * g  # gamma/(1-T)
+    return pointed * (lifted * lifted + gamma2_series(N) - g)
 
 
 # ---------------------------------------------------------------------------
@@ -437,38 +436,31 @@ def dforest_component_bivariate(N: int) -> BivariateSeries:
 
 @dataclass(frozen=True)
 class OmegaSet:
-    """An allowed-outdegree set: either finite, or all of N0 minus a finite set."""
+    """An allowed-outdegree set: the listed outdegrees or, if cofinite, every
+    outdegree but the listed ones."""
 
-    allowed: Optional[frozenset[int]]  # None means cofinite
-    excluded: frozenset[int] = frozenset()
-
-    @staticmethod
-    def finite(values) -> "OmegaSet":
-        return OmegaSet(allowed=frozenset(int(v) for v in values))
-
-    @staticmethod
-    def cofinite(excluded=()) -> "OmegaSet":
-        return OmegaSet(allowed=None, excluded=frozenset(int(v) for v in excluded))
+    listed: frozenset[int]
+    cofinite: bool
 
     @staticmethod
     def parse(text: str) -> "OmegaSet":
         """Accepts 'all', 'all-except:1,2', or a comma list like '0,2'."""
         text = text.strip().lower()
-        if text == "all":
-            return OmegaSet.cofinite()
-        cofinite = text.startswith("all-except:")
-        values = [int(v) for v in text.removeprefix("all-except:").split(",")
-                  if v.strip()]
+        cofinite = text == "all" or text.startswith("all-except:")
+        body = "" if text == "all" else text.removeprefix("all-except:")
+        values = [int(v) for v in body.split(",") if v.strip()]
         if any(v < 0 for v in values):
             raise ValueError(f"outdegrees cannot be negative: {text!r}")
-        return OmegaSet.cofinite(values) if cofinite else OmegaSet.finite(values)
+        return OmegaSet(frozenset(values), cofinite)
+
+    def allows(self, k: int) -> bool:
+        return (k in self.listed) != self.cofinite
 
     def describe(self) -> str:
-        if self.allowed is not None:
-            return "{" + ",".join(str(v) for v in sorted(self.allowed)) + "}"
-        if not self.excluded:
-            return "all"
-        return "all-except:" + ",".join(str(v) for v in sorted(self.excluded))
+        listed = ",".join(str(v) for v in sorted(self.listed))
+        if not self.cofinite:
+            return "{" + listed + "}"
+        return "all-except:" + listed if listed else "all"
 
 
 class _OmegaTable:
@@ -485,11 +477,10 @@ class _OmegaTable:
 
 
 def _grow_omega(table: _OmegaTable, N: int) -> list[int]:
-    """Grow the table through N: a_(m+1) is the sum of p_k(m) over k in omega
-    or, for a cofinite omega, e_m minus that sum over the excluded k."""
+    """Grow the table through N: a_(m+1) is the sum of p_k(m) over the listed
+    k or, for a cofinite omega, e_m minus that sum."""
     omega, a, p, s, e = table.omega, table.a, table.p, table.s, table.e
-    listed = omega.allowed if omega.allowed is not None else omega.excluded
-    top = max(listed, default=0)
+    top = max(omega.listed, default=0)
     while len(a) <= N:
         m = len(a) - 1
         if m:
@@ -504,14 +495,14 @@ def _grow_omega(table: _OmegaTable, N: int) -> list[int]:
                 if r:
                     raise ArithmeticError(f"cycle-index row {k} not divisible at m={m}")
                 p[k].append(q)
-            if omega.allowed is None:
+            if omega.cofinite:
                 s.append(sum(d * a[d] for d in _divisors(m)))
                 q, r = divmod(sum(map(mul, s[1:], e[::-1])), m)
                 if r:
                     raise ArithmeticError(f"multiset recurrence not divisible at m={m}")
                 e.append(q)
-        rows = sum(p[k][m] for k in listed if k < len(p))
-        a.append(rows if omega.allowed is not None else e[m] - rows)
+        rows = sum(p[k][m] for k in omega.listed if k < len(p))
+        a.append(e[m] - rows if omega.cofinite else rows)
     return a
 
 
@@ -521,7 +512,7 @@ def omega_polya_coeffs(omega: OmegaSet, N: int) -> RationalSeries:
     return RationalSeries.from_coeffs(_grow_omega(_OmegaTable(omega), N))
 
 
-_binary = _OmegaTable(OmegaSet.finite((0, 2)))
+_binary = _OmegaTable(OmegaSet(frozenset((0, 2)), cofinite=False))
 
 
 def binary_int_table(N: int) -> tuple[int, ...]:

@@ -87,10 +87,6 @@ def chain(n: int) -> CanonicalTree:
     return t
 
 
-def star(leaves: int) -> CanonicalTree:
-    return make_tree([LEAF] * leaves)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -99,10 +95,8 @@ _trees: list[tuple[CanonicalTree, ...]] = [(), (LEAF,)]  # [n]: the trees of siz
 
 def _outdegrees_within(tree: CanonicalTree, omega: OmegaSet) -> bool:
     """Whether every node of the tree has its outdegree in omega."""
-    k = tree.outdegree
-    if (k not in omega.allowed) if omega.allowed is not None else (k in omega.excluded):
-        return False
-    return all(_outdegrees_within(child, omega) for child, _ in tree.children)
+    return omega.allows(tree.outdegree) and all(
+        _outdegrees_within(child, omega) for child, _ in tree.children)
 
 
 def enumerate_trees(n: int, outdegrees: Optional[OmegaSet] = None) -> tuple[CanonicalTree, ...]:

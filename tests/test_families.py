@@ -359,6 +359,26 @@ def test_dtree_count_series_small_n():
     assert A[4] == F(3, 8) * 4 + F(1, 2) * 2
 
 
+def dtree_second_moment_t_route(N):
+    """The T-form V the pointed-series route replaced, nine Fraction products:
+    V = T^2 (2-T)/(1-T)^3 gamma^2 + T/(1-T) (gamma^2 + gamma_2 - gamma)."""
+    t = fam.polya_coeffs(N)
+    g = fam.gamma_series(N)
+    g2 = fam.gamma2_series(N)
+    pointed = fam.pointed_coeffs(N)
+    inv = RationalSeries.one(N) + pointed  # 1/(1-T) = 1 + T/(1-T)
+    inv3 = inv * inv * inv
+    two = RationalSeries.one(N).scale(2)
+    part1 = t * t * (two - t) * inv3 * g * g
+    part2 = pointed * (g * g + g2 - g)
+    return part1 + part2
+
+
+def test_dtree_second_moment_matches_t_route():
+    for N in [*range(61), 200]:
+        assert fam.dtree_second_moment_series(N) == dtree_second_moment_t_route(N)
+
+
 def test_hierarchy_counts_match_brute_force():
     from polyakit.oracle import enumerate_trees
     table = fam.hierarchy_int_table(9)
@@ -392,10 +412,10 @@ def omega_fraction_route(omega, N):
     rows for every k up to the largest listed outdegree, whatever N is, and
     exp(sum_i A(z^i)/i) one exp step per degree for a cofinite omega."""
     a = [F(0)] * (N + 1)
-    if omega.allowed is not None:
-        tracked = max(omega.allowed, default=0)
+    if not omega.cofinite:
+        tracked = max(omega.listed, default=0)
     else:
-        tracked = max(omega.excluded, default=0)
+        tracked = max(omega.listed, default=0)
     p = [[F(0)] * (N + 1) for _ in range(tracked + 1)]
     p[0][0] = F(1)
     g = [F(0)] * (N + 1)
@@ -411,17 +431,17 @@ def omega_fraction_route(omega, N):
                         if c and p[k - i][m - j]:
                             acc += c * p[k - i][m - j]
                 p[k][m] = acc / k
-            if omega.allowed is None:
+            if omega.cofinite:
                 g[m] = sum((a[m // i] / i for i in fam._divisors(m) if a[m // i]), F(0))
                 acc = F(0)
                 for k in range(1, m + 1):
                     if g[k] and e[m - k]:
                         acc += k * g[k] * e[m - k]
                 e[m] = acc / m
-        if omega.allowed is not None:
-            a[n] = sum((p[k][m] for k in omega.allowed if k <= tracked), F(0))
+        if not omega.cofinite:
+            a[n] = sum((p[k][m] for k in omega.listed if k <= tracked), F(0))
         else:
-            a[n] = e[m] - sum((p[k][m] for k in omega.excluded), F(0))
+            a[n] = e[m] - sum((p[k][m] for k in omega.listed), F(0))
     return tuple(a)
 
 
@@ -472,6 +492,20 @@ def test_listed_outdegrees_past_the_order_cost_nothing(text, big):
 def test_omega_parse_and_describe():
     assert fam.OmegaSet.parse("0,2").describe() == "{0,2}"
     assert "except" in fam.OmegaSet.parse("all-except:1").describe()
+    # text -> (describe(), the outdegrees k <= 5 it allows)
+    accepted = {"all": ("all", [0, 1, 2, 3, 4, 5]),
+                "all-except:": ("all", [0, 1, 2, 3, 4, 5]),
+                "all-except:1,2": ("all-except:1,2", [0, 3, 4, 5]),
+                " ALL-EXCEPT:3 ": ("all-except:3", [0, 1, 2, 4, 5]),
+                "0,2": ("{0,2}", [0, 2]),
+                ",": ("{}", [])}
+    for text, (described, allowed) in accepted.items():
+        omega = fam.OmegaSet.parse(text)
+        assert omega.describe() == described
+        assert [k for k in range(6) if omega.allows(k)] == allowed
+    for text in ("all,2", "allx", "all-except", "0,-1"):
+        with pytest.raises(ValueError):
+            fam.OmegaSet.parse(text)
 
 
 def test_ctree_polynomial_rows():

@@ -1,0 +1,56 @@
+"""Static checks on the layout of the package source."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "polyakit").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names bound at module level by a def, a class or an assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _references(tree: ast.Module, own: set[str]) -> set[str]:
+    """Names a module reads, as a bare name, an attribute or an import.  A
+    module-level def does not refer to itself from its own body, and a bare
+    name in `own` is the file's own binding, not a reference."""
+    found = set()
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and node.id not in own:
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        found |= names
+    return found
+
+
+def test_every_public_function_and_class_has_a_caller():
+    public, referenced = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                public[node.name] = f"{path.stem}.{node.name}"
+        referenced |= _references(tree, set())
+    for path in TESTS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        referenced |= _references(tree, _defined(tree))
+    unused = sorted(where for name, where in public.items() if name not in referenced)
+    assert not unused, f"no caller in src/ or tests/: {unused}"
