@@ -45,14 +45,6 @@ class OrderTooLarge(ValueError):
     """A truncation order past the float range of a solver's tables."""
 
 
-def _check_order(family: str, order: int) -> None:
-    if order > MAX_ORDER[family]:
-        raise OrderTooLarge(
-            f"order {order} is too large for the {family} solver: its "
-            f"largest order is {MAX_ORDER[family]}, past which the counts "
-            "overflow a float")
-
-
 @dataclass(frozen=True)
 class _FloatTable:
     """Float coefficients of a power series, with the bound on their growth:
@@ -147,11 +139,46 @@ def _substituted_derivative(dtable: _FloatTable, x: float,
     return total
 
 
-def _root_and_shift(solve_at: Callable[[int], float], order: int) -> tuple[float, float]:
-    """The root at the truncation order, and how far it moves when the order
-    is raised by ROOT_SHIFT_ORDERS."""
-    root = solve_at(order)
-    return root, abs(root - solve_at(order + ROOT_SHIFT_ORDERS))
+def _forest_value(t: _FloatTable, x: float) -> float:
+    """exp(sum_{i>=2} A(x^i)/i) from the float coefficients of A: the forest
+    series D(x) for A = T."""
+    return math.exp(_substituted_sum(t, x, 2, lambda i: 1.0 / i))
+
+
+# each family's count table (called through the module's name, so that a
+# wrapper bound to that name sees every call), the equation g(table, x) whose
+# root in the bracket is its singularity, and that bracket
+_FAMILIES = {
+    # e x D(x) - 1, from T(rho) = 1 (see the module docstring)
+    "polya": (lambda n: polya_int_table(n),
+              lambda t, x: math.e * x * _forest_value(t, x) - 1.0,
+              (0.25, 0.45)),
+    # no outdegree 1: H = (z/(1+z)) exp(sum_i H(z^i)/i) has H(tau) = 1 at the
+    # singularity, so tau solves (tau/(1+tau)) e exp(sum_{i>=2} H(tau^i)/i) = 1
+    "hierarchy": (lambda n: hierarchy_int_table(n),
+                  lambda h, x: (x / (1 + x)) * math.e * _forest_value(h, x) - 1.0,
+                  (0.3, 0.6)),
+    # outdegrees {0, 2}: B = z + (z/2)B^2 + (z/2)B(z^2) with B(tau) = 1/tau at
+    # the singularity gives tau^2 B(tau^2) + 2 tau^2 - 1 = 0, tau^2 well inside
+    "binary": (lambda n: binary_int_table(n),
+               lambda b, x: x * x * _horner(b, x * x) + 2 * x * x - 1.0,
+               (0.5, 0.75)),
+}
+
+
+def _solve(family: str, order: int) -> tuple[_FloatTable, float, float, float]:
+    """The family's float table at the truncation order, the root of its
+    equation there, the residual |g(table, root)|, and how far the root moves
+    when the order is raised by ROOT_SHIFT_ORDERS."""
+    if order > MAX_ORDER[family]:
+        raise OrderTooLarge(
+            f"order {order} is too large for the {family} solver: its "
+            f"largest order is {MAX_ORDER[family]}, past which the counts "
+            "overflow a float")
+    counts, g, (lo, hi) = _FAMILIES[family]
+    tables = [_float_table(counts(n)) for n in (order, order + ROOT_SHIFT_ORDERS)]
+    x, raised = [_bisect(lambda y: g(t, y), lo, hi) for t in tables]
+    return tables[0], x, abs(g(tables[0], x)), abs(x - raised)
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +197,6 @@ class PolyaSingularity:
     order: int
 
 
-def _polya_table(order: int) -> _FloatTable:
-    return _float_table(polya_int_table(order))
-
-
-def _forest_value(t: _FloatTable, x: float) -> float:
-    """exp(sum_{i>=2} A(x^i)/i) from the float coefficients of A: the forest
-    series D(x) for A = T."""
-    return math.exp(_substituted_sum(t, x, 2, lambda i: 1.0 / i))
-
-
-def _polya_root(order: int) -> float:
-    t = _polya_table(order)
-    return _bisect(lambda x: math.e * x * _forest_value(t, x) - 1.0, 0.25, 0.45)
-
-
 # the last solve, kept so that asking again at the same order (every L_n law,
 # the forest and decomposition constants after the singularity) does not solve
 # again; the only hand-off of rho, one slot, not a cache per order
@@ -196,9 +208,7 @@ def solve_polya_singularity(order: int = DEFAULT_ORDER) -> PolyaSingularity:
     global _last_singularity
     if _last_singularity is not None and _last_singularity.order == order:
         return _last_singularity
-    _check_order("polya", order)
-    rho, rho_shift = _root_and_shift(_polya_root, order)
-    t = _polya_table(order)
+    t, rho, residual, rho_shift = _solve("polya", order)
     d_rho = _forest_value(t, rho)
     # D' = D * d/dx sum_{i>=2} T(x^i)/i = D * sum_{i>=2} x^(i-1) T'(x^i)
     d_prime_rho = d_rho * _substituted_derivative(_derivative_table(t), rho)
@@ -209,7 +219,7 @@ def solve_polya_singularity(order: int = DEFAULT_ORDER) -> PolyaSingularity:
         c=b * b / 3,
         d_rho=d_rho,
         d_prime_rho=d_prime_rho,
-        residual=abs(rho * math.e * d_rho - 1.0),
+        residual=residual,
         rho_shift=rho_shift,
         order=order,
     )
@@ -249,7 +259,7 @@ class ForestAsymptotics:
 
 def forest_asymptotics(order: int = DEFAULT_ORDER) -> ForestAsymptotics:
     sing = solve_polya_singularity(order)
-    t = _polya_table(order)
+    t = _float_table(polya_int_table(order))
     r = math.sqrt(sing.rho)
 
     def xi(x: float) -> float:
@@ -331,7 +341,8 @@ class DecompositionConstants:
 
 def decomposition_constants(order: int = DEFAULT_ORDER) -> DecompositionConstants:
     sing = solve_polya_singularity(order)
-    gamma_rho = _substituted_sum(_polya_table(order), sing.rho, 2, lambda i: 1.0)
+    t = _float_table(polya_int_table(order))
+    gamma_rho = _substituted_sum(t, sing.rho, 2, lambda i: 1.0)
     b2rho = sing.b ** 2 * sing.rho
     c1 = sing.b / (2 * math.sqrt(math.pi) * (1 - math.sqrt(sing.rho))
                    * (sing.d_rho + sing.rho * sing.d_prime_rho))
@@ -367,49 +378,20 @@ class VariantSingularity:
 
 
 def solve_hierarchy_singularity(order: int = DEFAULT_ORDER) -> VariantSingularity:
-    """Trees without outdegree 1: H = (z/(1+z)) exp(sum_i H(z^i)/i).
-
-    At the singularity H(tau) = 1, so tau solves
-    (tau/(1+tau)) * e * exp(sum_{i>=2} H(tau^i)/i) = 1.
-    """
-
-    _check_order("hierarchy", order)
-
-    def solve_at(n: int) -> float:
-        h = _float_table(hierarchy_int_table(n))
-        return _bisect(lambda x: (x / (1 + x)) * math.e * _forest_value(h, x) - 1.0,
-                       0.3, 0.6)
-
-    tau, tau_shift = _root_and_shift(solve_at, order)
-    h = _float_table(hierarchy_int_table(order))
+    """Trees without outdegree 1: the singularity tau and mu."""
+    h, tau, residual, tau_shift = _solve("hierarchy", order)
     xi_val = _forest_value(h, tau)
     xi_deriv = _substituted_derivative(_derivative_table(h), tau)
     mu = tau ** 2 * math.e * xi_val * xi_deriv
-    residual = abs((tau / (1 + tau)) * math.e * xi_val - 1.0)
     return VariantSingularity("hierarchy", tau, mu, residual, tau_shift, order)
 
 
 def solve_binary_singularity(order: int = DEFAULT_ORDER) -> VariantSingularity:
-    """Outdegrees {0, 2}: B = z + (z/2)B^2 + (z/2)B(z^2).
-
-    B(tau) = 1/tau at the singularity, which the functional equation turns
-    into tau^2 B(tau^2) + 2 tau^2 - 1 = 0 (argument tau^2, well inside).
-    """
-
-    _check_order("binary", order)
-
-    def solve_at(n: int) -> float:
-        b = _float_table(binary_int_table(n))
-        return _bisect(lambda x: x * x * _horner(b, x * x) + 2 * x * x - 1.0,
-                       0.5, 0.75)
-
-    tau, tau_shift = _root_and_shift(solve_at, order)
-    b = _float_table(binary_int_table(order))
-    bp = _derivative_table(b)
+    """Outdegrees {0, 2}: the singularity tau and mu."""
+    b, tau, residual, tau_shift = _solve("binary", order)
     # mu = tau^2/B(tau) * d/dx[(B(tau)^2 + B(x^2))/2] at x=tau; the first slot
     # of the pair cycle index is held fixed, so only B(x^2) contributes.
-    mu = tau ** 4 * _horner(bp, tau * tau)
-    residual = abs(tau * tau * _horner(b, tau * tau) + 2 * tau * tau - 1.0)
+    mu = tau ** 4 * _horner(_derivative_table(b), tau * tau)
     return VariantSingularity("binary", tau, mu, residual, tau_shift, order)
 
 

@@ -8,8 +8,8 @@ Subcommands
   verify       the enumeration-vs-series equivalence matrix
 
 Exit code 0 means every internal check passed; rationals are printed as
-exact "p/q" strings, never floats.  POLYAKIT_ORDER overrides the default
-truncation order used by the analytic commands.
+exact "p/q" strings, never floats.  --order sets the float solvers'
+truncation order for singularity and table; sample --lmax solves at the default.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
@@ -81,14 +80,6 @@ def _omega_set(text: str) -> OmegaSet:
         raise argparse.ArgumentTypeError(
             f"invalid outdegree set {text!r}: use 'all', 'all-except:1,2' "
             "or '0,2'") from None
-
-
-def _default_order(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get("POLYAKIT_ORDER", "")
-    try:
-        return _int_in(1, math.inf)(raw) if raw else DEFAULT_ORDER
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"POLYAKIT_ORDER: {exc}")
 
 
 def _payload(name: str, result: RationalSeries | BivariateSeries, n: int) -> dict:
@@ -276,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("singularity", help="dominant singularity constants")
     p.add_argument("--family", required=True,
                    choices=("polya", "hierarchy", "binary"))
-    p.add_argument("--order", type=_int_in(1, math.inf),
-                   help=f"series truncation (default POLYAKIT_ORDER or {DEFAULT_ORDER})")
+    p.add_argument("--order", type=_int_in(1, math.inf), default=DEFAULT_ORDER,
+                   help=f"series truncation (default {DEFAULT_ORDER})")
     common(p)
     p.set_defaults(func=_cmd_singularity)
 
@@ -287,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmax", type=_int_in(0, math.inf), required=True)
     p.add_argument("--exact-n", type=_int_in(1, math.inf), default=300,
                    help="size for the exact finite-n comparison row")
-    p.add_argument("--order", type=_int_in(1, math.inf))
+    p.add_argument("--order", type=_int_in(1, math.inf), default=DEFAULT_ORDER)
     common(p)
     p.set_defaults(func=_cmd_table)
 
@@ -318,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "order" in args and args.order is None:
-        args.order = _default_order(parser)
     if args.command == "coeffs" and args.family == "omega" \
             and args.omega is None:
         parser.error("--omega is required for the omega family")
@@ -332,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # _emit raises ArgumentError for --output, the solvers OrderTooLarge for
-    # an --order or POLYAKIT_ORDER past their float range
+    # an --order past their float range
     except (argparse.ArgumentError, OrderTooLarge) as exc:
         parser.error(str(exc))
 

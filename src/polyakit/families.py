@@ -326,8 +326,9 @@ def exact_forest_size_row(n: int, mmax: int) -> tuple[Fraction, ...]:
     d_m rho^m / D(rho).  A forest has fewer than n nodes, so m >= n gives 0."""
     if n < 1:
         raise ValueError("the exact forest-size row needs n >= 1")
-    d, tc, w = dforest_coeffs(n), pointed_coeffs(n), _exp_weights(1, n)
-    return tuple(d[m] * _pointed_over_dforest(n - m, w) / tc[n] if m < n else Q(0)
+    d, w = dforest_coeffs(min(mmax, n - 1)), _exp_weights(1, n)
+    p_n = _grow_pointed(1, n)[n]
+    return tuple(d[m] * _pointed_over_dforest(n - m, w) / p_n if m < n else Q(0)
                  for m in range(mmax + 1))
 
 

@@ -221,14 +221,19 @@ def _seeded_draw(n: int, master_seed: int | str, label: int | str) -> Decomposit
     return sample_decomposition(sample_polya_tree(n, rng), rng, seed=seed)
 
 
-def run_experiment(n: int, samples: int,
-                   master_seed: int | str = 0) -> StatsReport:
-    """Aggregate decomposition samples, bit-for-bit reproducible by seed."""
-    if n > MAX_SIZE or samples > MAX_SAMPLES:
+def _check_budget(sizes: list[int] | tuple[int, ...], samples: int) -> None:
+    """Every size within MAX_SIZE, and 1..MAX_SAMPLES samples."""
+    if any(n > MAX_SIZE for n in sizes) or samples > MAX_SAMPLES:
         raise ValueError(
             f"budget exceeded: n <= {MAX_SIZE}, samples <= {MAX_SAMPLES}")
     if samples < 1:
         raise ValueError("need at least one sample")
+
+
+def run_experiment(n: int, samples: int,
+                   master_seed: int | str = 0) -> StatsReport:
+    """Aggregate decomposition samples, bit-for-bit reproducible by seed."""
+    _check_budget((n,), samples)
     c_vals, l_vals, y_vals = [], [], []
     hist: Counter[int] = Counter()
     for i in range(samples):
@@ -261,6 +266,7 @@ def lmax_check(n_values: list[int], samples: int, s: float = 0.5,
         raise ValueError("s must lie in (0, 1)")
     if any(n < 2 for n in n_values):
         raise ValueError("lmax_check needs every n >= 2: the report divides by log n")
+    _check_budget(n_values, samples)
     from .asymptotics import decomposition_constants, lmax_exact_mean
 
     consts = decomposition_constants()

@@ -1,6 +1,7 @@
 """Numeric constants, parity asymptotics, and the exact max-forest law."""
 
 import functools
+import hashlib
 import math
 from dataclasses import asdict, replace
 from decimal import Decimal, localcontext
@@ -72,22 +73,23 @@ def test_second_solve_at_the_same_order_is_remembered(monkeypatch):
     import polyakit.asymptotics as asy
     monkeypatch.setattr(asy, "_last_singularity", None)
     solved = []
-    root = asy._polya_root
-    monkeypatch.setattr(asy, "_polya_root",
-                        lambda order: solved.append(order) or root(order))
+    solve = asy._solve
+    monkeypatch.setattr(
+        asy, "_solve",
+        lambda family, order: solved.append(order) or solve(family, order))
     first = solve_polya_singularity(60)
-    assert solved == [60, 140]  # the order and the raised order of rho_shift
+    assert solved == [60]
     assert solve_polya_singularity(60) is first
     decomposition_constants(60)
     forest_asymptotics(60)
-    assert solved == [60, 140]
+    assert solved == [60]
     # an L_n law solves once at the default order, then reuses it
     assert lmax_exact_mean(40) == lmax_exact_mean(40)
-    assert solved == [60, 140, 400, 480]
+    assert solved == [60, 400]
     forest_asymptotics(asy.DEFAULT_ORDER)
     lmax_cdf_exact(40, 40)
     lmax_exact_mean(50)
-    assert solved == [60, 140, 400, 480]
+    assert solved == [60, 400]
     monkeypatch.setattr(asy, "_last_singularity", None)
     assert solve_polya_singularity(60) == first  # the same bits when re-solved
 
@@ -339,12 +341,24 @@ def _solver_results(family: str, order: int) -> str:
 
 
 CUT_ORDERS = (1, 5, 20, 60, 200, 400, 584)
-
-
-@pytest.mark.parametrize("family, order", [
+SOLVER_CASES = [
     *((family, order) for family in ("polya", "hierarchy", "binary")
       for order in CUT_ORDERS),
-    ("hierarchy", 839), ("binary", 1504)])
+    ("hierarchy", 839), ("binary", 1504)]
+
+
+def test_solvers_match_their_pinned_digest(monkeypatch):
+    # sha256 of every constant of every solver, computed while each family
+    # had its own hand-written root solve
+    results = []
+    for family, order in SOLVER_CASES:
+        monkeypatch.setattr(asy, "_last_singularity", None)
+        results.append(_solver_results(family, order))
+    assert hashlib.sha256("\n".join(results).encode()).hexdigest() == (
+        "972bb6445de782d9d48785f85471c3e33edb264b1a8896f893d9ee26c95626f5")
+
+
+@pytest.mark.parametrize("family, order", SOLVER_CASES)
 def test_cut_evaluation_matches_full_route(family, order, monkeypatch):
     # every constant of every solver, to the last bit, against Horner's rule
     # over the whole table; forest_asymptotics covers the negative arguments

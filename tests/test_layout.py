@@ -54,3 +54,18 @@ def test_every_public_function_and_class_has_a_caller():
         referenced |= _references(tree, _defined(tree))
     unused = sorted(where for name, where in public.items() if name not in referenced)
     assert not unused, f"no caller in src/ or tests/: {unused}"
+
+
+def test_no_module_reads_the_environment():
+    # every setting comes in through a parameter or a CLI option, so the
+    # truncation order is set in one place
+    readers = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv") \
+                    and isinstance(node.value, ast.Name) and node.value.id == "os":
+                readers.append(f"{path.stem}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                    and {a.name for a in node.names} & {"environ", "getenv"}:
+                readers.append(f"{path.stem}:{node.lineno}")
+    assert not readers, f"environment read at {readers}"

@@ -195,10 +195,13 @@ def test_run_experiment_deterministic_and_sane():
 
 
 def test_run_experiment_budget_checks():
-    with pytest.raises(ValueError):
-        run_experiment(10_001, 10)
-    with pytest.raises(ValueError):
-        run_experiment(100, 100_001)
+    # both entry points share one budget: sizes up to MAX_SIZE and 1 to
+    # MAX_SAMPLES samples; each case is refused before any tree is drawn
+    for n, samples in ((10_001, 10), (100, 100_001), (100, 0), (100, -3)):
+        with pytest.raises(ValueError):
+            run_experiment(n, samples)
+        with pytest.raises(ValueError):
+            lmax_check([n], samples)
 
 
 def test_lmax_check_rows():
