@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="forest-size distribution tables")
     p.add_argument("--which", required=True,
                    choices=("forest-size", "forest-size-conditional"))
-    p.add_argument("--mmax", type=_int_in(0, math.inf), required=True)
+    p.add_argument("--mmax", type=_int_in(0, MAX_SIZE), required=True)
     p.add_argument("--exact-n", type=_int_in(1, math.inf), default=300,
                    help="size for the exact finite-n comparison row")
     p.add_argument("--order", type=_int_in(1, math.inf), default=DEFAULT_ORDER)

@@ -22,7 +22,8 @@ and the counts for any allowed-outdegree set, binary trees among them, from
 one integer cycle-index table (hierarchies also from a hand-written one).  All
 are grown in place, so asking for a longer prefix never recomputes the part
 already known; everything else is computed from them on demand, with no
-per-order cache.
+per-order cache.  Past 512 entries the counts and the pointed series grow by
+one online divide-and-conquer (_relaxed) on packed exact Decimal products.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 from .series import BivariateSeries, Q, RationalSeries, UPoly
@@ -56,8 +58,10 @@ _forests: dict[int, list[int]] = {1: [1], -1: [1]}
 _pointed: dict[int, list[int]] = {1: [0], -1: [0]}
 _inverse_forests: list[int] = [1]  # n! [z^n] 1/D, the same recurrence negated
 
-_PLAIN_BELOW = 512  # count tables shorter than this grow term by term
-_LEAF = 64  # the largest range the doubling step sums term by term
+_PLAIN_BELOW = 512  # count and pointed tables shorter than this grow term by term
+_LEAF = 256  # the largest range the online divide-and-conquer sums term by term
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # no Decimal rounds
+_ZERO = Decimal(0)
 
 
 def _divisors(n: int) -> list[int]:
@@ -72,27 +76,72 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _packed_product(x: list[str], y: list[str], lo: int, hi: int) -> list[int]:
-    """Coefficients lo .. hi-1 of the product of two polynomials whose
-    coefficients, all nonnegative, are given as their decimal digit strings.
+def _term_digits(x: list[str], y: list[str], hi: int) -> int:
+    """A bound on the digit count of every term x_i y_j with i + j < hi.  A
+    term has at most len(x_i) + my[j] digits, my[j] being the largest digit
+    count in y[:j + 1]; my only rises with j, so the largest j allowed bounds
+    every j, even where the digit counts fall."""
+    my = list(accumulate(map(len, y[:hi]), max))
+    last = len(my) - 1
+    return max(len(v) + my[min(hi - 1 - i, last)] for i, v in enumerate(x[:hi]))
+
+
+def _packed_sum(pairs: list[tuple[list[str], list[str]]], lo: int, hi: int) -> list[Decimal]:
+    """Coefficients lo .. hi-1 of the sum of the products x y over `pairs`,
+    polynomials whose coefficients, all nonnegative, are given as their
+    decimal digit strings; each coefficient an exact integer Decimal.
 
     Each polynomial is packed into one Decimal, a slot of `width` digits per
-    coefficient, and the two are multiplied once by libmpdec, which switches
-    to a number-theoretic transform on large operands.  A product coefficient
-    sums fewer than 10^len(str(min(len(x), len(y)))) terms, each below
-    10^(digits of x + digits of y), so no slot carries into the next.  The
-    context is a local exact one; Decimal <-> int conversions are not subject
-    to the int/str digit limit, so slots of any width read back."""
-    if any(v.startswith("-") for v in x) or any(v.startswith("-") for v in y):
+    coefficient, each pair is multiplied by libmpdec, which switches to a
+    number-theoretic transform on large operands, and the products are added
+    before the slots are read back once.  Carries run upward, so only the
+    slots below hi must not overflow and coefficients of index hi or more are
+    not packed: a coefficient k < hi sums at most `terms` products, each
+    bounded by _term_digits.  Every operation runs on the module's exact
+    context _EXACT, never on the thread's."""
+    pairs = [(x[:hi], y[:hi]) for x, y in pairs]
+    if any(v.startswith("-") for x, y in pairs for v in x + y):
         raise ValueError("packed products need nonnegative coefficients")
-    width = (max(map(len, x)) + max(map(len, y))
-             + len(str(min(len(x), len(y)))) + 1)
-    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    product = str(exact.multiply(Decimal("".join(v.zfill(width) for v in reversed(x))),
-                                 Decimal("".join(v.zfill(width) for v in reversed(y)))))
-    end = len(product)
-    return [int(Decimal(product[max(end - width * (k + 1), 0):end - width * k]))
-            if end > width * k else 0 for k in range(lo, hi)]
+    terms = sum(min(len(x), len(y)) for x, y in pairs)
+    width = max(_term_digits(x, y, hi) for x, y in pairs) + len(str(terms))
+    total = _ZERO
+    for x, y in pairs:
+        total = _EXACT.add(total, _EXACT.multiply(
+            Decimal("".join(v.zfill(width) for v in reversed(x))),
+            Decimal("".join(v.zfill(width) for v in reversed(y)))))
+    digits = str(total)
+    end = len(digits)
+    return [Decimal(digits[max(end - width * (k + 1), 0):end - width * k])
+            if end > width * k else _ZERO for k in range(lo, hi)]
+
+
+def _relaxed(L: int, top: int, acc: list[Decimal], pairs, leaf) -> None:
+    """Fill the entries L .. top of an online convolution, in order.
+
+    acc[n - L] holds the part of entry n's sum known before the call.  Once
+    the entries of [l, mid) are known, `pairs(l, mid, r)` names the packed
+    products that carry their share into [mid, r), with every partner index
+    below r - l; `leaf(n, l, pending)` sums the pairs with both indices in a
+    leaf [l, n] of at most _LEAF entries, adds the int `pending`, and appends
+    entry n.  The pending sums stay Decimal until their leaf."""
+    def grow(l: int, r: int) -> None:
+        if r - l > _LEAF:
+            mid = (l + r) // 2
+            grow(l, mid)
+            for n, v in enumerate(_packed_sum(pairs(l, mid, r), mid - l, r - l), mid - L):
+                acc[n] = _EXACT.add(acc[n], v)
+            grow(mid, r)
+            return
+        for n in range(l, r):
+            leaf(n, l, int(acc[n - L]))
+
+    grow(L, top + 1)
+
+
+def _digits(v: int) -> str:
+    """The decimal digits of v; Decimal <-> int conversions are not subject
+    to the int/str digit limit, so any length converts."""
+    return str(Decimal(v))
 
 
 def _append_count(sigma: int, a: list[int], s: list[int], total: int) -> None:
@@ -128,34 +177,22 @@ def _double_counts(sigma: int, a: list[int], s: list[int], top: int) -> None:
 
     Every n in [L, top] takes its pairs with both indices below L from one
     packed product; no pair has both indices at L or above, since 2L > top.
-    The pairs with one index i >= L come from an online divide-and-conquer
-    over [L, top]: once the entries of [l, mid) are known, a[l:mid] s[0:r-l]
-    and s[l:mid] a[0:r-l] add their share to [mid, r), every partner index
-    below r - l <= L, and a leaf of at most _LEAF entries sums the pairs
-    inside it before it divides."""
+    The pairs with one index i >= L come from the online divide-and-conquer
+    (_relaxed): a[l:mid] s[0:r-l] and s[l:mid] a[0:r-l], every partner index
+    below r - l <= L."""
     L = len(a)
-    da = [str(Decimal(v)) for v in a]  # digit strings, for this call only
-    ds = [str(Decimal(v)) for v in s]
-    acc = _packed_product(da, ds, L, top + 1)  # acc[n - L]: pairs known so far
+    da = [_digits(v) for v in a]  # digit strings, for this call only
+    ds = [_digits(v) for v in s]
 
-    def grow(l: int, r: int) -> None:
-        if r - l > _LEAF:
-            mid = (l + r) // 2
-            grow(l, mid)
-            for x, y in ((da, ds), (ds, da)):
-                for n, v in enumerate(_packed_product(x[l:mid], y[:r - l], mid - l, r - l),
-                                      mid - L):
-                    acc[n] += v
-            grow(mid, r)
-            return
-        for n in range(l, r):  # the pairs (i, n - i) with l <= i < n
-            k = n - l
-            _append_count(sigma, a, s, acc[n - L] + sum(map(mul, a[l:n], s[k:0:-1]))
-                          + sum(map(mul, s[l:n], a[k:0:-1])))
-            da.append(str(Decimal(a[n])))
-            ds.append(str(Decimal(s[n])))
+    def leaf(n: int, l: int, pending: int) -> None:  # the pairs (i, n - i), l <= i < n
+        k = n - l
+        _append_count(sigma, a, s, pending + sum(map(mul, a[l:n], s[k:0:-1]))
+                      + sum(map(mul, s[l:n], a[k:0:-1])))
+        da.append(_digits(a[n]))
+        ds.append(_digits(s[n]))
 
-    grow(L, top + 1)
+    _relaxed(L, top, _packed_sum([(da, ds)], L, top + 1),
+             lambda l, mid, r: [(da[l:mid], ds[:r - l]), (ds[l:mid], da[:r - l])], leaf)
 
 
 def _substituted(a: list[int], N: int, coeff) -> list:
@@ -193,12 +230,28 @@ def _grow_forests(sigma: int, N: int) -> list[int]:
 
 
 def _grow_pointed(sigma: int, N: int) -> list[int]:
-    """The table p of A/(1-A), grown through N."""
+    """The table p of A/(1-A), grown through N, from p_n = a_n + sum_(i>=1)
+    a_i p_(n-i).  Below _PLAIN_BELOW entries, and for the last _LEAF entries
+    or fewer of a request, each p_n is that sum, term by term.  Otherwise the
+    rest grows at once, since a is known through N: one packed product takes
+    the pairs with p-index below the L entries held, and the online
+    divide-and-conquer (_relaxed) the rest, p[l:mid] a[0:r-l] at each split."""
     a, _ = _grow_counts(sigma, N)
     p = _pointed[sigma]
     while len(p) <= N:
         n = len(p)
-        p.append(a[n] + sum(a[i] * p[n - i] for i in range(1, n)))
+        if n < _PLAIN_BELOW or N - n < _LEAF:
+            p.append(a[n] + sum(map(mul, a[1:n], p[n - 1:0:-1])))
+            continue
+        da = [_digits(v) for v in a[:N + 1]]
+        dp = [_digits(v) for v in p]
+
+        def leaf(n: int, l: int, pending: int) -> None:  # the pairs (n - j, j), l <= j < n
+            p.append(pending + a[n] + sum(map(mul, p[l:n], a[n - l:0:-1])))
+            dp.append(_digits(p[n]))
+
+        _relaxed(n, N, _packed_sum([(dp, da)], n, N + 1),
+                 lambda l, mid, r: [(dp[l:mid], da[:r - l])], leaf)
     return p
 
 

@@ -244,9 +244,9 @@ def test_criterion_08_sampler_statistics(acceptance_log, deco):
     c_var = rep.var_c_size / n
     y_share = rep.mean_y_count / n
     y_var = rep.var_y_count / n
-    ok = abs(c_share / 0.822 - 1) < 0.02
+    ok = abs(c_share / deco.c_share - 1) < 0.02
     ok &= abs(c_var / deco.c_var_coeff - 1) < 0.15
-    ok &= abs(y_share / 0.15776 - 1) < 0.05
+    ok &= abs(y_share / deco.y_share - 1) < 0.05
     ok &= abs(y_var / 0.26718 - 1) < 0.20
     table1 = deco.forest_size_distribution(3)
     freq_ok = all(abs(rep.forest_size_distribution.get(m, 0.0) - table1[m])

@@ -6,6 +6,8 @@ from functools import lru_cache
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyakit.families as fam
 from polyakit.oracle import enumerate_dforests, forest_weight
@@ -68,16 +70,18 @@ def modular_counts(sigma, N, p=(1 << 61) - 1):
 
 @pytest.fixture
 def fresh_counts(monkeypatch):
-    """Empty count tables for both signs, so each test grows its own."""
+    """Empty count and pointed tables for both signs, so each test grows its
+    own."""
     monkeypatch.setattr(fam, "_counts", {1: [0, 1], -1: [0, 1]})
     monkeypatch.setattr(fam, "_weights", {1: [0, 1], -1: [0, 1]})
+    monkeypatch.setattr(fam, "_pointed", {1: [0], -1: [0]})
 
 
 CUTOFF, LEAF = fam._PLAIN_BELOW, fam._LEAF
 
 
 @pytest.mark.parametrize("sigma", (1, -1))
-@pytest.mark.parametrize("N", (0, 1, 2, CUTOFF - 1, CUTOFF, CUTOFF + 1,
+@pytest.mark.parametrize("N", (0, 1, 2, CUTOFF - 1, CUTOFF, CUTOFF + 1, 575, 576,
                                CUTOFF + LEAF - 1, CUTOFF + LEAF, 2 * CUTOFF, 1500))
 def test_count_table_matches_plain_route(fresh_counts, sigma, N):
     a, s = fam._grow_counts(sigma, N)
@@ -117,6 +121,12 @@ def naive_product(x, y):
     return out
 
 
+def packed(pairs, lo, hi):
+    """_packed_sum on int coefficients, read back as ints."""
+    return [int(v) for v in fam._packed_sum([(digits(x), digits(y)) for x, y in pairs],
+                                            lo, hi)]
+
+
 @pytest.mark.parametrize("x, y", [
     ([10 ** 4400 + 7, 3 ** 9000, 0, 5], [2 ** 15000 + 1, 10 ** 4500 - 1, 11]),  # > 4300 digits
     ([0, 0, 5, 0], [0, 3, 0]),
@@ -125,26 +135,89 @@ def naive_product(x, y):
     ([10 ** 12 - 1] * 9, [10 ** 5 - 1] * 20),  # every slot at its digit count's top
     ([10 ** 12 - 1] * 10, [10 ** 5 - 1] * 10),
     ([10 ** 300 - 1] * 99, [9] * 100),
+    ([10 ** 80 - 1, 10 ** 40 - 1, 99, 9], [10 ** 60 - 1, 999, 9, 9]),  # falling lengths
 ])
 def test_packed_product_matches_naive_convolution(x, y):
     want = naive_product(x, y)
-    assert fam._packed_product(digits(x), digits(y), 0, len(want)) == want
+    assert packed([(x, y)], 0, len(want)) == want
 
 
 def test_packed_product_reads_a_window():
     x = [3 ** k for k in range(40, 90)]
     y = [5 ** k + k for k in range(30)]
     want = naive_product(x, y)
-    assert fam._packed_product(digits(x), digits(y), 31, 57) == want[31:57]
+    assert packed([(x, y)], 31, 57) == want[31:57]
     # slots past the product's top read as zero
-    assert fam._packed_product(digits(x), digits(y), 75, 85) == want[75:] + [0] * 6
+    assert packed([(x, y)], 75, 85) == want[75:] + [0] * 6
+
+
+def test_packed_sum_window_ignores_overflowing_slots_above_it():
+    # the width covers x[:hi] and y[:hi] only; the coefficients above hi are
+    # far wider, and so are the product slots they would fill
+    x = [9, 99, 10 ** 500 - 1, 10 ** 900 - 1]
+    y = [99, 9, 10 ** 700 - 1, 10 ** 600 - 1, 10 ** 800 - 1]
+    want = naive_product(x, y)
+    assert packed([(x, y)], 0, 2) == want[:2]
+    assert packed([(x, y)], 1, 2) == want[1:2]
+    assert packed([(x, y)], 0, 3) == want[:3]
+
+
+def test_packed_sum_adds_two_pairs():
+    x1, y1 = [10 ** 50 - 1] * 30, [10 ** 20 - 1] * 40
+    x2, y2 = [7 ** k for k in range(25)], [11 ** k for k in range(40)]
+    p1, p2 = naive_product(x1, y1), naive_product(x2, y2)
+    want = [u + v for u, v in zip(p1, p2 + [0] * (len(p1) - len(p2)))]
+    assert packed([(x1, y1), (x2, y2)], 0, len(want)) == want
+    assert packed([(x1, y1), (x2, y2)], 20, 40) == want[20:40]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 10 ** 60), min_size=1, max_size=12),
+       st.lists(st.integers(0, 10 ** 60), min_size=1, max_size=12),
+       st.integers(0, 30), st.integers(1, 30))
+def test_packed_sum_property(x, y, lo, span):
+    # lengths mixed by the draw: 0 up to 61 digits, in any order
+    want = naive_product(x, y) + [0] * (lo + span)
+    assert packed([(x, y)], lo, lo + span) == want[lo:lo + span]
 
 
 def test_packed_product_refuses_negative_coefficients():
     with pytest.raises(ValueError):
-        fam._packed_product(digits([1, -2]), digits([3]), 0, 2)
+        packed([([1, -2], [3])], 0, 2)
     with pytest.raises(ValueError):
-        fam._packed_product(digits([1]), digits([0, -3]), 0, 2)
+        packed([([1], [0, -3])], 0, 2)
+    with pytest.raises(ValueError):
+        packed([([1], [3]), ([-1], [3])], 0, 2)
+
+
+@lru_cache(maxsize=None)
+def plain_pointed(sigma, N):
+    """Reference route: the term-by-term loop the pointed table used at every
+    length before it shared the online divide-and-conquer,
+    p_n = a_n + sum_(i>=1) a_i p_(n-i), on the plain count table."""
+    a = plain_counts(sigma, 1500)[0]
+    p = [0]
+    for n in range(1, N + 1):
+        p.append(a[n] + sum(a[i] * p[n - i] for i in range(1, n)))
+    return tuple(p)
+
+
+@pytest.mark.parametrize("sigma", (1, -1))
+@pytest.mark.parametrize("N", (0, 1, 2, 40, 400, 1100))
+def test_pointed_table_matches_plain_route(fresh_counts, sigma, N):
+    assert tuple(fam._grow_pointed(sigma, N)) == plain_pointed(sigma, 1100)[: N + 1]
+
+
+@pytest.mark.parametrize("sigma", (1, -1))
+@pytest.mark.parametrize("steps", ((300, 700, 1100), (CUTOFF - 1, CUTOFF, CUTOFF + 1),
+                                   (CUTOFF + LEAF + 1, 1100)))
+def test_pointed_table_grows_in_place_as_prefixes(fresh_counts, sigma, steps):
+    want = plain_pointed(sigma, 1100)
+    held = fam._pointed[sigma]
+    for N in steps:
+        p = fam._grow_pointed(sigma, N)
+        assert p is held
+        assert tuple(p) == want[: N + 1]
 
 
 def test_polya_routes_agree():

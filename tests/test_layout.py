@@ -69,3 +69,33 @@ def test_no_module_reads_the_environment():
                     and {a.name for a in node.names} & {"environ", "getenv"}:
                 readers.append(f"{path.stem}:{node.lineno}")
     assert not readers, f"environment read at {readers}"
+
+
+GLOBAL_SETTERS = {"setrecursionlimit", "set_int_max_str_digits", "setcontext"}
+
+
+def _called_name(node: ast.AST) -> str | None:
+    """The function name of a call, bare or as an attribute."""
+    func = node.func if isinstance(node, ast.Call) else None
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def test_no_module_changes_interpreter_settings():
+    # the recursion limit, the int/str digit limit and the thread's decimal
+    # context stay as the caller set them; exact Decimal work runs on a local
+    # Context
+    setters = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _called_name(node) in GLOBAL_SETTERS:
+                setters.append(f"{path.stem}:{node.lineno}")
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(_called_name(part) == "getcontext"
+                       for t in targets for part in ast.walk(t)):
+                    setters.append(f"{path.stem}:{node.lineno}")
+    assert not setters, f"interpreter setting changed at {setters}"
