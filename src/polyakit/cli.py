@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="exact coefficient tables")
     p.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    p.add_argument("--n", type=_int_in(0, math.inf), required=True,
+    p.add_argument("--n", type=_int_in(0, MAX_SIZE), required=True,
                    help="truncation order")
     p.add_argument("--omega", type=_omega_set,
                    help="outdegree set, e.g. '0,2' or 'all-except:1'")
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    choices=("forest-size", "forest-size-conditional"))
     p.add_argument("--mmax", type=_int_in(0, MAX_SIZE), required=True)
-    p.add_argument("--exact-n", type=_int_in(1, math.inf), default=300,
+    p.add_argument("--exact-n", type=_int_in(1, MAX_SIZE), default=300,
                    help="size for the exact finite-n comparison row")
     p.add_argument("--order", type=_int_in(1, math.inf), default=DEFAULT_ORDER)
     common(p)

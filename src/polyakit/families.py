@@ -22,8 +22,8 @@ and the counts for any allowed-outdegree set, binary trees among them, from
 one integer cycle-index table (hierarchies also from a hand-written one).  All
 are grown in place, so asking for a longer prefix never recomputes the part
 already known; everything else is computed from them on demand, with no
-per-order cache.  Past 512 entries the counts and the pointed series grow by
-one online divide-and-conquer (_relaxed) on packed exact Decimal products.
+per-order cache.  The counts and the pointed series grow by one online
+convolution (_grow_online) on packed exact Decimal products.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ _forests: dict[int, list[int]] = {1: [1], -1: [1]}
 _pointed: dict[int, list[int]] = {1: [0], -1: [0]}
 _inverse_forests: list[int] = [1]  # n! [z^n] 1/D, the same recurrence negated
 
-_PLAIN_BELOW = 512  # count and pointed tables shorter than this grow term by term
 _LEAF = 256  # the largest range the online divide-and-conquer sums term by term
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # no Decimal rounds
 _ZERO = Decimal(0)
@@ -115,29 +114,6 @@ def _packed_sum(pairs: list[tuple[list[str], list[str]]], lo: int, hi: int) -> l
             if end > width * k else _ZERO for k in range(lo, hi)]
 
 
-def _relaxed(L: int, top: int, acc: list[Decimal], pairs, leaf) -> None:
-    """Fill the entries L .. top of an online convolution, in order.
-
-    acc[n - L] holds the part of entry n's sum known before the call.  Once
-    the entries of [l, mid) are known, `pairs(l, mid, r)` names the packed
-    products that carry their share into [mid, r), with every partner index
-    below r - l; `leaf(n, l, pending)` sums the pairs with both indices in a
-    leaf [l, n] of at most _LEAF entries, adds the int `pending`, and appends
-    entry n.  The pending sums stay Decimal until their leaf."""
-    def grow(l: int, r: int) -> None:
-        if r - l > _LEAF:
-            mid = (l + r) // 2
-            grow(l, mid)
-            for n, v in enumerate(_packed_sum(pairs(l, mid, r), mid - l, r - l), mid - L):
-                acc[n] = _EXACT.add(acc[n], v)
-            grow(mid, r)
-            return
-        for n in range(l, r):
-            leaf(n, l, int(acc[n - L]))
-
-    grow(L, top + 1)
-
-
 def _digits(v: int) -> str:
     """The decimal digits of v; Decimal <-> int conversions are not subject
     to the int/str digit limit, so any length converts."""
@@ -154,45 +130,67 @@ def _append_count(sigma: int, a: list[int], s: list[int], total: int) -> None:
     s.append(sum(sigma ** (n // m - 1) * m * a[m] for m in _divisors(n)))
 
 
+def _grow_online(x: list[int], y: list[int], N: int, append) -> None:
+    """Grow y through N by an online convolution: append(n, c) adds entry n
+    of y, and of x too when x grows with y, from
+    c = sum_(i+j=n, i,j>=1) x_i y_j.
+
+    For the last _LEAF entries or fewer of a request each c is that sum,
+    term by term: a packed step packs the whole held table whatever its span,
+    so for a few entries the sums are cheaper.  Otherwise y grows from its L
+    entries by an online divide-and-conquer (the relaxed convolution) on
+    packed exact Decimal products, and the input picks the variant:
+    - x known through N: y grows to N at once.  One product x y[:L] takes
+      the pairs with y-index below L; each split [l, mid) adds
+      y[l:mid] x[:r-l] to [mid, r).
+    - x growing with y: the table doubles, to top = min(N, 2L - 1).  One
+      product x y[:L] takes the pairs with both indices below L (none has
+      both at L or above); each split adds y[l:mid] x[:r-l] and
+      x[l:mid] y[:r-l].
+    Every partner index is below r - l, so already known.  The pending sums
+    stay Decimal until a leaf of at most _LEAF entries [l, r) adds, for each
+    n, the pairs whose split-side index lies in [l, n), term by term."""
+    known = len(x) > N
+    while len(y) <= N:
+        L = len(y)
+        if N - L < _LEAF:
+            append(L, sum(map(mul, x[1:L], y[L - 1:0:-1])))
+            continue
+        top = N if known else min(N, 2 * L - 1)
+        dx = [_digits(v) for v in x[:top + 1]]  # digit strings, for this step only
+        dy = [_digits(v) for v in y]
+        acc = _packed_sum([(dy, dx)], L, top + 1)
+
+        def grow(l: int, r: int) -> None:
+            if r - l > _LEAF:
+                mid = (l + r) // 2
+                grow(l, mid)
+                pairs = [(dy[l:mid], dx[:r - l])]
+                if not known:
+                    pairs.append((dx[l:mid], dy[:r - l]))
+                for n, v in enumerate(_packed_sum(pairs, mid - l, r - l), mid - L):
+                    acc[n] = _EXACT.add(acc[n], v)
+                grow(mid, r)
+                return
+            for n in range(l, r):
+                k = n - l
+                c = int(acc[n - L]) + sum(map(mul, y[l:n], x[k:0:-1]))
+                if not known:
+                    c += sum(map(mul, x[l:n], y[k:0:-1]))
+                append(n, c)
+                dy.append(_digits(y[n]))
+                if not known:
+                    dx.append(_digits(x[n]))
+
+        grow(L, top + 1)
+
+
 def _grow_counts(sigma: int, N: int) -> tuple[list[int], list[int]]:
-    """The tables a and s of sign sigma, grown through N.
-
-    (n - 1) a_n is entry n of the product a s (a_0 = s_0 = 0).  Below
-    _PLAIN_BELOW entries, and for the last _LEAF entries or fewer of a
-    request, each a_n is that sum, term by term: a doubling step packs the
-    whole held table whatever its span, so for a few entries the sums are
-    cheaper.  Otherwise the table doubles (_double_counts)."""
+    """The tables a and s of sign sigma, grown through N: (n - 1) a_n is
+    entry n of the product a s (a_0 = s_0 = 0)."""
     a, s = _counts[sigma], _weights[sigma]
-    while len(a) <= N:
-        n = len(a)
-        if n < _PLAIN_BELOW or N - n < _LEAF:
-            _append_count(sigma, a, s, sum(map(mul, a[n - 1:0:-1], s[1:n])))
-        else:
-            _double_counts(sigma, a, s, min(N, 2 * n - 1))
+    _grow_online(a, s, N, lambda n, c: _append_count(sigma, a, s, c))
     return a, s
-
-
-def _double_counts(sigma: int, a: list[int], s: list[int], top: int) -> None:
-    """Grow a and s from their L entries through top <= 2L - 1.
-
-    Every n in [L, top] takes its pairs with both indices below L from one
-    packed product; no pair has both indices at L or above, since 2L > top.
-    The pairs with one index i >= L come from the online divide-and-conquer
-    (_relaxed): a[l:mid] s[0:r-l] and s[l:mid] a[0:r-l], every partner index
-    below r - l <= L."""
-    L = len(a)
-    da = [_digits(v) for v in a]  # digit strings, for this call only
-    ds = [_digits(v) for v in s]
-
-    def leaf(n: int, l: int, pending: int) -> None:  # the pairs (i, n - i), l <= i < n
-        k = n - l
-        _append_count(sigma, a, s, pending + sum(map(mul, a[l:n], s[k:0:-1]))
-                      + sum(map(mul, s[l:n], a[k:0:-1])))
-        da.append(_digits(a[n]))
-        ds.append(_digits(s[n]))
-
-    _relaxed(L, top, _packed_sum([(da, ds)], L, top + 1),
-             lambda l, mid, r: [(da[l:mid], ds[:r - l]), (ds[l:mid], da[:r - l])], leaf)
 
 
 def _substituted(a: list[int], N: int, coeff) -> list:
@@ -231,27 +229,10 @@ def _grow_forests(sigma: int, N: int) -> list[int]:
 
 def _grow_pointed(sigma: int, N: int) -> list[int]:
     """The table p of A/(1-A), grown through N, from p_n = a_n + sum_(i>=1)
-    a_i p_(n-i).  Below _PLAIN_BELOW entries, and for the last _LEAF entries
-    or fewer of a request, each p_n is that sum, term by term.  Otherwise the
-    rest grows at once, since a is known through N: one packed product takes
-    the pairs with p-index below the L entries held, and the online
-    divide-and-conquer (_relaxed) the rest, p[l:mid] a[0:r-l] at each split."""
+    a_i p_(n-i); a is known through N, so the table grows to N at once."""
     a, _ = _grow_counts(sigma, N)
     p = _pointed[sigma]
-    while len(p) <= N:
-        n = len(p)
-        if n < _PLAIN_BELOW or N - n < _LEAF:
-            p.append(a[n] + sum(map(mul, a[1:n], p[n - 1:0:-1])))
-            continue
-        da = [_digits(v) for v in a[:N + 1]]
-        dp = [_digits(v) for v in p]
-
-        def leaf(n: int, l: int, pending: int) -> None:  # the pairs (n - j, j), l <= j < n
-            p.append(pending + a[n] + sum(map(mul, p[l:n], a[n - l:0:-1])))
-            dp.append(_digits(p[n]))
-
-        _relaxed(n, N, _packed_sum([(dp, da)], n, N + 1),
-                 lambda l, mid, r: [(dp[l:mid], da[:r - l])], leaf)
+    _grow_online(a, p, N, lambda n, c: p.append(a[n] + c))
     return p
 
 

@@ -219,6 +219,8 @@ def test_unknown_family_errors():
     (["singularity", "--family", "binary", "--order", "1505"], None),
     (["table", "--which", "forest-size", "--mmax", "7", "--order", "600"], None),
     (["table", "--which", "forest-size", "--mmax", "10001", "--exact-n", "20"], None),
+    (["coeffs", "--family", "polya", "--n", "10001"], None),
+    (["table", "--which", "forest-size", "--mmax", "7", "--exact-n", "10001"], None),
 ])
 def test_invalid_input_is_a_usage_error(argv, _id_suffix, capsys):
     # a one-line "error:" and a nonzero exit, never an exception

@@ -77,7 +77,7 @@ def fresh_counts(monkeypatch):
     monkeypatch.setattr(fam, "_pointed", {1: [0], -1: [0]})
 
 
-CUTOFF, LEAF = fam._PLAIN_BELOW, fam._LEAF
+CUTOFF, LEAF = 512, fam._LEAF
 
 
 @pytest.mark.parametrize("sigma", (1, -1))
@@ -107,6 +107,21 @@ def test_count_table_matches_modular_recurrence(sigma):
     a, s = fam._grow_counts(sigma, N)
     assert ([v % p for v in a[: N + 1]], [v % p for v in s[: N + 1]]) == (
         modular_counts(sigma, N))
+
+
+def modular_pointed(sigma, N, p=(1 << 61) - 1):
+    """Independent route: the pointed table mod p, p_n = a_n + sum_(i>=1)
+    a_i p_(n-i), term by term on modular_counts."""
+    a, q = modular_counts(sigma, N, p)[0], [0]
+    for n in range(1, N + 1):
+        q.append((a[n] + sum(map(mul, a[1:n], q[n - 1:0:-1]))) % p)
+    return q
+
+
+@pytest.mark.parametrize("sigma", (1, -1))
+def test_pointed_table_matches_modular_recurrence(fresh_counts, sigma):
+    p, N = (1 << 61) - 1, 2000
+    assert [v % p for v in fam._grow_pointed(sigma, N)] == modular_pointed(sigma, N, p)
 
 
 def digits(values):
@@ -218,6 +233,22 @@ def test_pointed_table_grows_in_place_as_prefixes(fresh_counts, sigma, steps):
         p = fam._grow_pointed(sigma, N)
         assert p is held
         assert tuple(p) == want[: N + 1]
+
+
+@pytest.mark.parametrize("leaf", (1, 2, 3, 8))
+def test_online_grower_at_a_tiny_leaf(fresh_counts, monkeypatch, leaf):
+    # every doubling, split and leaf boundary shows at sizes this small
+    monkeypatch.setattr(fam, "_LEAF", leaf)
+    for sigma in (1, -1):
+        want_a, want_s = plain_counts(sigma, 150)
+        want_p = plain_pointed(sigma, 150)
+        for N in (1, 2, 5, 9, 17, 40, 41, 100, 150):
+            a, s = fam._grow_counts(sigma, N)
+            assert (tuple(a), tuple(s)) == (want_a[: N + 1], want_s[: N + 1])
+            assert tuple(fam._grow_pointed(sigma, N)) == want_p[: N + 1]
+        # the pointed table from empty against a count table held longer
+        fam._pointed[sigma][1:] = []
+        assert tuple(fam._grow_pointed(sigma, 150)) == want_p
 
 
 def test_polya_routes_agree():

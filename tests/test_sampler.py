@@ -66,7 +66,7 @@ def test_seeded_decompositions_past_the_plain_table_are_pinned():
     # n = 1200 reads a count table grown by doubling; recorded on the
     # term-by-term table
     import hashlib
-    assert 1200 > fam._PLAIN_BELOW + fam._LEAF
+    assert 1200 > 512 + fam._LEAF
     rows = []
     for seed in range(3):
         rng = random.Random(seed)
