@@ -296,6 +296,20 @@ def _forest_term(d_m: Fraction, rho: float, m: int) -> float:
     return float(d_m * Fraction(rho) ** m)
 
 
+def _forest_terms(rho: float, mmax: int) -> list[float]:
+    """d_m rho^m for m = 0..mmax.  Even and odd m each decay like
+    rho^(m/2), so once two consecutive terms round to 0.0 all later ones
+    do: they are padded as zeros, and D is grown no further."""
+    terms: list[float] = []
+    for m in range(mmax + 1):
+        if terms[-2:] == [0.0, 0.0]:
+            return terms + [0.0] * (mmax + 1 - m)
+        if m % _FOREST_CHUNK == 0:
+            d = dforest_coeffs(min(mmax, m + _FOREST_CHUNK - 1))
+        terms.append(_forest_term(d[m], rho, m))
+    return terms
+
+
 @dataclass(frozen=True)
 class DecompositionConstants:
     rho: float
@@ -308,27 +322,14 @@ class DecompositionConstants:
     d_rho: float
     lmax_c1: float          # scale constant of the max-forest-size law
 
-    def _forest_terms(self, mmax: int) -> list[float]:
-        """d_m rho^m for m = 0..mmax.  Even and odd m each decay like
-        rho^(m/2), so once two consecutive terms round to 0.0 all later ones
-        do: they are padded as zeros, and D is grown no further."""
-        terms: list[float] = []
-        for m in range(mmax + 1):
-            if terms[-2:] == [0.0, 0.0]:
-                return terms + [0.0] * (mmax + 1 - m)
-            if m % _FOREST_CHUNK == 0:
-                d = dforest_coeffs(min(mmax, m + _FOREST_CHUNK - 1))
-            terms.append(_forest_term(d[m], self.rho, m))
-        return terms
-
     def forest_size_distribution(self, mmax: int) -> list[float]:
         """Limiting P(|F(v)| = m) for a random skeleton node, m = 0..mmax."""
-        return [v / self.d_rho for v in self._forest_terms(mmax)]
+        return [v / self.d_rho for v in _forest_terms(self.rho, mmax)]
 
     def conditional_forest_size(self, mmax: int) -> list[float]:
         """Same conditioned on a nonempty forest, m = 2..mmax."""
         denom = self.d_rho - 1.0
-        return [v / denom for v in self._forest_terms(mmax)[2:]]
+        return [v / denom for v in _forest_terms(self.rho, mmax)[2:]]
 
     def lmax_location(self, n: int) -> float:
         return -2 * math.log(n) / math.log(self.rho)
@@ -434,10 +435,11 @@ def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
     z -> rho z (rho at the default order), where every series involved has
     bounded positive coefficients, so plain floats are accurate to roundoff.
 
+    The capped forests are the terms d_m rho^m of _forest_terms, the list the
+    limit rows divide, and t_n rho^n comes from the scaled Euler recurrence.
     All caps advance together, one degree at a time: row K of y/e^y holds
-    Y_K and the last row the uncapped Y, whose degree-n value is t_n rho^n.
-    A capped forest has at most K + 1 terms, so its y step costs O(kmax)
-    per row and degree; the exp step runs once over all rows.
+    Y_K.  A capped forest has at most K + 1 terms, so its y step costs
+    O(kmax) per row and degree; the exp step runs once over all rows.
     """
     if n < 1:
         raise ValueError(f"lmax_cdf_exact needs n >= 1, got {n}")
@@ -446,36 +448,21 @@ def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
     import numpy as np
 
     rho = solve_polya_singularity().rho
-    t_scaled = _scaled_polya_coeffs(n, rho)
-    idx = np.arange(n + 1)
-
-    # scaled forest series: D(rho z) = exp(sum_{i>=2} T((rho z)^i)/i)
-    darg = np.zeros(n + 1)
-    for i in range(2, n + 1):
-        block = t_scaled[1 : n // i + 1]
-        # T(x^i) contributes t_m rho^(i m) at degree i m; t_scaled holds
-        # t_m rho^m, so multiply by rho^((i-1) m)
-        darg[i::i] += block * rho ** ((i - 1) * idx[1 : block.size + 1]) / i
-    d_scaled = np.zeros(n + 1)
-    d_scaled[0] = 1.0
-    for m in range(1, n + 1):
-        d_scaled[m] = (idx[1 : m + 1] * darg[1 : m + 1]) @ d_scaled[m - 1 :: -1] / m
-
     # row K of trunc is the forest capped at degree K
     width = min(kmax, n) + 1
-    trunc = np.tril(np.tile(d_scaled[:width], (kmax + 1, 1)))
-    y = np.zeros((kmax + 2, n + 1))
-    ey = np.zeros((kmax + 2, n + 1))
+    trunc = np.tril(np.tile(_forest_terms(rho, width - 1), (kmax + 1, 1)))
+    idx = np.arange(n + 1)
+    y = np.zeros((kmax + 1, n + 1))
+    ey = np.zeros((kmax + 1, n + 1))
     ey[:, 0] = 1.0
     for m in range(1, n + 1):
         # y_m = [w^m] (rho w) e^y forest: the scaled z carries a rho
         back = ey[:, m - 1 :: -1]
         j = min(m, width)
-        y[:-1, m] = rho * np.einsum("ij,ij->i", trunc[:, :j], back[:-1, :j])
-        y[-1, m] = rho * (d_scaled[:m] @ back[-1, :m])
+        y[:, m] = rho * np.einsum("ij,ij->i", trunc[:, :j], back[:, :j])
         ey[:, m] = np.einsum("j,ij,ij->i", idx[1 : m + 1], y[:, 1 : m + 1],
                              back[:, :m]) / m
-    return (y[:-1, n] / y[-1, n]).tolist()
+    return (y[:, n] / _scaled_polya_coeffs(n, rho)[n]).tolist()
 
 
 def lmax_exact_mean(n: int) -> float:

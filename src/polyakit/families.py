@@ -46,7 +46,7 @@ from .series import BivariateSeries, Q, RationalSeries, UPoly
 #   a[n]  the counts t_n or r_n, from (n-1) a_n = sum_i a_(n-i) s(i);
 #   s[i]  sum over divisors m of i of sigma^(i/m-1) m a_m;
 #   f[n]  n! d_n for D or D* = exp(G), G = sum_{i>=2} sigma^(i-1) A(z^i)/i,
-#         from n d_n = sum_{i>=2} d_(n-i) w_i, w_j = j [z^j] G;
+#         from n d_n = sum_{i>=2} d_(n-i) w_i, w_j = j [z^j] G = s_j - j a_j;
 #   p[n]  the pointed series A/(1-A) (T/(1-T) or R_c), from P = A + A P.
 # For sigma = +1 a fifth table holds n! [z^n] 1/D = exp(-G): the recurrence of
 # D with the weights negated.  Any power F^k = exp(k G) has the weights times
@@ -159,7 +159,8 @@ def _grow_online(x: list[int], y: list[int], N: int, append) -> None:
         top = N if known else min(N, 2 * L - 1)
         dx = [_digits(v) for v in x[:top + 1]]  # digit strings, for this step only
         dy = [_digits(v) for v in y]
-        acc = _packed_sum([(dy, dx)], L, top + 1)
+        # y_0 = 0, so at L = 1 the product x y[:L] is zero
+        acc = _packed_sum([(dy, dx)], L, top + 1) if L > 1 else [_ZERO] * (top + 1 - L)
 
         def grow(l: int, r: int) -> None:
             if r - l > _LEAF:
@@ -203,8 +204,10 @@ def _substituted(a: list[int], N: int, coeff) -> list:
 
 
 def _exp_weights(sigma: int, N: int) -> list[int]:
-    """w_0 .. w_N, w_j = j [z^j] sum_{i>=2} sigma^(i-1) A(z^i)/i."""
-    return _substituted(_grow_counts(sigma, N)[0], N, lambda i, k: sigma ** (i - 1) * k)
+    """w_0 .. w_N, w_j = j [z^j] sum_{i>=2} sigma^(i-1) A(z^i)/i: the weight
+    s_j without its divisor term m = j, which is j a_j."""
+    a, s = _grow_counts(sigma, N)
+    return [s[j] - j * a[j] for j in range(N + 1)]
 
 
 def _grow_exp(f: list[int], sign: int, w: list[int], N: int) -> list[int]:

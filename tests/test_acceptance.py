@@ -229,7 +229,7 @@ def test_criterion_07_moment_convergence(acceptance_log, sing, deco):
         c_mean = float(first[n] / t[n])
         y_mean = float(b_series[n] / t[n])
         c_err.append(c_mean * sing.b ** 2 * sing.rho / (2 * n) - 1)
-        y_err.append(y_mean / (n * 0.15776) - 1)
+        y_err.append(y_mean / (n * deco.y_share) - 1)
     ok = abs(c_err[1]) < abs(c_err[0]) and abs(y_err[1]) < abs(y_err[0])
     report(acceptance_log, 7, ok,
            f"exact normalized moments approach 1: fixed-node share errors "

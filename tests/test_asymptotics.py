@@ -39,6 +39,7 @@ from polyakit.oracle import (
     enumerate_trees,
     naive_automorphisms,
 )
+from polyakit.series import RationalSeries
 
 ORDER = 400
 
@@ -256,6 +257,20 @@ def test_lmax_cdf_matches_brute_force(n):
     exact = lmax_cdf_exact(n, n)
     brute = brute_force_lmax_cdf(n)
     assert exact == pytest.approx(brute, abs=1e-12)
+
+
+def test_lmax_cdf_matches_exact_rational_route():
+    # P[L_n <= K] = [z^n] C(z D_K(z)) / t_n, D_K the degree-K truncation of
+    # D: a rational number for every K, independent of rho
+    n = 24
+    d, c = fam.dforest_coeffs(n), fam.cayley_coeffs(n)
+    t_n = fam.polya_int_table(n)[n]
+    exact = []
+    for k in range(n + 1):
+        d_k = RationalSeries(d.coeffs[: k + 1] + (Fraction(0),) * (n - k))
+        exact.append(float(c.compose(d_k.shift(1))[n] / t_n))
+    assert exact[-1] == 1.0
+    assert lmax_cdf_exact(n, n) == pytest.approx(exact, abs=1e-15)
 
 
 def test_lmax_cdf_shape():

@@ -273,6 +273,20 @@ def test_dforest_head_and_exp_route():
     assert (fam.dforest_coeffs(n) - fam.dforest_coeffs_exp_route(n)).is_zero()
 
 
+def substituted_exp_weights(sigma, N):
+    """Reference route: w_j = j [z^j] sum_{i>=2} sigma^(i-1) A(z^i)/i by the
+    substitution itself, entry i k getting sigma^(i-1) k a_k."""
+    return fam._substituted(fam._grow_counts(sigma, N)[0], N,
+                            lambda i, k: sigma ** (i - 1) * k)
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("N", [0, 1, 2, 50, 400])
+def test_exp_weights_match_substituted_route(sigma, N):
+    # the table reads w_j = s_j - j a_j off the count table
+    assert fam._exp_weights(sigma, N) == substituted_exp_weights(sigma, N)
+
+
 def test_dforest_regression_value():
     assert fam.dforest_coeffs(10)[10] == F(3066769, 403200)
 

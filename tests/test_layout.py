@@ -22,13 +22,15 @@ def _defined(tree: ast.Module) -> set[str]:
 
 def _references(tree: ast.Module, own: set[str]) -> set[str]:
     """Names a module reads, as a bare name, an attribute or an import.  A
-    module-level def does not refer to itself from its own body, and a bare
-    name in `own` is the file's own binding, not a reference."""
+    module-level def does not refer to itself from its own body, an
+    assignment does not read its target, and a bare name in `own` is the
+    file's own binding, not a reference."""
     found = set()
     for stmt in tree.body:
         names = set()
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and node.id not in own:
+            if isinstance(node, ast.Name) and node.id not in own \
+                    and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -54,6 +56,21 @@ def test_every_public_function_and_class_has_a_caller():
         referenced |= _references(tree, _defined(tree))
     unused = sorted(where for name, where in public.items() if name not in referenced)
     assert not unused, f"no caller in src/ or tests/: {unused}"
+
+
+def test_every_private_name_has_a_caller_in_src():
+    # a private function, class or constant that nothing in src reads is
+    # dead code, such as a helper a refactor left behind; dunders are read by
+    # the interpreter
+    private, referenced = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private += [(name, f"{path.stem}.{name}") for name in _defined(tree)
+                    if name.startswith("_")
+                    and not (name.startswith("__") and name.endswith("__"))]
+        referenced |= _references(tree, set())
+    unused = sorted(where for name, where in private if name not in referenced)
+    assert not unused, f"no caller in src/: {unused}"
 
 
 def test_no_module_reads_the_environment():
