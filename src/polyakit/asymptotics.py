@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import count, repeat
+from typing import Callable, Iterable, Sequence
 
 from .families import (
+    _grow_forests,
     binary_int_table,
-    dforest_coeffs,
     hierarchy_int_table,
     polya_int_table,
 )
@@ -67,31 +67,31 @@ def _derivative_table(table: _FloatTable) -> _FloatTable:
     return _float_table([k * c for k, c in enumerate(table.coeffs)][1:])
 
 
-def _horner_terms(table: _FloatTable, y: float) -> int:
-    """How many leading coefficients a Horner pass at y needs: up to the
-    degree K past which the terms cannot reach the last bit.
+def _horner_sum(table: _FloatTable, args: Sequence[float],
+                weights: Iterable[float]) -> float:
+    """sum of w * series(y) over the pairs (y, w) of args and weights, each
+    series value by Horner's rule over the table's first K + 1
+    coefficients, K the degree past which the terms cannot reach the last bit.
 
     With q = r|y| < 1 the terms after K sum to at most
     q^(K+1-first)/(1-q) times the first term, which is below TAIL_MARGIN
     for K = first + 1 + ceil((ln TAIL_MARGIN + ln(1-q)) / ln q).  When q is
     too close to 1 for that K to fall inside the table, every term is used.
     """
-    size = len(table.coeffs)
-    q = table.ratio * abs(y)
-    if not 0.0 < q < 1.0:
-        return size
-    k = table.first + 1 + math.ceil(
-        (_LN_TAIL_MARGIN + math.log1p(-q)) / math.log(q))
-    return min(k + 1, size)
-
-
-def _horner(table: _FloatTable, y: float) -> float:
-    """The table's series at y by Horner's rule over its first
-    _horner_terms(table, y) coefficients."""
-    acc = 0.0
-    for c in reversed(table.coeffs[:_horner_terms(table, y)]):
-        acc = acc * y + c
-    return acc
+    coeffs, first, ratio = table.coeffs, table.first, table.ratio
+    size = len(coeffs)
+    total = 0.0
+    for y, w in zip(args, weights):
+        q = ratio * abs(y)
+        cut = size
+        if 0.0 < q < 1.0:
+            cut = min(size, first + 2 + math.ceil(
+                (_LN_TAIL_MARGIN + math.log1p(-q)) / math.log(q)))
+        acc = 0.0
+        for c in reversed(coeffs[:cut]):
+            acc = acc * y + c
+        total += w * acc
+    return total
 
 
 def _bisect(g: Callable[[float], float], lo: float, hi: float) -> float:
@@ -110,39 +110,42 @@ def _bisect(g: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 def _substituted_sum(table: _FloatTable, x: float, start: int,
-                     weight: Callable[[int], float]) -> float:
-    """sum over i >= start of weight(i) * series(x^i); |x| < 1 required.
+                     weights: Iterable[float]) -> float:
+    """sum over i >= start of w_i * series(x^i), the weights w_start,
+    w_(start+1), ... in order; |x| < 1 required.
 
     The arguments x^i shrink geometrically, so each evaluation sits far
     inside the radius; the i-sum is cut when x^i underflows the tolerance.
     """
-    total = 0.0
+    args = []
     xi = x ** (start - 1)
-    for i in range(start, 2000):
+    for _ in range(start, 2000):
         xi *= x
         if abs(xi) < 1e-25:
             break
-        total += weight(i) * _horner(table, xi)
-    return total
+        args.append(xi)
+    return _horner_sum(table, args, weights)
 
 
 def _substituted_derivative(dtable: _FloatTable, x: float,
-                            weight: Callable[[int], float] = lambda i: 1.0) -> float:
-    """sum over i >= 2 of weight(i) * x^(i-1) * series'(x^i), from the
-    derivative's table; 0 < x < 1 required."""
-    total = 0.0
-    for i in range(2, 2000):
+                            weights: Iterable[float]) -> float:
+    """sum over i >= 2 of w_i * x^(i-1) * series'(x^i), from the
+    derivative's table, the weights w_2, w_3, ... in order; 0 < x < 1
+    required."""
+    args, scaled = [], []
+    for i, w in zip(range(2, 2000), weights):
         arg = x ** i
         if arg < 1e-25:
             break
-        total += weight(i) * x ** (i - 1) * _horner(dtable, arg)
-    return total
+        args.append(arg)
+        scaled.append(w * x ** (i - 1))
+    return _horner_sum(dtable, args, scaled)
 
 
 def _forest_value(t: _FloatTable, x: float) -> float:
     """exp(sum_{i>=2} A(x^i)/i) from the float coefficients of A: the forest
     series D(x) for A = T."""
-    return math.exp(_substituted_sum(t, x, 2, lambda i: 1.0 / i))
+    return math.exp(_substituted_sum(t, x, 2, (1.0 / i for i in count(2))))
 
 
 # each family's count table (called through the module's name, so that a
@@ -161,7 +164,7 @@ _FAMILIES = {
     # outdegrees {0, 2}: B = z + (z/2)B^2 + (z/2)B(z^2) with B(tau) = 1/tau at
     # the singularity gives tau^2 B(tau^2) + 2 tau^2 - 1 = 0, tau^2 well inside
     "binary": (lambda n: binary_int_table(n),
-               lambda b, x: x * x * _horner(b, x * x) + 2 * x * x - 1.0,
+               lambda b, x: _horner_sum(b, [x * x], [x * x]) + 2 * x * x - 1.0,
                (0.5, 0.75)),
 }
 
@@ -211,7 +214,8 @@ def solve_polya_singularity(order: int = DEFAULT_ORDER) -> PolyaSingularity:
     t, rho, residual, rho_shift = _solve("polya", order)
     d_rho = _forest_value(t, rho)
     # D' = D * d/dx sum_{i>=2} T(x^i)/i = D * sum_{i>=2} x^(i-1) T'(x^i)
-    d_prime_rho = d_rho * _substituted_derivative(_derivative_table(t), rho)
+    d_prime_rho = d_rho * _substituted_derivative(_derivative_table(t), rho,
+                                                  repeat(1.0))
     b = math.sqrt(2 * math.e * (d_rho + rho * d_prime_rho))
     _last_singularity = PolyaSingularity(
         rho=rho,
@@ -263,10 +267,10 @@ def forest_asymptotics(order: int = DEFAULT_ORDER) -> ForestAsymptotics:
     r = math.sqrt(sing.rho)
 
     def xi(x: float) -> float:
-        return math.exp(_substituted_sum(t, x, 3, lambda i: 1.0 / i))
+        return math.exp(_substituted_sum(t, x, 3, (1.0 / i for i in count(3))))
 
     def tail3(x: float) -> float:
-        return _substituted_sum(t, x, 3, lambda i: 1.0)
+        return _substituted_sum(t, x, 3, repeat(1.0))
 
     xi_p, xi_m = xi(r), xi(-r)
     # the i=2 term of gamma(+-sqrt(rho)) is T(rho) = 1 exactly; the truncated
@@ -275,9 +279,10 @@ def forest_asymptotics(order: int = DEFAULT_ORDER) -> ForestAsymptotics:
     mu_even = (xi_p * v_p + xi_m * v_m) / (xi_p + xi_m)
     mu_odd = (xi_p * v_p - xi_m * v_m) / (xi_p - xi_m)
 
-    gamma_rho = _substituted_sum(t, sing.rho, 2, lambda i: 1.0)
-    gamma2_rho = _substituted_sum(t, sing.rho, 2, float)
-    gp = _substituted_derivative(_derivative_table(t), sing.rho, float)
+    gamma_rho = _substituted_sum(t, sing.rho, 2, repeat(1.0))
+    gamma2_rho = _substituted_sum(t, sing.rho, 2, map(float, count(2)))
+    gp = _substituted_derivative(_derivative_table(t), sing.rho,
+                                map(float, count(2)))
 
     return ForestAsymptotics(
         rho=sing.rho, b=sing.b,
@@ -291,22 +296,26 @@ def forest_asymptotics(order: int = DEFAULT_ORDER) -> ForestAsymptotics:
 # decomposition constants of a random tree
 
 
-def _forest_term(d_m: Fraction, rho: float, m: int) -> float:
-    """d_m rho^m, rounded once: float(d_m) and rho^m leave the float range first."""
-    return float(d_m * Fraction(rho) ** m)
-
-
 def _forest_terms(rho: float, mmax: int) -> list[float]:
-    """d_m rho^m for m = 0..mmax.  Even and odd m each decay like
-    rho^(m/2), so once two consecutive terms round to 0.0 all later ones
-    do: they are padded as zeros, and D is grown no further."""
+    """d_m rho^m for m = 0..mmax, each the correctly rounded float of the
+    exact rational f_m num^m / (m! den^m), with f_m = m! d_m read off the
+    table of D and rho = num/den: float(d_m) and rho^m leave the float range
+    first, and an int quotient rounds as float(Fraction) does.  D is grown
+    _FOREST_CHUNK terms at a time.  Even and odd m each decay like
+    rho^(m/2), so once two consecutive terms round to 0.0 all later ones do:
+    they are padded as zeros, and D is grown no further."""
+    num, den = rho.as_integer_ratio()
+    power, scale = 1, 1  # num^m and m! den^m
     terms: list[float] = []
     for m in range(mmax + 1):
         if terms[-2:] == [0.0, 0.0]:
             return terms + [0.0] * (mmax + 1 - m)
         if m % _FOREST_CHUNK == 0:
-            d = dforest_coeffs(min(mmax, m + _FOREST_CHUNK - 1))
-        terms.append(_forest_term(d[m], rho, m))
+            f = _grow_forests(1, min(mmax, m + _FOREST_CHUNK - 1))
+        if m:
+            power *= num
+            scale *= m * den
+        terms.append(f[m] * power / scale)
     return terms
 
 
@@ -343,7 +352,7 @@ class DecompositionConstants:
 def decomposition_constants(order: int = DEFAULT_ORDER) -> DecompositionConstants:
     sing = solve_polya_singularity(order)
     t = _float_table(polya_int_table(order))
-    gamma_rho = _substituted_sum(t, sing.rho, 2, lambda i: 1.0)
+    gamma_rho = _substituted_sum(t, sing.rho, 2, repeat(1.0))
     b2rho = sing.b ** 2 * sing.rho
     c1 = sing.b / (2 * math.sqrt(math.pi) * (1 - math.sqrt(sing.rho))
                    * (sing.d_rho + sing.rho * sing.d_prime_rho))
@@ -382,7 +391,7 @@ def solve_hierarchy_singularity(order: int = DEFAULT_ORDER) -> VariantSingularit
     """Trees without outdegree 1: the singularity tau and mu."""
     h, tau, residual, tau_shift = _solve("hierarchy", order)
     xi_val = _forest_value(h, tau)
-    xi_deriv = _substituted_derivative(_derivative_table(h), tau)
+    xi_deriv = _substituted_derivative(_derivative_table(h), tau, repeat(1.0))
     mu = tau ** 2 * math.e * xi_val * xi_deriv
     return VariantSingularity("hierarchy", tau, mu, residual, tau_shift, order)
 
@@ -392,7 +401,7 @@ def solve_binary_singularity(order: int = DEFAULT_ORDER) -> VariantSingularity:
     b, tau, residual, tau_shift = _solve("binary", order)
     # mu = tau^2/B(tau) * d/dx[(B(tau)^2 + B(x^2))/2] at x=tau; the first slot
     # of the pair cycle index is held fixed, so only B(x^2) contributes.
-    mu = tau ** 4 * _horner(_derivative_table(b), tau * tau)
+    mu = _horner_sum(_derivative_table(b), [tau * tau], [tau ** 4])
     return VariantSingularity("binary", tau, mu, residual, tau_shift, order)
 
 
@@ -409,21 +418,45 @@ def solve_variant_singularity(family: str,
 # exact scaled-float coefficients at large n (max forest size law)
 
 
+# t_m rho^m and s_m for one rho, grown in place by _scaled_polya_coeffs; one
+# slot, replaced when rho changes
+_last_scaled: tuple[float, "np.ndarray", "np.ndarray"] | None = None
+
+
 def _scaled_polya_coeffs(n: int, rho: float) -> "np.ndarray":
     """t_m rho^m for m <= n, stable float recurrence (all terms positive).
 
     (m-1) t_m = sum_{i<m} t_(m-i) s_i with s_j = sum_{d|j} d t_d rho^(j-d);
     each t_d is added to s at the multiples of d as soon as it is known, so
-    s_i is complete before any t_m with m > i reads it.
+    s_i is complete before any t_m with m > i reads it.  The table is kept
+    for the last rho and grown in place: the known t_d first add their terms
+    at the new multiples, in ascending d, so every s_j is summed in the order
+    a table grown at once would sum it.
     """
     import numpy as np
 
-    t = np.zeros(n + 1)
-    s = np.zeros(n + 1)
-    for m in range(1, n + 1):
-        t[m] = rho if m == 1 else (t[m - 1 : 0 : -1] @ s[1:m]) / (m - 1)
-        s[m::m] += m * t[m] * rho ** (m * np.arange(n // m))
-    return t
+    global _last_scaled
+    if _last_scaled is None or _last_scaled[0] != rho:
+        _last_scaled = (rho, np.zeros(1), np.zeros(1))
+    _, t, s = _last_scaled
+    known = len(t) - 1
+    if n > known:
+        t = np.concatenate((t, np.zeros(n - known)))
+        s = np.concatenate((s, np.zeros(n - known)))
+        for m in range(1, n + 1):
+            if m > known:
+                t[m] = rho if m == 1 else (t[m - 1 : 0 : -1] @ s[1:m]) / (m - 1)
+            k = known // m  # the multiples (k + 1) m, (k + 2) m, ... are new
+            s[m * (k + 1) :: m] += m * t[m] * rho ** (m * np.arange(k, n // m))
+        _last_scaled = (rho, t, s)
+    return t[: n + 1].copy()
+
+
+# the last L_n law, (rho, caps, trunc, y, e^y, degree): row K of y and e^y
+# holds Y_K and e^(Y_K) through the degree reached.  One slot, grown in place
+# when the next request has the same rho and cap count (a sweep over rising
+# n), replaced by any other request
+_last_law: tuple | None = None
 
 
 def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
@@ -439,7 +472,13 @@ def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
     limit rows divide, and t_n rho^n comes from the scaled Euler recurrence.
     All caps advance together, one degree at a time: row K of y/e^y holds
     Y_K.  A capped forest has at most K + 1 terms, so its y step costs
-    O(kmax) per row and degree; the exp step runs once over all rows.
+    O(kmax) per row and degree; the exp step runs once over all rows.  A
+    forest of a size-n tree has at most n - 1 nodes, so the caps past n - 1
+    equal cap n - 1 and only rows 0..min(kmax, n - 1) are computed.
+
+    The law is remembered in one slot: a later request with the same rho and
+    cap count extends it from the degree reached, and the degree-m step reads
+    only columns below m, so every column is the one a fresh law computes.
     """
     if n < 1:
         raise ValueError(f"lmax_cdf_exact needs n >= 1, got {n}")
@@ -447,22 +486,31 @@ def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
         raise ValueError(f"lmax_cdf_exact needs kmax >= 0, got {kmax}")
     import numpy as np
 
+    global _last_law
     rho = solve_polya_singularity().rho
-    # row K of trunc is the forest capped at degree K
-    width = min(kmax, n) + 1
-    trunc = np.tril(np.tile(_forest_terms(rho, width - 1), (kmax + 1, 1)))
-    idx = np.arange(n + 1)
-    y = np.zeros((kmax + 1, n + 1))
-    ey = np.zeros((kmax + 1, n + 1))
-    ey[:, 0] = 1.0
-    for m in range(1, n + 1):
-        # y_m = [w^m] (rho w) e^y forest: the scaled z carries a rho
-        back = ey[:, m - 1 :: -1]
-        j = min(m, width)
-        y[:, m] = rho * np.einsum("ij,ij->i", trunc[:, :j], back[:, :j])
-        ey[:, m] = np.einsum("j,ij,ij->i", idx[1 : m + 1], y[:, 1 : m + 1],
-                             back[:, :m]) / m
-    return (y[:, n] / _scaled_polya_coeffs(n, rho)[n]).tolist()
+    caps = min(kmax, n - 1)
+    if _last_law is not None and _last_law[:2] == (rho, caps):
+        trunc, y, ey, degree = _last_law[2:]
+    else:
+        # row K of trunc is the forest capped at degree K
+        trunc = np.tril(np.tile(_forest_terms(rho, caps), (caps + 1, 1)))
+        y, ey, degree = np.zeros((caps + 1, 1)), np.ones((caps + 1, 1)), 0
+    _last_law = None  # a replaced law goes now, a grown one array by array
+    if n > degree:
+        y = np.pad(y, ((0, 0), (0, n - degree)))
+        ey = np.pad(ey, ((0, 0), (0, n - degree)))
+        idx = np.arange(n + 1)
+        for m in range(degree + 1, n + 1):
+            # y_m = [w^m] (rho w) e^y forest: the scaled z carries a rho
+            back = ey[:, m - 1 :: -1]
+            j = min(m, caps + 1)
+            y[:, m] = rho * np.einsum("ij,ij->i", trunc[:, :j], back[:, :j])
+            ey[:, m] = np.einsum("j,ij,ij->i", idx[1 : m + 1], y[:, 1 : m + 1],
+                                 back[:, :m]) / m
+        degree = n
+    _last_law = (rho, caps, trunc, y, ey, degree)
+    cdf = (y[:, n] / _scaled_polya_coeffs(n, rho)[n]).tolist()
+    return cdf + cdf[-1:] * (kmax - caps)
 
 
 def lmax_exact_mean(n: int) -> float:

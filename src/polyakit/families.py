@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 
 from .series import BivariateSeries, Q, RationalSeries, UPoly
 
@@ -288,16 +288,16 @@ _h_weights: list[int] = [0, 1]  # s[i] = sum over divisors m of i of m * h_m
 def hierarchy_int_table(N: int) -> tuple[int, ...]:
     """Counts of Polya trees with no outdegree-1 node: 1, 0, 1, 1, 2, 3, ..."""
     t, s = _h_counts, _h_weights
+    pairs = [0, *map(add, t[1:], t)]  # t_k + t_(k-1)
     while len(t) <= N:
         n = len(t)
-        total = 0
-        for i in range(1, n - 1):
-            total += (t[n - i] + t[n - i - 1]) * s[i]
+        total = sum(map(mul, pairs[n - 1 : 1 : -1], s[1 : n - 1]))
         total += s[n - 1] - (n - 1) * t[n - 1]  # proper divisors of n-1 only
         q, r = divmod(total, n - 1)
         if r:
             raise ArithmeticError(f"hierarchy recurrence not divisible at n={n}")
         t.append(q)
+        pairs.append(q + t[n - 1])
         s.append(sum(m * t[m] for m in _divisors(n)))
     return tuple(t[: N + 1])
 

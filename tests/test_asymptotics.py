@@ -1,11 +1,14 @@
 """Numeric constants, parity asymptotics, and the exact max-forest law."""
 
 import functools
+import gc
 import hashlib
 import math
+import weakref
 from dataclasses import asdict, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -19,9 +22,8 @@ from polyakit.asymptotics import (
     ROOT_SHIFT_ORDERS,
     _derivative_table,
     _float_table,
-    _forest_term,
-    _horner,
-    _horner_terms,
+    _forest_terms,
+    _horner_sum,
     _scaled_polya_coeffs,
     decomposition_constants,
     forest_asymptotics,
@@ -142,17 +144,30 @@ def test_forest_size_entry_past_the_float_range_of_rho_power(deco):
     assert entry > 0
 
 
+def forest_term(d_m: Fraction, rho: float, m: int) -> float:
+    """Reference route: d_m rho^m from the Fraction d_m and a fresh power."""
+    return float(d_m * Fraction(rho) ** m)
+
+
+def test_forest_terms_match_the_fraction_route(sing):
+    d = fam.dforest_coeffs(300)
+    reference = [forest_term(d[m], sing.rho, m) for m in range(301)]
+    assert [v.hex() for v in _forest_terms(sing.rho, 300)] == [
+        v.hex() for v in reference]
+
+
 def test_forest_rows_stop_where_the_terms_underflow(deco, monkeypatch):
     # at rho = 1e-30 the terms round to 0.0 from m = 11 on: a row through
     # m = 10^6 reads D no further than its first chunk and pads with zeros
     tiny = replace(deco, rho=1e-30)
     d = fam.dforest_coeffs(60)
-    terms = [_forest_term(d[m], tiny.rho, m) for m in range(61)]
+    terms = [forest_term(d[m], tiny.rho, m) for m in range(61)]
     stop = next(m for m in range(2, 61) if terms[m - 1] == terms[m] == 0.0) + 1
     assert terms[stop:] == [0.0] * (61 - stop)
     tops = []
-    monkeypatch.setattr(asy, "dforest_coeffs",
-                        lambda n: tops.append(n) or fam.dforest_coeffs(n))
+    grow = fam._grow_forests
+    monkeypatch.setattr(asy, "_grow_forests",
+                        lambda sigma, n: tops.append(n) or grow(sigma, n))
     mmax = 10 ** 6
     row = tiny.forest_size_distribution(mmax)
     assert row == [v / tiny.d_rho for v in terms[:stop]] + [0.0] * (mmax + 1 - stop)
@@ -161,13 +176,18 @@ def test_forest_rows_stop_where_the_terms_underflow(deco, monkeypatch):
     assert tops == [asy._FOREST_CHUNK - 1] * 2
 
 
-def test_forest_term_with_d_m_above_the_float_range():
-    # float(d_m) would overflow; the product is about 0.26
-    d_m, rho, m = Fraction(10 ** 400, 3), 0.3383218568992077, 850
+def test_forest_term_with_d_m_above_the_float_range(monkeypatch):
+    # a table with d_m = 3^m: float(3^850) would overflow, the term
+    # (3 rho)^850 is about 3e5
+    rho, m = 0.3383218568992077, 850
+    table = list(accumulate(range(1, m + 1), lambda f, k: f * 3 * k, initial=1))
+    monkeypatch.setattr(asy, "_grow_forests", lambda sigma, n: table)
+    with pytest.raises(OverflowError):
+        float(3 ** m)
     with localcontext() as ctx:
         ctx.prec = 60
-        expected = Decimal(10) ** 400 / 3 * Decimal(rho) ** m
-    assert _forest_term(d_m, rho, m) == pytest.approx(float(expected), rel=1e-15)
+        expected = (3 * Decimal(rho)) ** m
+    assert _forest_terms(rho, m)[m] == pytest.approx(float(expected), rel=1e-15)
 
 
 def test_exact_row_approaches_asymptotic(deco):
@@ -319,6 +339,78 @@ def test_lmax_cdf_matches_per_cap_route(sing, n, kmax):
     assert batched == pytest.approx(reference, abs=1e-12)
 
 
+def reference_scaled_coeffs(n: int, rho: float) -> np.ndarray:
+    """Reference route: the scaled Euler recurrence grown at once to n."""
+    t = np.zeros(n + 1)
+    s = np.zeros(n + 1)
+    for m in range(1, n + 1):
+        t[m] = rho if m == 1 else (t[m - 1 : 0 : -1] @ s[1:m]) / (m - 1)
+        s[m::m] += m * t[m] * rho ** (m * np.arange(n // m))
+    return t
+
+
+def reference_lmax_cdf(n: int, kmax: int, rho: float) -> list[float]:
+    """Reference route: the L_n law computed afresh, every cap K = 0..kmax
+    a row, with the forest terms from the Fraction route."""
+    width = min(kmax, n) + 1
+    d = fam.dforest_coeffs(width - 1)
+    terms = [forest_term(d[m], rho, m) for m in range(width)]
+    trunc = np.tril(np.tile(terms, (kmax + 1, 1)))
+    idx = np.arange(n + 1)
+    y = np.zeros((kmax + 1, n + 1))
+    ey = np.zeros((kmax + 1, n + 1))
+    ey[:, 0] = 1.0
+    for m in range(1, n + 1):
+        back = ey[:, m - 1 :: -1]
+        j = min(m, width)
+        y[:, m] = rho * np.einsum("ij,ij->i", trunc[:, :j], back[:, :j])
+        ey[:, m] = np.einsum("j,ij,ij->i", idx[1 : m + 1], y[:, 1 : m + 1],
+                             back[:, :m]) / m
+    return (y[:, n] / reference_scaled_coeffs(n, rho)[n]).tolist()
+
+
+def test_remembered_law_is_bit_identical_to_a_fresh_law(sing, monkeypatch):
+    # rising sizes extend one law, a smaller size reads a column already
+    # there, and the last two requests replace it
+    monkeypatch.setattr(asy, "_last_law", None)
+    monkeypatch.setattr(asy, "_last_scaled", None)
+    for n in (250, 500, 750, 1000, 500, 2000, 8000, 24, 30):
+        kmax = 500 if n == 30 else min(n, max(64, int(8 * math.log(n))))
+        got = lmax_cdf_exact(n, kmax)
+        want = reference_lmax_cdf(n, kmax, sing.rho)
+        assert [v.hex() for v in got] == [v.hex() for v in want], (n, kmax)
+
+
+def test_grown_scaled_table_is_bit_identical(sing, monkeypatch):
+    monkeypatch.setattr(asy, "_last_scaled", None)
+    for n in (1, 10, 400, 120, 3000):
+        got = _scaled_polya_coeffs(n, sing.rho)
+        assert [v.hex() for v in got] == [
+            v.hex() for v in reference_scaled_coeffs(n, sing.rho)], n
+
+
+def test_only_the_last_law_is_held(monkeypatch):
+    monkeypatch.setattr(asy, "_last_law", None)
+    lmax_cdf_exact(40, 64)
+    _, caps, _, y, _, degree = asy._last_law
+    assert (caps, degree) == (39, 40)
+    first = weakref.ref(y)
+    del y
+    lmax_cdf_exact(60, 20)
+    gc.collect()
+    assert first() is None
+    _, caps, _, y, ey, degree = asy._last_law
+    assert (caps, degree, y.shape, ey.shape) == (20, 60, (21, 61), (21, 61))
+    lmax_cdf_exact(30, 20)  # a column already there
+    assert asy._last_law[3] is y and asy._last_law[5] == 60
+    # caps past n - 1 copy cap n - 1 and get no row of their own
+    cdf = lmax_cdf_exact(10, 10 ** 6)
+    assert asy._last_law[3].shape == (10, 11)
+    assert len(cdf) == 10 ** 6 + 1
+    assert cdf[:11] == lmax_cdf_exact(10, 10)
+    assert cdf[9:] == cdf[9:10] * (10 ** 6 - 8)
+
+
 def test_scaled_counts_match_integer_table(sing):
     scaled = _scaled_polya_coeffs(400, sing.rho)
     exact = [t * sing.rho ** m for m, t in enumerate(fam.polya_int_table(400))]
@@ -380,7 +472,9 @@ def test_cut_evaluation_matches_full_route(family, order, monkeypatch):
     monkeypatch.setattr(asy, "_last_singularity", None)
     cut = _solver_results(family, order)
     monkeypatch.setattr(asy, "_last_singularity", None)
-    monkeypatch.setattr(asy, "_horner", full_horner)
+    # a tail margin of e^(-10^9) keeps every coefficient: the cut would need
+    # more than 10^9/745 terms, far past every table
+    monkeypatch.setattr(asy, "_LN_TAIL_MARGIN", -1e9)
     assert cut == _solver_results(family, order)
 
 
@@ -410,7 +504,17 @@ def _argument(name: str):
 def test_cut_horner_is_bit_identical(case):
     name, x, i = case
     table, y = solver_table(name), x ** i
-    assert _horner(table, y).hex() == full_horner(table, y).hex(), case
+    assert _horner_sum(table, [y], [1.0]).hex() == full_horner(table, y).hex(), case
+
+
+def terms_read(table, y: float) -> int:
+    """How many leading coefficients the cut pass at y reads: a NaN placed at
+    index k reaches the result exactly when coefficient k is read."""
+    def reads(k: int) -> bool:
+        coeffs = list(table.coeffs)
+        coeffs[k] = math.nan
+        return math.isnan(_horner_sum(replace(table, coeffs=coeffs), [y], [1.0]))
+    return sum(map(reads, range(len(table.coeffs))))
 
 
 def test_cut_leaves_out_most_of_the_table():
@@ -420,10 +524,10 @@ def test_cut_leaves_out_most_of_the_table():
     rho = 0.338321856899
     assert len(t.coeffs) == 481 and t.first == 1
     assert t.ratio == pytest.approx(1 / rho, rel=1e-2)
-    assert _horner_terms(t, rho ** 2) == 74
-    assert _horner_terms(t, -SQRT_RHO ** 3) == 145
-    assert _horner_terms(t, rho) == len(t.coeffs)
-    assert _horner_terms(t, 0.0) == len(t.coeffs)
+    assert terms_read(t, rho ** 2) == 74
+    assert terms_read(t, -SQRT_RHO ** 3) == 145
+    assert terms_read(t, rho) == len(t.coeffs)
+    assert terms_read(t, 0.0) == len(t.coeffs)
 
 
 @pytest.mark.parametrize("family, counts", [
