@@ -249,11 +249,6 @@ def polya_int_table(N: int) -> list[int]:
     return _grow_counts(1, N)[0][: N + 1]
 
 
-def divisor_weight_table(N: int) -> list[int]:
-    """s(0..N) with s(i) = sum over divisors m of i of m * t_m."""
-    return _grow_counts(1, N)[1][: N + 1]
-
-
 def polya_coeffs(N: int) -> RationalSeries:
     """Polya-tree counting series T(z) to order N."""
     return RationalSeries.from_coeffs(polya_int_table(N))

@@ -26,13 +26,33 @@ TREE_ENUMERATION_CAP = 14
 FOREST_ENUMERATION_CAP = 12
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class CanonicalTree:
-    """Rooted unlabeled non-plane tree in canonical form."""
+    """Rooted unlabeled non-plane tree in canonical form.
 
-    children: tuple[tuple["CanonicalTree", int], ...]
-    size: int
-    encoding: str
+    Immutable: assigning or deleting a field raises.  Equal subtrees of a
+    sampled tree share one node, and LEAF is shared by every tree, so one
+    changed node would change all of them.  The constructor fills the slots
+    through their descriptors, which costs less than a frozen dataclass's
+    `object.__setattr__` calls; the sampler builds one for every node it
+    draws."""
+
+    __slots__ = ("children", "size", "encoding")
+
+    def __init__(self, children: tuple[tuple["CanonicalTree", int], ...],
+                 size: int, encoding: str) -> None:
+        _set_children(self, children)
+        _set_size(self, size)
+        _set_encoding(self, encoding)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CanonicalTree is immutable: cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CanonicalTree is immutable: cannot delete {name}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not by assignment
+        return CanonicalTree, (self.children, self.size, self.encoding)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CanonicalTree) and self.encoding == other.encoding
@@ -47,6 +67,10 @@ class CanonicalTree:
     def outdegree(self) -> int:
         return sum(m for _, m in self.children)
 
+
+_set_children = CanonicalTree.children.__set__
+_set_size = CanonicalTree.size.__set__
+_set_encoding = CanonicalTree.encoding.__set__
 
 LEAF = CanonicalTree((), 1, "()")
 
@@ -68,6 +92,11 @@ def tree_from_classes(classes: Sequence[tuple[CanonicalTree, int]]) -> Canonical
                 classes[-1] = (last, seen + m)
             else:
                 classes.append((t, m))
+    if len(classes) == 1:
+        # most sampled nodes have one class: nothing to sort or merge
+        pair = classes[0]
+        t, m = pair
+        return CanonicalTree((pair,), 1 + t.size * m, "(" + t.encoding * m + ")")
     size = 1
     for t, m in classes:
         size += t.size * m

@@ -13,14 +13,21 @@ The walk keeps an explicit stack, so its depth is not bounded by the
 interpreter's recursion limit.  For each node it first draws the whole chain
 of peels (m, d), head after head down to a single root, and then draws the
 repeated subtrees, last peel first, each by the same procedure; the node is
-built once from its (subtree, copies) classes.  This draw order fixes every
-seeded tree, and with it every seeded report, so it must not change.
+built once from its (subtree, copies) classes, its leaf copies merged into one
+class.  Equal subtrees of one tree share one node object.
+
+Every seeded tree, and with it every seeded report, depends on the draw order
+above, on the divisor walk order, and on how each number is drawn: a value
+below `bound` is `rng.randrange(bound)` inlined, `getrandbits(bound.bit_length())`
+repeated until it falls below `bound`.  None of these may change.
 
 A decomposition sample then draws, per fixed node and per isomorphism class of
-its children, a uniform permutation of the identical copies.  Fixed copies are
-recursed into; moved copies contribute their whole subtrees to the forest
-attached at that node.  Internal symmetries of moved subtrees never change any
-of the reported statistics, so they are not drawn.
+its children, a uniform permutation of the identical copies: `rng.shuffle`'s
+Fisher-Yates order, inlined with the same bounded draws, so the rule above
+fixes every seeded decomposition too.  Fixed copies are recursed into; moved
+copies contribute their whole subtrees to the forest attached at that node.
+Internal symmetries of moved subtrees never change any of the reported
+statistics, so they are not drawn.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-from .families import _divisors, divisor_weight_table, polya_int_table
+from .families import _divisors, _grow_counts
 from .oracle import LEAF, CanonicalTree, tree_from_classes
 
 MAX_SIZE = 10_000
@@ -63,17 +70,25 @@ def sample_polya_tree(n: int, rng: random.Random) -> CanonicalTree:
         raise ValueError("tree size must be positive")
     if n > MAX_SIZE:
         raise ValueError(f"size budget exceeded: {n} > {MAX_SIZE}")
-    t, s = polya_int_table(n), divisor_weight_table(n)
-    randrange = rng.randrange
+    t, s = _grow_counts(1, n)  # the shared tables, read in place
+    getrandbits = rng.getrandbits
     # open nodes: (peels whose subtree is still to draw, classes drawn)
     stack: list[tuple[list[tuple[int, int]], list]] = []
+    # encoding -> the node built for it: equal subtrees share one node, so
+    # a tree holds about half as many objects for the garbage collector
+    built: dict[str, CanonicalTree] = {}
     size = n
     while True:
         # the node's whole chain of peels (size m, copies) first; a leaf
-        # draws nothing, so leaf peels become classes at once
-        peels, classes = [], []
+        # draws nothing, so leaf peels only add to the node's leaf count
+        peels, leaves = [], 0
         while size > 1:
-            r = randrange((size - 1) * t[size])
+            # r = rng.randrange(bound), inlined: the same getrandbits draws
+            bound = (size - 1) * t[size]
+            bits = bound.bit_length()
+            r = getrandbits(bits)
+            while r >= bound:
+                r = getrandbits(bits)
             # small heads carry most of the mass, so walk k = size - head
             # downward; the first term is t[1] * s[k] = s[k]
             k = size - 1
@@ -94,17 +109,19 @@ def sample_polya_tree(n: int, rng: random.Random) -> CanonicalTree:
                     break
                 b -= w
             if m == 1:
-                classes.append((LEAF, k))
+                leaves += k
             else:
                 peels.append((m, k // m))
             size -= k
         if peels:
-            stack.append((peels, classes))
+            stack.append((peels, [(LEAF, leaves)] if leaves else []))
             size = peels[-1][0]
             continue
-        # a finished subtree: hand it to the open node, which draws its
-        # next repeated part or, with none left, is built and handed up
-        tree = tree_from_classes(classes) if classes else LEAF
+        # a finished subtree, a star or a leaf: hand it to the open node,
+        # which draws its next repeated part or, with none left, is built
+        # and handed up
+        tree = tree_from_classes(((LEAF, leaves),)) if leaves else LEAF
+        tree = built.setdefault(tree.encoding, tree)
         while stack:
             peels, classes = stack[-1]
             classes.append((tree, peels.pop()[1]))
@@ -112,6 +129,7 @@ def sample_polya_tree(n: int, rng: random.Random) -> CanonicalTree:
                 break
             stack.pop()
             tree = tree_from_classes(classes)
+            tree = built.setdefault(tree.encoding, tree)
         else:
             return tree
         size = peels[-1][0]
@@ -152,6 +170,7 @@ def sample_decomposition(tree: CanonicalTree, rng: random.Random,
     y_count = 0
     l_max = 0
     hist: Counter[int] = Counter()
+    getrandbits = rng.getrandbits
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -161,8 +180,14 @@ def sample_decomposition(tree: CanonicalTree, rng: random.Random,
             if mult == 1:
                 stack.append(child)
                 continue
+            # rng.shuffle(list(range(mult))), inlined with its draws
             perm = list(range(mult))
-            rng.shuffle(perm)
+            for i in range(mult - 1, 0, -1):
+                bits = (i + 1).bit_length()
+                j = getrandbits(bits)
+                while j > i:
+                    j = getrandbits(bits)
+                perm[i], perm[j] = perm[j], perm[i]
             fixed = sum(1 for i, p in enumerate(perm) if i == p)
             stack.extend([child] * fixed)
             moved = mult - fixed

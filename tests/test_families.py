@@ -33,8 +33,8 @@ def test_polya_counts():
 
 
 def test_divisor_weight_table():
-    s = fam.divisor_weight_table(12)
-    t = fam.polya_int_table(12)
+    # the s list the sampler reads in place: s(k) = sum of d t_d over d | k
+    t, s = fam._grow_counts(1, 12)
     for k in range(1, 13):
         assert s[k] == sum(d * t[d] for d in range(1, k + 1) if k % d == 0)
 

@@ -1,7 +1,9 @@
 """Enumeration oracle checks: canonical trees, automorphisms, forests."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import polyakit.families as fam
 import polyakit.oracle as oracle
 from polyakit.oracle import (
+    CanonicalTree,
     FOREST_ENUMERATION_CAP,
     LEAF,
     TREE_ENUMERATION_CAP,
@@ -399,3 +402,70 @@ def test_outdegree_sets_share_one_tree_table():
     held = sum(len(v) for name, v in vars(oracle).items()
                if not name.startswith("__") and isinstance(v, (dict, list)))
     assert held <= TREE_ENUMERATION_CAP + 1
+
+
+def reference_tree_from_classes(classes):
+    """The canonicaliser by its definition: sort the classes by (size,
+    encoding), merge equal subtrees, concatenate the encodings."""
+    merged = []
+    for t, m in sorted(classes, key=lambda pair: (pair[0].size, pair[0].encoding)):
+        if merged and merged[-1][0].encoding == t.encoding:
+            merged[-1] = (merged[-1][0], merged[-1][1] + m)
+        else:
+            merged.append((t, m))
+    size = 1 + sum(t.size * m for t, m in merged)
+    encoding = "(" + "".join(t.encoding * m for t, m in merged) + ")"
+    return tuple(merged), size, encoding
+
+
+def _shape(tree):
+    return tree.children, tree.size, tree.encoding
+
+
+def test_class_fast_paths_match_the_general_route():
+    # one class skips the sort; every order of up to four classes, repeats
+    # included, must give the canonical node
+    nested = make_tree([chain(3), star(2)])
+    pool = [LEAF, chain(2), chain(3), star(2), nested, make_tree([nested, LEAF])]
+    for t in pool:
+        for m in (1, 2, 3):
+            one = tree_from_classes([(t, m)])
+            assert _shape(one) == reference_tree_from_classes([(t, m)])
+            assert _shape(one) == _shape(tree_from_classes([(t, 1)] * m))
+        assert _shape(tree_from_classes([(t, 2)])) == \
+            _shape(tree_from_classes([(t, 1), (t, 1)]))
+    for width in (2, 3, 4):
+        for picks in itertools.product(range(len(pool)), repeat=width):
+            classes = [(pool[i], 1 + j % 2) for j, i in enumerate(picks)]
+            assert _shape(tree_from_classes(classes)) == \
+                reference_tree_from_classes(classes)
+
+
+def test_canonical_tree_compares_and_hashes_by_encoding():
+    assert (LEAF.children, LEAF.size, LEAF.encoding) == ((), 1, "()")
+    twin = CanonicalTree((), 1, "()")
+    assert twin == LEAF and twin is not LEAF and hash(twin) == hash(LEAF)
+    assert LEAF != "()" and LEAF != chain(2)
+    a, b = make_tree([chain(2), LEAF]), make_tree([LEAF, chain(2)])
+    assert a == b and hash(a) == hash(b) == hash("(()(()))")
+    assert len({a, b, chain(3), chain(3)}) == 2
+    assert repr(a) == "CanonicalTree((()(())))"
+    assert a.outdegree == 2 and star(5).outdegree == 5
+
+
+def test_canonical_tree_rejects_assignment():
+    # LEAF and the sampler's shared subtrees are held by many trees at once
+    a = make_tree([chain(2), LEAF])
+    for node in (LEAF, a):
+        before = (node.children, node.size, node.encoding)
+        for name in ("children", "size", "encoding", "other"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert (node.children, node.size, node.encoding) == before
+    # copies are rebuilt through the constructor
+    for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and twin is not a
+        assert (twin.size, twin.encoding) == (a.size, a.encoding)
+        assert twin.children[0][0].encoding == "()"

@@ -78,6 +78,81 @@ def test_seeded_decompositions_past_the_plain_table_are_pinned():
         "5c96aa539fa61e40440e9feb576345e417dfa7d35cd0cee7852dfb7967ff77c0")
 
 
+class RecordingRandom(random.Random):
+    """A Random that logs its getrandbits calls.  Overriding getrandbits keeps
+    randrange and shuffle on their getrandbits route."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        value = super().getrandbits(k)
+        self.calls.append((k, value))
+        return value
+
+
+def inline_below(rng, bound):
+    """The sampler's inlined rng.randrange(bound), line for line."""
+    bits = bound.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= bound:
+        r = rng.getrandbits(bits)
+    return r
+
+
+def test_inline_bounded_draw_is_randrange():
+    # every seeded output rests on this: the stdlib rule the sampler inlines
+    # must be the installed interpreter's randrange, value and state
+    t = fam.polya_int_table(300)
+    bounds = [1, 2, 3] + [2 ** k + d for k in (2, 3, 5, 8, 31, 32, 33, 63, 64,
+                                                65, 200, 3000) for d in (-1, 0, 1)]
+    bounds += [(m - 1) * t[m] for m in range(2, 301)]
+    for seed in range(5):
+        mine, stdlib = random.Random(seed), random.Random(seed)
+        for bound in bounds:
+            assert inline_below(mine, bound) == stdlib.randrange(bound)
+            assert mine.getstate() == stdlib.getstate()
+
+
+def test_tree_walk_draws_as_randrange():
+    # the first draw of a size-m tree is below (m - 1) t_m: the sampler makes
+    # exactly the getrandbits calls randrange makes for that bound
+    t = fam.polya_int_table(300)
+    for m in range(2, 301):
+        stdlib = RecordingRandom(m)
+        stdlib.randrange((m - 1) * t[m])
+        mine = RecordingRandom(m)
+        sample_polya_tree(m, mine)
+        assert mine.calls[:len(stdlib.calls)] == stdlib.calls
+
+
+def test_decomposition_draws_as_shuffle():
+    # a star of m leaves has one class of m copies: its fixed leaves are the
+    # fixed points of rng.shuffle(list(range(m))), from the same draws
+    for mult in range(2, 13):
+        star = make_tree([LEAF] * mult)
+        for seed in range(20):
+            mine, stdlib = random.Random(seed), random.Random(seed)
+            d = sample_decomposition(star, mine)
+            perm = list(range(mult))
+            stdlib.shuffle(perm)
+            assert d.c_size - 1 == sum(i == p for i, p in enumerate(perm))
+            assert mine.getstate() == stdlib.getstate()
+
+
+def test_equal_subtrees_share_one_node():
+    # one object per distinct subtree of a tree: a retained tree holds about
+    # half the objects, which the garbage collector walks
+    seen = {}
+    stack = [sample_polya_tree(500, random.Random(3))]
+    while stack:
+        node = stack.pop()
+        assert seen.setdefault(node.encoding, node) is node
+        stack.extend(child for child, _ in node.children)
+    assert len(seen) > 100
+
+
 def test_sampling_leaves_global_state_alone():
     # a fresh interpreter, so no earlier import has touched any of it: the
     # decimal context, the int/str digit limit and the recursion limit, and
