@@ -40,6 +40,11 @@ _LN_TAIL_MARGIN = math.log(TAIL_MARGIN)
 # the forest-size rows read the table of D this many terms at a time
 _FOREST_CHUNK = 128
 
+# _bisect evaluates g only within this distance of its secant bracket: each
+# solver's g rises by g' * _NEAR there, far above its float error (1e-15 and
+# 1e-14 gave the same roots at every order)
+_NEAR = 1e-13
+
 
 class OrderTooLarge(ValueError):
     """A truncation order past the float range of a solver's tables."""
@@ -95,14 +100,49 @@ def _horner_sum(table: _FloatTable, args: Sequence[float],
 
 
 def _bisect(g: Callable[[float], float], lo: float, hi: float) -> float:
-    glo = g(lo)
-    if glo > 0 or g(hi) < 0:
+    """The point where bisection of [lo, hi] on the sign of g ends, found
+    with under half of its evaluations of g for the solvers' equations.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) first closes an
+    evaluated bracket g(a) <= 0 < g(b) to width _NEAR; then the bisection
+    runs from (lo, hi) as it always did, but a midpoint _NEAR or more below
+    a goes low and one _NEAR or more above b goes high without evaluating g.
+    For an increasing g whose float error is below g' * _NEAR, g's sign at
+    such a midpoint is the one bisection would read, so the result is the
+    plain bisection's to the last bit.
+    """
+    ga, gb = g(lo), g(hi)
+    if ga > 0 or gb < 0:
         raise ValueError("root not bracketed")
+    a, b, side = lo, hi, 0
+    # the solvers take 8 or 9 steps; a g that is flat left of its root, or
+    # very steep right of it, moves a by only _NEAR/2 a step, so the steps are
+    # bounded, and the bisection below is right from any bracket
+    for _ in range(40):
+        if b - a <= _NEAR or gb <= ga:  # narrow enough, or no secant (g = 0)
+            break
+        # the secant point, kept _NEAR/2 inside so that the far end moves too;
+        # where floats are spaced wider than _NEAR/2 it can land on a or b
+        x = min(max(a - ga * (b - a) / (gb - ga), a + _NEAR / 2), b - _NEAR / 2)
+        if not a < x < b:
+            break
+        gx = g(x)
+        if gx <= 0:
+            a, ga = x, gx
+            if side < 0:
+                gb /= 2
+            side = -1
+        else:
+            b, gb = x, gx
+            if side > 0:
+                ga /= 2
+            side = 1
+    low, high = a - _NEAR, b + _NEAR
     for _ in range(200):
         mid = (lo + hi) / 2
         if mid in (lo, hi):
             break
-        if g(mid) <= 0:
+        if mid <= low or (mid < high and g(mid) <= 0):
             lo = mid
         else:
             hi = mid

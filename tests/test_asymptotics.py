@@ -530,6 +530,112 @@ def test_cut_leaves_out_most_of_the_table():
     assert terms_read(t, 0.0) == len(t.coeffs)
 
 
+def plain_bisect(g, lo: float, hi: float) -> float:
+    """Reference route: bisection of [lo, hi] on the sign of g down to one
+    ulp, evaluating g at every midpoint."""
+    glo = g(lo)
+    if glo > 0 or g(hi) < 0:
+        raise ValueError("root not bracketed")
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
+        if g(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def counted(g):
+    """g, and a list whose length is the number of calls made to it."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return g(x)
+    return wrapped, calls
+
+
+BISECT_CASES = {
+    "root at lo": (lambda x: x - 0.3, 0.3, 0.6),
+    "root at hi": (lambda x: x - 0.6, 0.3, 0.6),
+    "root on a dyadic midpoint": (lambda x: x - 0.375, 0.25, 0.5),
+    "sign step": (lambda x: -1.0 if x < 0.4 else 1.0, 0.25, 0.45),
+    "step flat at zero": (lambda x: 0.0 if x < 0.4 else 1.0, 0.25, 0.45),
+    "zero": (lambda x: 0.0, 0.3, 0.6),
+    "steep": (lambda x: math.expm1(300 * (x - 0.31)), 0.25, 0.45),
+    # the float spacing here (4.7e-10) is far wider than _NEAR
+    "far from 0": (lambda x: x - 3e6, 1e6, 5e6),
+    "far from 0, off the grid": (lambda x: x - 3.3e6, 1e6, 5e6),
+}
+
+
+@pytest.mark.parametrize("name", BISECT_CASES)
+def test_bisect_matches_plain_route_on_degenerate_cases(name):
+    g, lo, hi = BISECT_CASES[name]
+    counted_g, calls = counted(g)
+    plain_g, plain_calls = counted(g)
+    assert asy._bisect(counted_g, lo, hi).hex() == plain_bisect(plain_g, lo, hi).hex()
+    # the secant phase takes at most 40 steps, and the replay evaluates g at
+    # no more midpoints than plain bisection does
+    assert len(calls) <= len(plain_calls) + 40
+
+
+@pytest.mark.parametrize("g, lo, hi", [
+    (lambda x: x - 1.0, 0.25, 0.45), (lambda x: x, 0.25, 0.45)])
+def test_bisect_rejects_an_unbracketed_root(g, lo, hi):
+    with pytest.raises(ValueError, match="root not bracketed"):
+        asy._bisect(g, lo, hi)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.05, 0.8), st.floats(1e-6, 0.5), st.floats(0.0, 1.0),
+       st.floats(1e-3, 700.0), st.booleans())
+def test_bisect_matches_plain_route_on_monotone_g(lo, width, at, scale, linear):
+    hi = lo + width
+    r = lo + at * (hi - lo)
+    if linear:
+        def g(x):
+            return scale * (x - r)
+    else:
+        def g(x):
+            return math.expm1(scale / width * (x - r))
+    assert asy._bisect(g, lo, hi).hex() == plain_bisect(g, lo, hi).hex()
+
+
+def _solve_hexes(family: str, order: int) -> tuple[str, str, str]:
+    _, x, residual, shift = asy._solve(family, order)
+    return x.hex(), residual.hex(), shift.hex()
+
+
+def test_replayed_bisection_matches_plain_route(monkeypatch):
+    # root, residual and shift to the last bit at every 7th order and at each
+    # family's largest order; every order of every family agreed when the
+    # secant phase was introduced
+    cases = [(family, order) for family, top in MAX_ORDER.items()
+             for order in [*range(1, top, 7), top]]
+    fast = [_solve_hexes(*case) for case in cases]
+    monkeypatch.setattr(asy, "_bisect", plain_bisect)
+    assert fast == [_solve_hexes(*case) for case in cases]
+
+
+@pytest.mark.parametrize("family", ["polya", "hierarchy", "binary"])
+def test_bisect_evaluates_g_a_few_dozen_times(family, monkeypatch):
+    # plain bisection from the solvers' brackets evaluates g 53 or 54 times
+    counts = []
+    bisect = asy._bisect
+
+    def counting_bisect(g, lo, hi):
+        counted_g, calls = counted(g)
+        x = bisect(counted_g, lo, hi)
+        counts.append(len(calls))
+        return x
+    monkeypatch.setattr(asy, "_bisect", counting_bisect)
+    asy._solve(family, 400)
+    assert len(counts) == 2 and max(counts) <= 30, counts
+
+
 @pytest.mark.parametrize("family, counts", [
     ("polya", fam.polya_int_table), ("hierarchy", fam.hierarchy_int_table),
     ("binary", fam.binary_int_table)])
