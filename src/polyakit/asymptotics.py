@@ -190,22 +190,28 @@ def _forest_value(t: _FloatTable, x: float) -> float:
 
 # each family's count table (called through the module's name, so that a
 # wrapper bound to that name sees every call), the equation g(table, x) whose
-# root in the bracket is its singularity, and that bracket
+# root in the bracket is its singularity, that bracket, and for a variant the
+# rule mu(table, tau) for E|C_n|/n -> 1/(1+mu)
 _FAMILIES = {
     # e x D(x) - 1, from T(rho) = 1 (see the module docstring)
     "polya": (lambda n: polya_int_table(n),
               lambda t, x: math.e * x * _forest_value(t, x) - 1.0,
-              (0.25, 0.45)),
+              (0.25, 0.45), None),
     # no outdegree 1: H = (z/(1+z)) exp(sum_i H(z^i)/i) has H(tau) = 1 at the
     # singularity, so tau solves (tau/(1+tau)) e exp(sum_{i>=2} H(tau^i)/i) = 1
     "hierarchy": (lambda n: hierarchy_int_table(n),
                   lambda h, x: (x / (1 + x)) * math.e * _forest_value(h, x) - 1.0,
-                  (0.3, 0.6)),
+                  (0.3, 0.6),
+                  lambda h, x: x ** 2 * math.e * _forest_value(h, x)
+                  * _substituted_derivative(_derivative_table(h), x, repeat(1.0))),
     # outdegrees {0, 2}: B = z + (z/2)B^2 + (z/2)B(z^2) with B(tau) = 1/tau at
-    # the singularity gives tau^2 B(tau^2) + 2 tau^2 - 1 = 0, tau^2 well inside
+    # the singularity gives tau^2 B(tau^2) + 2 tau^2 - 1 = 0, tau^2 well inside.
+    # mu = tau^2/B(tau) * d/dx[(B(tau)^2 + B(x^2))/2] at x = tau; the first
+    # slot of the pair cycle index is held fixed, so only B(x^2) contributes
     "binary": (lambda n: binary_int_table(n),
                lambda b, x: _horner_sum(b, [x * x], [x * x]) + 2 * x * x - 1.0,
-               (0.5, 0.75)),
+               (0.5, 0.75),
+               lambda b, x: _horner_sum(_derivative_table(b), [x * x], [x ** 4])),
 }
 
 
@@ -218,7 +224,7 @@ def _solve(family: str, order: int) -> tuple[_FloatTable, float, float, float]:
             f"order {order} is too large for the {family} solver: its "
             f"largest order is {MAX_ORDER[family]}, past which the counts "
             "overflow a float")
-    counts, g, (lo, hi) = _FAMILIES[family]
+    counts, g, (lo, hi), _ = _FAMILIES[family]
     tables = [_float_table(counts(n)) for n in (order, order + ROOT_SHIFT_ORDERS)]
     x, raised = [_bisect(lambda y: g(t, y), lo, hi) for t in tables]
     return tables[0], x, abs(g(tables[0], x)), abs(x - raised)
@@ -240,24 +246,25 @@ class PolyaSingularity:
     order: int
 
 
-# the last solve, kept so that asking again at the same order (every L_n law,
-# the forest and decomposition constants after the singularity) does not solve
-# again; the only hand-off of rho, one slot, not a cache per order
-_last_singularity: PolyaSingularity | None = None
+# the last solve and its float table, kept so that asking again at the same
+# order (every L_n law, the forest and decomposition constants after the
+# singularity) does not solve again; the only hand-off of rho, one slot, not a
+# cache per order
+_last_singularity: tuple[PolyaSingularity, _FloatTable] | None = None
 
 
 def solve_polya_singularity(order: int = DEFAULT_ORDER) -> PolyaSingularity:
     """rho, and the square-root expansion T = 1 - b sqrt(rho-z) + c(rho-z)."""
     global _last_singularity
-    if _last_singularity is not None and _last_singularity.order == order:
-        return _last_singularity
+    if _last_singularity is not None and _last_singularity[0].order == order:
+        return _last_singularity[0]
     t, rho, residual, rho_shift = _solve("polya", order)
     d_rho = _forest_value(t, rho)
     # D' = D * d/dx sum_{i>=2} T(x^i)/i = D * sum_{i>=2} x^(i-1) T'(x^i)
     d_prime_rho = d_rho * _substituted_derivative(_derivative_table(t), rho,
                                                   repeat(1.0))
     b = math.sqrt(2 * math.e * (d_rho + rho * d_prime_rho))
-    _last_singularity = PolyaSingularity(
+    sing = PolyaSingularity(
         rho=rho,
         b=b,
         c=b * b / 3,
@@ -267,7 +274,8 @@ def solve_polya_singularity(order: int = DEFAULT_ORDER) -> PolyaSingularity:
         rho_shift=rho_shift,
         order=order,
     )
-    return _last_singularity
+    _last_singularity = (sing, t)
+    return sing
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +311,7 @@ class ForestAsymptotics:
 
 def forest_asymptotics(order: int = DEFAULT_ORDER) -> ForestAsymptotics:
     sing = solve_polya_singularity(order)
-    t = _float_table(polya_int_table(order))
+    t = _last_singularity[1]
     r = math.sqrt(sing.rho)
 
     def xi(x: float) -> float:
@@ -391,7 +399,7 @@ class DecompositionConstants:
 
 def decomposition_constants(order: int = DEFAULT_ORDER) -> DecompositionConstants:
     sing = solve_polya_singularity(order)
-    t = _float_table(polya_int_table(order))
+    t = _last_singularity[1]
     gamma_rho = _substituted_sum(t, sing.rho, 2, repeat(1.0))
     b2rho = sing.b ** 2 * sing.rho
     c1 = sing.b / (2 * math.sqrt(math.pi) * (1 - math.sqrt(sing.rho))
@@ -427,40 +435,20 @@ class VariantSingularity:
         return 1.0 / (1.0 + self.mu)
 
 
-def solve_hierarchy_singularity(order: int = DEFAULT_ORDER) -> VariantSingularity:
-    """Trees without outdegree 1: the singularity tau and mu."""
-    h, tau, residual, tau_shift = _solve("hierarchy", order)
-    xi_val = _forest_value(h, tau)
-    xi_deriv = _substituted_derivative(_derivative_table(h), tau, repeat(1.0))
-    mu = tau ** 2 * math.e * xi_val * xi_deriv
-    return VariantSingularity("hierarchy", tau, mu, residual, tau_shift, order)
-
-
-def solve_binary_singularity(order: int = DEFAULT_ORDER) -> VariantSingularity:
-    """Outdegrees {0, 2}: the singularity tau and mu."""
-    b, tau, residual, tau_shift = _solve("binary", order)
-    # mu = tau^2/B(tau) * d/dx[(B(tau)^2 + B(x^2))/2] at x=tau; the first slot
-    # of the pair cycle index is held fixed, so only B(x^2) contributes.
-    mu = _horner_sum(_derivative_table(b), [tau * tau], [tau ** 4])
-    return VariantSingularity("binary", tau, mu, residual, tau_shift, order)
-
-
 def solve_variant_singularity(family: str,
                               order: int = DEFAULT_ORDER) -> VariantSingularity:
-    if family == "hierarchy":
-        return solve_hierarchy_singularity(order)
-    if family == "binary":
-        return solve_binary_singularity(order)
-    raise ValueError(f"unknown variant family: {family}")
+    """The singularity tau and mu of a variant family, "hierarchy" (no
+    outdegree 1) or "binary" (outdegrees {0, 2}), from its row of _FAMILIES."""
+    mu = _FAMILIES[family][3] if family in _FAMILIES else None
+    if mu is None:
+        raise ValueError(f"unknown variant family: {family}")
+    table, tau, residual, tau_shift = _solve(family, order)
+    return VariantSingularity(family, tau, mu(table, tau), residual, tau_shift,
+                              order)
 
 
 # ---------------------------------------------------------------------------
 # exact scaled-float coefficients at large n (max forest size law)
-
-
-# t_m rho^m and s_m for one rho, grown in place by _scaled_polya_coeffs; one
-# slot, replaced when rho changes
-_last_scaled: tuple[float, "np.ndarray", "np.ndarray"] | None = None
 
 
 def _scaled_polya_coeffs(n: int, rho: float) -> "np.ndarray":
@@ -468,28 +456,16 @@ def _scaled_polya_coeffs(n: int, rho: float) -> "np.ndarray":
 
     (m-1) t_m = sum_{i<m} t_(m-i) s_i with s_j = sum_{d|j} d t_d rho^(j-d);
     each t_d is added to s at the multiples of d as soon as it is known, so
-    s_i is complete before any t_m with m > i reads it.  The table is kept
-    for the last rho and grown in place: the known t_d first add their terms
-    at the new multiples, in ascending d, so every s_j is summed in the order
-    a table grown at once would sum it.
+    s_i is complete before any t_m with m > i reads it.
     """
     import numpy as np
 
-    global _last_scaled
-    if _last_scaled is None or _last_scaled[0] != rho:
-        _last_scaled = (rho, np.zeros(1), np.zeros(1))
-    _, t, s = _last_scaled
-    known = len(t) - 1
-    if n > known:
-        t = np.concatenate((t, np.zeros(n - known)))
-        s = np.concatenate((s, np.zeros(n - known)))
-        for m in range(1, n + 1):
-            if m > known:
-                t[m] = rho if m == 1 else (t[m - 1 : 0 : -1] @ s[1:m]) / (m - 1)
-            k = known // m  # the multiples (k + 1) m, (k + 2) m, ... are new
-            s[m * (k + 1) :: m] += m * t[m] * rho ** (m * np.arange(k, n // m))
-        _last_scaled = (rho, t, s)
-    return t[: n + 1].copy()
+    t = np.zeros(n + 1)
+    s = np.zeros(n + 1)
+    for m in range(1, n + 1):
+        t[m] = rho if m == 1 else (t[m - 1 : 0 : -1] @ s[1:m]) / (m - 1)
+        s[m::m] += m * t[m] * rho ** (m * np.arange(n // m))
+    return t
 
 
 # the last L_n law, (rho, caps, trunc, y, e^y, degree): row K of y and e^y

@@ -216,10 +216,6 @@ class UPoly:
     def constant(c: Scalar) -> "UPoly":
         return UPoly.from_coeffs([c])
 
-    @staticmethod
-    def marker() -> "UPoly":
-        return UPoly((Q(0), Q(1)))
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; the zero polynomial reports -1."""

@@ -12,9 +12,8 @@ from polyakit.asymptotics import (
     decomposition_constants,
     forest_asymptotics,
     lmax_cdf_exact,
-    solve_binary_singularity,
-    solve_hierarchy_singularity,
     solve_polya_singularity,
+    solve_variant_singularity,
 )
 from polyakit.oracle import (
     LEAF,
@@ -136,8 +135,8 @@ def test_criterion_03_fixed_point_polynomial_displays(acceptance_log):
 
 
 def test_criterion_04_singularity_constants(acceptance_log, sing):
-    hier = solve_hierarchy_singularity()
-    bina = solve_binary_singularity()
+    hier = solve_variant_singularity("hierarchy")
+    bina = solve_variant_singularity("binary")
     main_ok = (abs(sing.rho - 0.3383219) < 1e-6
                and abs(sing.b - 2.68112) < 1e-4
                and abs(sing.c - sing.b ** 2 / 3) < 1e-12

@@ -29,8 +29,6 @@ from polyakit.asymptotics import (
     forest_asymptotics,
     lmax_cdf_exact,
     lmax_exact_mean,
-    solve_binary_singularity,
-    solve_hierarchy_singularity,
     solve_polya_singularity,
     solve_variant_singularity,
 )
@@ -75,17 +73,24 @@ def test_singularity_constants(sing):
 def test_second_solve_at_the_same_order_is_remembered(monkeypatch):
     import polyakit.asymptotics as asy
     monkeypatch.setattr(asy, "_last_singularity", None)
-    solved = []
-    solve = asy._solve
+    solved, built = [], []
+    solve, float_table = asy._solve, asy._float_table
     monkeypatch.setattr(
         asy, "_solve",
         lambda family, order: solved.append(order) or solve(family, order))
+    monkeypatch.setattr(
+        asy, "_float_table",
+        lambda values: built.append(len(values)) or float_table(values))
     first = solve_polya_singularity(60)
     assert solved == [60]
     assert solve_polya_singularity(60) is first
     decomposition_constants(60)
     forest_asymptotics(60)
     assert solved == [60]
+    # the solve builds the tables at orders 60 and 140 and one derivative
+    # table, the forest constants their own derivative table; the table at
+    # 60 is handed on, not built again
+    assert built == [61, 141, 60, 60]
     # an L_n law solves once at the default order, then reuses it
     assert lmax_exact_mean(40) == lmax_exact_mean(40)
     assert solved == [60, 400]
@@ -219,6 +224,12 @@ def test_binary_singularity():
     assert extrapolated == pytest.approx(v.tau, abs=1e-3)
 
 
+@pytest.mark.parametrize("family", ["polya", "nonsense"])
+def test_variant_solver_takes_only_the_variant_families(family):
+    with pytest.raises(ValueError, match="unknown variant family"):
+        solve_variant_singularity(family, 60)
+
+
 def test_variant_share_matches_exact_moments():
     # E c_n / n -> 1/(1 + mu); exact marked series, Richardson in 1/n
     for family, ns in (("hierarchy", (64, 256, 1024)),
@@ -340,7 +351,7 @@ def test_lmax_cdf_matches_per_cap_route(sing, n, kmax):
 
 
 def reference_scaled_coeffs(n: int, rho: float) -> np.ndarray:
-    """Reference route: the scaled Euler recurrence grown at once to n."""
+    """Reference route: the scaled Euler recurrence, computed afresh to n."""
     t = np.zeros(n + 1)
     s = np.zeros(n + 1)
     for m in range(1, n + 1):
@@ -373,7 +384,6 @@ def test_remembered_law_is_bit_identical_to_a_fresh_law(sing, monkeypatch):
     # rising sizes extend one law, a smaller size reads a column already
     # there, and the last two requests replace it
     monkeypatch.setattr(asy, "_last_law", None)
-    monkeypatch.setattr(asy, "_last_scaled", None)
     for n in (250, 500, 750, 1000, 500, 2000, 8000, 24, 30):
         kmax = 500 if n == 30 else min(n, max(64, int(8 * math.log(n))))
         got = lmax_cdf_exact(n, kmax)
@@ -381,8 +391,7 @@ def test_remembered_law_is_bit_identical_to_a_fresh_law(sing, monkeypatch):
         assert [v.hex() for v in got] == [v.hex() for v in want], (n, kmax)
 
 
-def test_grown_scaled_table_is_bit_identical(sing, monkeypatch):
-    monkeypatch.setattr(asy, "_last_scaled", None)
+def test_fresh_scaled_table_is_bit_identical(sing):
     for n in (1, 10, 400, 120, 3000):
         got = _scaled_polya_coeffs(n, sing.rho)
         assert [v.hex() for v in got] == [
@@ -649,8 +658,9 @@ def test_max_order_is_the_float_range_of_the_raised_table(family, counts):
 
 @pytest.mark.parametrize("solve, family", [
     (solve_polya_singularity, "polya"), (decomposition_constants, "polya"),
-    (solve_hierarchy_singularity, "hierarchy"),
-    (solve_binary_singularity, "binary")])
+    *(pytest.param(functools.partial(solve_variant_singularity, family), family,
+                   id=f"solve_variant-{family}")
+      for family in ("hierarchy", "binary"))])
 def test_orders_past_the_float_range_are_a_value_error(solve, family):
     top = MAX_ORDER[family]
     with pytest.raises(ValueError, match=f"largest order is {top}"):

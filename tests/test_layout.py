@@ -58,6 +58,24 @@ def test_every_public_function_and_class_has_a_caller():
     assert not unused, f"no caller in src/ or tests/: {unused}"
 
 
+def test_every_public_method_and_property_has_a_caller():
+    # a method is read as an attribute, so any attribute of that name in src
+    # or tests counts as its caller; dunders are called by the interpreter
+    public, referenced = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        public += [(node.name, f"{path.stem}.{cls.name}.{node.name}")
+                   for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.FunctionDef)
+                   and not node.name.startswith("_")]
+        referenced |= _references(tree, set())
+    for path in TESTS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        referenced |= _references(tree, _defined(tree))
+    unused = sorted(where for name, where in public if name not in referenced)
+    assert not unused, f"no caller in src/ or tests/: {unused}"
+
+
 def test_every_private_name_has_a_caller_in_src():
     # a private function, class or constant that nothing in src reads is
     # dead code, such as a helper a refactor left behind; dunders are read by

@@ -135,7 +135,7 @@ def test_upoly_basics():
     assert p.coefficient(1) == Fraction(1, 2)
     assert p.eval(1) == 1
     assert p.derivative().eval(1) == 2
-    q = UPoly.marker() * UPoly.marker()
+    q = UPoly.from_coeffs([0, 1]) * UPoly.from_coeffs([0, 1])
     assert (q * p).degree == 5
     # shift_marker multiplies by u^k
     assert p.shift_marker(2).coefficient(3) == Fraction(1, 2)
@@ -150,7 +150,7 @@ def test_upoly_product_matches_eval():
 
 
 def test_bivariate_row_sums_and_marker():
-    rows = [UPoly.constant(1), UPoly.marker(),
+    rows = [UPoly.constant(1), UPoly.from_coeffs([0, 1]),
             UPoly.from_coeffs([0, Fraction(1, 2), Fraction(1, 2)])]
     b = BivariateSeries(tuple(rows))
     assert b.order == 2
