@@ -50,50 +50,71 @@ class OrderTooLarge(ValueError):
     """A truncation order past the float range of a solver's tables."""
 
 
-@dataclass(frozen=True)
 class _FloatTable:
-    """Float coefficients of a power series, with the bound on their growth:
-    r = max |c_b/c_a|^(1/(b-a)) over consecutive nonzero c_a, c_b, so that
-    |c_k| <= |c_first| r^(k-first) for every k past the first nonzero one."""
-    coeffs: list[float]
-    first: int
-    ratio: float
+    """Float coefficients c_0 .. c_order of a power series, each converted
+    when a sum first reads it, with a fixed bound r on their growth:
+    |c_k| <= |c_first| r^(k-first) for every k past the first nonzero one.
+    more(lo, hi) gives c_lo .. c_hi; dratio is the bound of the derivative's
+    table.  cut_short records whether a sum wanted terms past c_order."""
+
+    def __init__(self, more: Callable[[int, int], Iterable[float]], order: int,
+                 ratio: float, dratio: float | None = None) -> None:
+        self.more, self.order, self.ratio, self.dratio = more, order, ratio, dratio
+        self.coeffs: list[float] = []
+        self.cut_short = False
+        self.first = next((k for k in range(order + 1) if self.read(k)[k]), 0)
+
+    def read(self, top: int) -> list[float]:
+        """The coefficients, converted at least through c_top."""
+        if len(self.coeffs) <= top:
+            self.coeffs += self.more(len(self.coeffs), top)
+        return self.coeffs
 
 
-def _float_table(values: Sequence) -> _FloatTable:
-    coeffs = [float(v) for v in values]
-    nonzero = [k for k, c in enumerate(coeffs) if c]
-    ratio = max((abs(coeffs[b] / coeffs[a]) ** (1 / (b - a))
-                 for a, b in zip(nonzero, nonzero[1:])), default=0.0)
-    return _FloatTable(coeffs, nonzero[0] if nonzero else 0, ratio)
+def _count_table(family: str, order: int) -> _FloatTable:
+    """The float table of the family's counts t_0 .. t_order, with the row's
+    growth bounds."""
+    counts, _, _, (ratio, dratio), _ = _FAMILIES[family]
+    return _FloatTable(lambda lo, hi: map(float, counts(hi)[lo:]), order,
+                       ratio, dratio)
 
 
 def _derivative_table(table: _FloatTable) -> _FloatTable:
-    return _float_table([k * c for k, c in enumerate(table.coeffs)][1:])
+    """The table of the series' derivative, (k + 1) c_(k+1) at k, grown from
+    the floats of table as far as it is read."""
+    def more(lo: int, hi: int) -> list[float]:
+        coeffs = table.read(hi + 1)
+        return [k * coeffs[k] for k in range(lo + 1, hi + 2)]
+    return _FloatTable(more, table.order - 1, table.dratio)
 
 
 def _horner_sum(table: _FloatTable, args: Sequence[float],
                 weights: Iterable[float]) -> float:
     """sum of w * series(y) over the pairs (y, w) of args and weights, each
-    series value by Horner's rule over the table's first K + 1
-    coefficients, K the degree past which the terms cannot reach the last bit.
+    series value by Horner's rule over the coefficients c_0 .. c_K, K the
+    degree past which the terms cannot reach the last bit, or c_order if
+    that comes first.
 
     With q = r|y| < 1 the terms after K sum to at most
     q^(K+1-first)/(1-q) times the first term, which is below TAIL_MARGIN
     for K = first + 1 + ceil((ln TAIL_MARGIN + ln(1-q)) / ln q).  When q is
-    too close to 1 for that K to fall inside the table, every term is used.
+    too close to 1 for that K to fall inside the table, every term is used
+    and the table records that the sum was cut short.  K does not depend on
+    how much of the table is converted, so every sum is the one the whole
+    table gives.
     """
-    coeffs, first, ratio = table.coeffs, table.first, table.ratio
-    size = len(coeffs)
+    first, ratio, order = table.first, table.ratio, table.order
     total = 0.0
     for y, w in zip(args, weights):
         q = ratio * abs(y)
-        cut = size
+        top = order + 1
         if 0.0 < q < 1.0:
-            cut = min(size, first + 2 + math.ceil(
-                (_LN_TAIL_MARGIN + math.log1p(-q)) / math.log(q)))
+            top = first + 1 + math.ceil(
+                (_LN_TAIL_MARGIN + math.log1p(-q)) / math.log(q))
+        if top > order:
+            table.cut_short, top = True, order
         acc = 0.0
-        for c in reversed(coeffs[:cut]):
+        for c in reversed(table.read(top)[:top + 1]):
             acc = acc * y + c
         total += w * acc
     return total
@@ -190,18 +211,23 @@ def _forest_value(t: _FloatTable, x: float) -> float:
 
 # each family's count table (called through the module's name, so that a
 # wrapper bound to that name sees every call), the equation g(table, x) whose
-# root in the bracket is its singularity, that bracket, and for a variant the
-# rule mu(table, tau) for E|C_n|/n -> 1/(1+mu)
+# root in the bracket is its singularity, that bracket, the growth bounds of
+# its float table and of its derivative's table, and for a variant the rule
+# mu(table, tau) for E|C_n|/n -> 1/(1+mu).  Each bound is the largest
+# consecutive ratio |c_b/c_a|^(1/(b-a)) of the exact table at the largest
+# order a solve builds, rounded up: MAX_ORDER + ROOT_SHIFT_ORDERS for the
+# counts (reached there, as the ratios rise towards 1/rho), MAX_ORDER for the
+# derivative (reached at a small index: 3, 5/2 and sqrt(3))
 _FAMILIES = {
     # e x D(x) - 1, from T(rho) = 1 (see the module docstring)
     "polya": (lambda n: polya_int_table(n),
               lambda t, x: math.e * x * _forest_value(t, x) - 1.0,
-              (0.25, 0.45), None),
+              (0.25, 0.45), (2.94909, 3.0), None),
     # no outdegree 1: H = (z/(1+z)) exp(sum_i H(z^i)/i) has H(tau) = 1 at the
     # singularity, so tau solves (tau/(1+tau)) e exp(sum_{i>=2} H(tau^i)/i) = 1
     "hierarchy": (lambda n: hierarchy_int_table(n),
                   lambda h, x: (x / (1 + x)) * math.e * _forest_value(h, x) - 1.0,
-                  (0.3, 0.6),
+                  (0.3, 0.6), (2.185889, 2.5),
                   lambda h, x: x ** 2 * math.e * _forest_value(h, x)
                   * _substituted_derivative(_derivative_table(h), x, repeat(1.0))),
     # outdegrees {0, 2}: B = z + (z/2)B^2 + (z/2)B(z^2) with B(tau) = 1/tau at
@@ -210,7 +236,7 @@ _FAMILIES = {
     # slot of the pair cycle index is held fixed, so only B(x^2) contributes
     "binary": (lambda n: binary_int_table(n),
                lambda b, x: _horner_sum(b, [x * x], [x * x]) + 2 * x * x - 1.0,
-               (0.5, 0.75),
+               (0.5, 0.75), (1.574341, 1.7320509),
                lambda b, x: _horner_sum(_derivative_table(b), [x * x], [x ** 4])),
 }
 
@@ -218,16 +244,25 @@ _FAMILIES = {
 def _solve(family: str, order: int) -> tuple[_FloatTable, float, float, float]:
     """The family's float table at the truncation order, the root of its
     equation there, the residual |g(table, root)|, and how far the root moves
-    when the order is raised by ROOT_SHIFT_ORDERS."""
+    when the order is raised by ROOT_SHIFT_ORDERS.
+
+    The raised order is solved only when a sum of this solve was cut short
+    by the end of the table: otherwise every g the raised solve evaluates
+    reads the same coefficients at the same points, so its root is this
+    one and the shift is exactly 0."""
     if order > MAX_ORDER[family]:
         raise OrderTooLarge(
             f"order {order} is too large for the {family} solver: its "
             f"largest order is {MAX_ORDER[family]}, past which the counts "
             "overflow a float")
-    counts, g, (lo, hi), _ = _FAMILIES[family]
-    tables = [_float_table(counts(n)) for n in (order, order + ROOT_SHIFT_ORDERS)]
-    x, raised = [_bisect(lambda y: g(t, y), lo, hi) for t in tables]
-    return tables[0], x, abs(g(tables[0], x)), abs(x - raised)
+    _, g, (lo, hi), _, _ = _FAMILIES[family]
+    table = _count_table(family, order)
+    x = _bisect(lambda y: g(table, y), lo, hi)
+    residual, shift = abs(g(table, x)), 0.0
+    if table.cut_short:
+        raised = _count_table(family, order + ROOT_SHIFT_ORDERS)
+        shift = abs(x - _bisect(lambda y: g(raised, y), lo, hi))
+    return table, x, residual, shift
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +474,7 @@ def solve_variant_singularity(family: str,
                               order: int = DEFAULT_ORDER) -> VariantSingularity:
     """The singularity tau and mu of a variant family, "hierarchy" (no
     outdegree 1) or "binary" (outdegrees {0, 2}), from its row of _FAMILIES."""
-    mu = _FAMILIES[family][3] if family in _FAMILIES else None
+    mu = _FAMILIES[family][4] if family in _FAMILIES else None
     if mu is None:
         raise ValueError(f"unknown variant family: {family}")
     table, tau, residual, tau_shift = _solve(family, order)

@@ -7,7 +7,8 @@ Subcommands
   sample       seeded sampling experiments (decomposition stats, l_max growth)
   verify       the enumeration-vs-series equivalence matrix
 
-Exit code 0 means every internal check passed; rationals are printed as
+Exit code 0 means every internal check passed, the convergence of the rho
+solve behind singularity and table among them; rationals are printed as
 exact "p/q" strings, never floats.  --order sets the float solvers'
 truncation order for singularity and table; sample --lmax solves at the default.
 """
@@ -180,6 +181,12 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
+def _converged(residual: float, shift: float) -> bool:
+    """A solve counts as converged when its root solves the truncated
+    equation and raising the order moves it less than SHIFT_TOL."""
+    return residual < RESIDUAL_TOL and shift < SHIFT_TOL
+
+
 def _cmd_singularity(args) -> int:
     order = args.order
     if args.family == "polya":
@@ -188,21 +195,20 @@ def _cmd_singularity(args) -> int:
         payload["family"] = "polya"
         payload["forest"] = asdict(forest_asymptotics(order))
         payload["decomposition"] = asdict(decomposition_constants(order))
-        converged = (sing.residual < RESIDUAL_TOL
-                     and sing.rho_shift < SHIFT_TOL)
+        converged = _converged(sing.residual, sing.rho_shift)
     else:
         var = solve_variant_singularity(args.family, order)
         payload = asdict(var)
         payload["c_share"] = var.c_share
-        converged = (var.residual < RESIDUAL_TOL
-                     and var.tau_shift < SHIFT_TOL)
+        converged = _converged(var.residual, var.tau_shift)
     payload["converged"] = converged
     _emit(payload, args.format, args.output)
     return 0 if converged else 1
 
 
 def _cmd_table(args) -> int:
-    consts = decomposition_constants(args.order)
+    sing = solve_polya_singularity(args.order)
+    consts = decomposition_constants(args.order)  # from the remembered solve
     row = families.exact_forest_size_row(args.exact_n, args.mmax)
     if args.which == "forest-size":
         m_values = list(range(args.mmax + 1))
@@ -221,7 +227,12 @@ def _cmd_table(args) -> int:
         "exact": exact,
     }
     _emit(payload, args.format, args.output)
-    return 0
+    if _converged(sing.residual, sing.rho_shift):
+        return 0
+    print(f"polyakit: the rho solve at order {args.order} has not converged "
+          f"(residual {sing.residual:.3g}, shift {sing.rho_shift:.3g}); "
+          "raise --order", file=sys.stderr)
+    return 1
 
 
 def _cmd_sample(args) -> int:

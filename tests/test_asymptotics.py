@@ -1,5 +1,6 @@
 """Numeric constants, parity asymptotics, and the exact max-forest law."""
 
+import copy
 import functools
 import gc
 import hashlib
@@ -20,8 +21,8 @@ import polyakit.families as fam
 from polyakit.asymptotics import (
     MAX_ORDER,
     ROOT_SHIFT_ORDERS,
+    _count_table,
     _derivative_table,
-    _float_table,
     _forest_terms,
     _horner_sum,
     _scaled_polya_coeffs,
@@ -74,23 +75,28 @@ def test_second_solve_at_the_same_order_is_remembered(monkeypatch):
     import polyakit.asymptotics as asy
     monkeypatch.setattr(asy, "_last_singularity", None)
     solved, built = [], []
-    solve, float_table = asy._solve, asy._float_table
+    solve = asy._solve
+
+    class RecordedTable(asy._FloatTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
     monkeypatch.setattr(
         asy, "_solve",
         lambda family, order: solved.append(order) or solve(family, order))
-    monkeypatch.setattr(
-        asy, "_float_table",
-        lambda values: built.append(len(values)) or float_table(values))
+    monkeypatch.setattr(asy, "_FloatTable", RecordedTable)
     first = solve_polya_singularity(60)
     assert solved == [60]
     assert solve_polya_singularity(60) is first
     decomposition_constants(60)
     forest_asymptotics(60)
     assert solved == [60]
-    # the solve builds the tables at orders 60 and 140 and one derivative
-    # table, the forest constants their own derivative table; the table at
-    # 60 is handed on, not built again
-    assert built == [61, 141, 60, 60]
+    # the solve builds the tables at orders 60 and 140 (a sum at order 60 is
+    # cut short, so the raised order is solved) and one derivative table, the
+    # forest constants their own derivative table; the table at 60 is handed
+    # on, not built again, and no table converts past its order
+    assert [t.order for t in built] == [60, 140, 59, 59]
+    assert all(len(t.coeffs) <= t.order + 1 for t in built)
     # an L_n law solves once at the default order, then reuses it
     assert lmax_exact_mean(40) == lmax_exact_mean(40)
     assert solved == [60, 400]
@@ -443,7 +449,7 @@ def test_lmax_interval_and_estimate(deco):
 def full_horner(table, y: float) -> float:
     """Reference route: Horner's rule over every coefficient of the table."""
     acc = 0.0
-    for c in reversed(table.coeffs):
+    for c in reversed(table.read(table.order)):
         acc = acc * y + c
     return acc
 
@@ -487,13 +493,12 @@ def test_cut_evaluation_matches_full_route(family, order, monkeypatch):
     assert cut == _solver_results(family, order)
 
 
-@functools.lru_cache(maxsize=None)
 def solver_table(name: str):
     """The solvers' tables at order 480 (the raised order of 400), and their
-    derivative tables, by name: T, T', H, H', B, B'."""
-    ints = {"T": fam.polya_int_table, "H": fam.hierarchy_int_table,
-            "B": fam.binary_int_table}[name[0]](480)
-    table = _float_table(ints)
+    derivative tables, by name: T, T', H, H', B, B'; each is converted only
+    as far as it is read."""
+    family = {"T": "polya", "H": "hierarchy", "B": "binary"}[name[0]]
+    table = _count_table(family, 480)
     return _derivative_table(table) if name.endswith("'") else table
 
 
@@ -519,11 +524,13 @@ def test_cut_horner_is_bit_identical(case):
 def terms_read(table, y: float) -> int:
     """How many leading coefficients the cut pass at y reads: a NaN placed at
     index k reaches the result exactly when coefficient k is read."""
+    coeffs = table.read(table.order)
+
     def reads(k: int) -> bool:
-        coeffs = list(table.coeffs)
-        coeffs[k] = math.nan
-        return math.isnan(_horner_sum(replace(table, coeffs=coeffs), [y], [1.0]))
-    return sum(map(reads, range(len(table.coeffs))))
+        marked = copy.copy(table)
+        marked.coeffs = [*coeffs[:k], math.nan, *coeffs[k + 1:]]
+        return math.isnan(_horner_sum(marked, [y], [1.0]))
+    return sum(map(reads, range(len(coeffs))))
 
 
 def test_cut_leaves_out_most_of_the_table():
@@ -531,12 +538,27 @@ def test_cut_leaves_out_most_of_the_table():
     # dozen terms; near the radius it keeps the whole table
     t = solver_table("T")
     rho = 0.338321856899
-    assert len(t.coeffs) == 481 and t.first == 1
+    assert t.order == 480 and t.first == 1
     assert t.ratio == pytest.approx(1 / rho, rel=1e-2)
     assert terms_read(t, rho ** 2) == 74
     assert terms_read(t, -SQRT_RHO ** 3) == 145
+    assert len(t.coeffs) == 481
     assert terms_read(t, rho) == len(t.coeffs)
     assert terms_read(t, 0.0) == len(t.coeffs)
+
+
+def test_table_converts_only_the_terms_a_sum_reads():
+    # a sum grows the table to the terms it reads, and reads the same terms
+    # whatever the table already holds; only a sum that wants terms past the
+    # order is cut short
+    t = solver_table("T")
+    rho = 0.338321856899
+    assert _horner_sum(t, [rho ** 2], [1.0]) == full_horner(t, rho ** 2)
+    fresh = solver_table("T")
+    assert _horner_sum(fresh, [rho ** 2], [1.0]) == full_horner(t, rho ** 2)
+    assert len(fresh.coeffs) == terms_read(t, rho ** 2) and not fresh.cut_short
+    _horner_sum(fresh, [rho], [1.0])
+    assert len(fresh.coeffs) == 481 and fresh.cut_short
 
 
 def plain_bisect(g, lo: float, hi: float) -> float:
@@ -613,23 +635,48 @@ def test_bisect_matches_plain_route_on_monotone_g(lo, width, at, scale, linear):
     assert asy._bisect(g, lo, hi).hex() == plain_bisect(g, lo, hi).hex()
 
 
-def _solve_hexes(family: str, order: int) -> tuple[str, str, str]:
-    _, x, residual, shift = asy._solve(family, order)
+def two_table_solve(family: str, order: int):
+    """Reference route: _solve as it was before the raised order could be
+    skipped, bisecting on the tables at the order and at order +
+    ROOT_SHIFT_ORDERS every time."""
+    g, (lo, hi) = asy._FAMILIES[family][1:3]
+    tables = [_count_table(family, n) for n in (order, order + ROOT_SHIFT_ORDERS)]
+    x, raised = [asy._bisect(lambda y: g(t, y), lo, hi) for t in tables]
+    return tables[0], x, abs(g(tables[0], x)), abs(x - raised)
+
+
+def _solve_hexes(solve, family: str, order: int) -> tuple[str, str, str]:
+    _, x, residual, shift = solve(family, order)
     return x.hex(), residual.hex(), shift.hex()
 
 
+# every 7th order and each family's largest order; every order of every
+# family agreed when the secant phase was introduced, and again when the
+# raised solve became conditional
+WALKED_ORDERS = [(family, order) for family, top in MAX_ORDER.items()
+                 for order in [*range(1, top, 7), top]]
+
+
 def test_replayed_bisection_matches_plain_route(monkeypatch):
-    # root, residual and shift to the last bit at every 7th order and at each
-    # family's largest order; every order of every family agreed when the
-    # secant phase was introduced
-    cases = [(family, order) for family, top in MAX_ORDER.items()
-             for order in [*range(1, top, 7), top]]
-    fast = [_solve_hexes(*case) for case in cases]
+    # root, residual and shift to the last bit
+    fast = [_solve_hexes(asy._solve, *case) for case in WALKED_ORDERS]
     monkeypatch.setattr(asy, "_bisect", plain_bisect)
-    assert fast == [_solve_hexes(*case) for case in cases]
+    assert fast == [_solve_hexes(asy._solve, *case) for case in WALKED_ORDERS]
 
 
-@pytest.mark.parametrize("family", ["polya", "hierarchy", "binary"])
+def test_skipped_raised_solve_matches_two_table_route():
+    # where no sum reaches the end of the table, the shift is 0.0 because
+    # the raised solve would return the same root; elsewhere it is solved
+    assert ([_solve_hexes(asy._solve, *case) for case in WALKED_ORDERS]
+            == [_solve_hexes(two_table_solve, *case) for case in WALKED_ORDERS])
+
+
+# how many times a solve at order 400 bisects: only binary's sums reach past
+# the table, so only binary solves the raised order as well
+BISECTIONS_AT_400 = {"polya": 1, "hierarchy": 1, "binary": 2}
+
+
+@pytest.mark.parametrize("family", list(BISECTIONS_AT_400))
 def test_bisect_evaluates_g_a_few_dozen_times(family, monkeypatch):
     # plain bisection from the solvers' brackets evaluates g 53 or 54 times
     counts = []
@@ -642,7 +689,56 @@ def test_bisect_evaluates_g_a_few_dozen_times(family, monkeypatch):
         return x
     monkeypatch.setattr(asy, "_bisect", counting_bisect)
     asy._solve(family, 400)
-    assert len(counts) == 2 and max(counts) <= 30, counts
+    assert len(counts) == BISECTIONS_AT_400[family] and max(counts) <= 30, counts
+
+
+def _consecutive_ratios(values) -> list[tuple[Fraction, int]]:
+    """(c_b/c_a, b - a) over consecutive nonzero entries c_a, c_b."""
+    nonzero = [k for k, v in enumerate(values) if v]
+    return [(Fraction(values[b], values[a]), b - a)
+            for a, b in zip(nonzero, nonzero[1:])]
+
+
+@pytest.mark.parametrize("family", list(MAX_ORDER))
+def test_growth_bounds_cover_the_largest_tables(family):
+    # each bound holds for every consecutive ratio of the exact table at the
+    # largest order a solve builds (the derivative's at MAX_ORDER), exactly,
+    # and is within 1 % of the largest, so that the cuts stay tight
+    counts, _, _, bounds, _ = asy._FAMILIES[family]
+    top = MAX_ORDER[family]
+    base = counts(top + ROOT_SHIFT_ORDERS)
+    derivative = [k * base[k] for k in range(1, top + 1)]
+    for bound, values in zip(bounds, (base, derivative)):
+        ratios = _consecutive_ratios(values)
+        assert all(Fraction(bound) ** gap >= r for r, gap in ratios)
+        assert bound <= 1.01 * max(float(r) ** (1 / gap) for r, gap in ratios)
+
+
+@pytest.mark.parametrize("family, held, limit", [
+    ("polya", lambda: fam._counts[1], 160),
+    ("hierarchy", lambda: fam._h_counts, 340),
+    ("binary", lambda: fam._binary.a, 481)])
+def test_solve_grows_the_count_table_only_as_far_as_it_reads(
+        family, held, limit, monkeypatch):
+    # counted work, not time: from fresh count tables, a solve at order 400
+    # converts only the terms its sums read, and solves the raised order only
+    # where a sum reaches past 400 (binary's g at 0.75 does)
+    monkeypatch.setattr(fam, "_counts", {1: [0, 1], -1: [0, 1]})
+    monkeypatch.setattr(fam, "_weights", {1: [0, 1], -1: [0, 1]})
+    monkeypatch.setattr(fam, "_h_counts", [0, 1])
+    monkeypatch.setattr(fam, "_h_weights", [0, 1])
+    monkeypatch.setattr(fam, "_binary", fam._OmegaTable(fam._binary.omega))
+    monkeypatch.setattr(asy, "_last_singularity", None)
+    solved = []
+    bisect = asy._bisect
+    monkeypatch.setattr(asy, "_bisect",
+                        lambda g, lo, hi: solved.append(lo) or bisect(g, lo, hi))
+    if family == "polya":
+        solve_polya_singularity(400)
+    else:
+        solve_variant_singularity(family, 400)
+    assert len(held()) <= limit
+    assert len(solved) == BISECTIONS_AT_400[family]
 
 
 @pytest.mark.parametrize("family, counts", [

@@ -125,6 +125,28 @@ def test_table_conditional():
     assert abs(payload["asymptotic"][0] - 0.655075) < 1e-5
 
 
+TABLE_ARGV = ["table", "--which", "forest-size", "--mmax", "3", "--exact-n", "10"]
+
+
+@pytest.mark.parametrize("order, code, digest", [
+    # sha256 of the output, computed before table checked the solve
+    (None, 0, "eec1ebfe69fd7e9a2fc92232cd8acf7c6dd70d1c75a7ea7a09d755747e09c6d4"),
+    ("1", 1, "a38ab39d39cb5abebffa0fae904b4cc17f3a476e9f884ca4fdb013680566a4ce")])
+def test_table_exits_1_when_the_solve_has_not_converged(order, code, digest):
+    # at order 1 rho moves by 2.6e-3 when the order is raised, as singularity
+    # reports; the table is still printed, with a one-line note
+    argv = TABLE_ARGV + ([] if order is None else ["--order", order])
+    got, out, err = run(argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(err.splitlines()) == code
+    if code:
+        assert "not converged" in err
+        singularity, _, _ = run(["singularity", "--family", "polya",
+                                 "--order", order])
+        assert singularity == 1
+
+
 def test_sample_reports():
     code, out, _ = run(["sample", "--n", "40", "--samples", "200",
                         "--seed", "7"])
