@@ -83,17 +83,23 @@ def _omega_set(text: str) -> OmegaSet:
             "or '0,2'") from None
 
 
+def _ratio(q) -> str:
+    """str(q), "p/q" or "p", each side read through Decimal: no int/str digit limit."""
+    top = families._digits(q.numerator)
+    return top if q.denominator == 1 else f"{top}/{families._digits(q.denominator)}"
+
+
 def _payload(name: str, result: RationalSeries | BivariateSeries, n: int) -> dict:
     """A series as its coefficient list, a bivariate series as its rows of
     nonzero marker coefficients."""
     if isinstance(result, RationalSeries):
         return {"family": name, "n": n,
-                "coefficients": [str(result[k]) for k in range(n + 1)]}
+                "coefficients": [_ratio(result[k]) for k in range(n + 1)]}
     out = []
     for k in range(n + 1):
         poly: UPoly = result.row(k)
         out.append({"n": k,
-                    "coefficients": {str(j): str(poly.coefficient(j))
+                    "coefficients": {str(j): _ratio(poly.coefficient(j))
                                      for j in range(poly.degree + 1)
                                      if poly.coefficient(j) != 0}})
     return {"family": name, "n": n, "rows": out}

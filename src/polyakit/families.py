@@ -48,15 +48,14 @@ from .series import BivariateSeries, Q, RationalSeries, UPoly
 #   f[n]  n! d_n for D or D* = exp(G), G = sum_{i>=2} sigma^(i-1) A(z^i)/i,
 #         from n d_n = sum_{i>=2} d_(n-i) w_i, w_j = j [z^j] G = s_j - j a_j;
 #   p[n]  the pointed series A/(1-A) (T/(1-T) or R_c), from P = A + A P.
-# For sigma = +1 a fifth table holds n! [z^n] 1/D = exp(-G): the recurrence of
-# D with the weights negated.  Any power F^k = exp(k G) has the weights times
-# k; E and the skeleton rows read their coefficients off such tables.
+# Any power F^k = exp(k G), 1/D among them, has the weights times k; E, the
+# skeleton rows and the exact forest-size row read their coefficients off such
+# tables, built on demand.
 
 _counts: dict[int, list[int]] = {1: [0, 1], -1: [0, 1]}  # a_0 = 0: no empty tree
 _weights: dict[int, list[int]] = {1: [0, 1], -1: [0, 1]}
 _forests: dict[int, list[int]] = {1: [1], -1: [1]}
 _pointed: dict[int, list[int]] = {1: [0], -1: [0]}
-_inverse_forests: list[int] = [1]  # n! [z^n] 1/D, the same recurrence negated
 
 _LEAF = 256  # the largest range the online divide-and-conquer sums term by term
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # no Decimal rounds
@@ -210,18 +209,23 @@ def _exp_weights(sigma: int, N: int) -> list[int]:
     return [s[j] - j * a[j] for j in range(N + 1)]
 
 
+def _scaled_exp(f: list[int], sign: int, w: list[int], N: int) -> list[int]:
+    """F_n = N! [z^n] exp(sign G), n = 0..N, from w_j = j [z^j] G (w_0 = w_1 = 0)
+    and the held prefix f of n! [z^n] exp(sign G); sign is any integer exponent
+    (1 gives F = exp(G), -1 its inverse, k its k-th power).  Scaled by one N!,
+    the recurrence is the plain convolution n F_n = sign sum_(i>=2) w_i F_(n-i)."""
+    F = [v * math.perm(N, N - j) for j, v in enumerate(f[:N + 1])]
+    for n in range(len(F), N + 1):  # F_j is a multiple of N!/j!, so n divides every term
+        F.append(sign * sum(map(mul, w[2:n + 1], F[n - 2::-1])) // n)
+    return F
+
+
 def _grow_exp(f: list[int], sign: int, w: list[int], N: int) -> list[int]:
-    """Grow f, the table of n! [z^n] exp(sign G), through N from the weights
-    w_j = j [z^j] G (w_0 = w_1 = 0).  sign is any integer exponent: the table
-    is F^sign for F = exp(G), so 1 gives F, -1 its inverse, k its k-th power."""
-    while len(f) <= N:
-        n = len(f)
-        total, falling = 0, 1  # falling = (n-1)!/(n-i)!
-        for i in range(2, n + 1):
-            falling *= n - i + 1
-            if w[i]:
-                total += f[n - i] * w[i] * falling
-        f.append(sign * total)
+    """Grow f, the table of n! [z^n] exp(sign G), through N: the new entries
+    of _scaled_exp, each over N!/n!."""
+    if len(f) <= N:
+        F = _scaled_exp(f, sign, w, N)
+        f.extend(F[n] // math.perm(N, N - n) for n in range(len(f), N + 1))
     return f
 
 
@@ -337,30 +341,18 @@ def gamma2_series(N: int) -> RationalSeries:
     return RationalSeries.from_coeffs(_substituted(polya_int_table(N), N, lambda i, k: i))
 
 
-def _pointed_over_dforest(k: int, w: list[int]) -> Fraction:
-    """[z^k] q with q = (T/(1-T)) / D: fixed nodes counted with the forest at
-    the node cut off, so the fixed nodes of size-n trees whose forest has
-    size m number d_m [z^(n-m)] q.  With U_j = j! [z^j] 1/D it is
-    sum_j p_(k-j) U_j / j!, summed over k! as one integer.  w holds the
-    weights of D, _exp_weights(1, N) for some N >= k."""
-    p = _grow_pointed(1, k)
-    u = _grow_exp(_inverse_forests, -1, w, k)
-    total, falling = 0, 1  # falling = k!/j!
-    for j in range(k, -1, -1):
-        total += p[k - j] * u[j] * falling
-        falling *= j
-    return Q(total, math.factorial(k))
-
-
 def exact_forest_size_row(n: int, mmax: int) -> tuple[Fraction, ...]:
     """P(forest size = m) at a uniform fixed node of a uniform size-n
     (tree, automorphism) pair, m = 0..mmax; the finite-n row whose limit is
-    d_m rho^m / D(rho).  A forest has fewer than n nodes, so m >= n gives 0."""
+    d_m rho^m / D(rho).  A forest has fewer than n nodes, so m >= n gives 0.
+    The fixed nodes of size-n trees whose forest has size m number
+    d_m [z^(n-m)] q, q = (T/(1-T)) / D, and n! q_k = sum_j p_(k-j) n! [z^j] 1/D."""
     if n < 1:
         raise ValueError("the exact forest-size row needs n >= 1")
-    d, w = dforest_coeffs(min(mmax, n - 1)), _exp_weights(1, n)
-    p_n = _grow_pointed(1, n)[n]
-    return tuple(d[m] * _pointed_over_dforest(n - m, w) / p_n if m < n else Q(0)
+    d, p = dforest_coeffs(min(mmax, n - 1)), _grow_pointed(1, n)
+    u = _scaled_exp([1], -1, _exp_weights(1, n), n)
+    scale = math.factorial(n) * p[n]
+    return tuple(d[m] * Q(sum(map(mul, p[n - m::-1], u)), scale) if m < n else Q(0)
                  for m in range(mmax + 1))
 
 
@@ -415,7 +407,7 @@ def e_series(N: int) -> RationalSeries:
     """
     w = _exp_weights(-1, N)
     return RationalSeries(tuple(
-        Q(_grow_exp([1], -n, w, n - 1)[n - 1], math.factorial(n))
+        Q(_scaled_exp([1], -n, w, n - 1)[n - 1], math.factorial(n))
         for n in range(1, N + 2)))
 
 
@@ -427,14 +419,13 @@ def _marked_rows(sigma: int, N: int) -> BivariateSeries:
     """Rows of C(u z F(z)) for the forest series F = D (sigma = +1) or D*
     (sigma = -1), u marking the skeleton nodes (the fixed nodes):
     [u^k z^n] = c_k [z^j] F^k with j = n - k, and F^k is the exp table of
-    sign k, whose entry j is j! [z^j] F^k."""
+    sign k, whose entry j is (N - k)! [z^j] F^k."""
     rows = [[0] * (n + 1) for n in range(N + 1)]
     w = _exp_weights(sigma, N)
     for k in range(1, N + 1):
-        power = _grow_exp([1], k, w, N - k)
-        for j in range(N - k + 1):
-            rows[k + j][k] = Q(k ** (k - 1) * power[j],
-                               math.factorial(k) * math.factorial(j))
+        scale = math.factorial(k) * math.factorial(N - k)
+        for j, v in enumerate(_scaled_exp([1], k, w, N - k)):
+            rows[k + j][k] = Q(k ** (k - 1) * v, scale)
     return BivariateSeries(tuple(UPoly.from_coeffs(r) for r in rows))
 
 

@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+from decimal import Decimal
+from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +44,22 @@ def test_coeffs_identity_and_e_series():
     _, out, _ = run(["coeffs", "--family", "e-series", "--n", "6"])
     assert json.loads(out)["coefficients"] == [
         "1", "0", "1/2", "-1/3", "11/8", "-6/5", "629/144"]
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+def test_coeffs_past_the_int_str_digit_limit(fmt):
+    # 1399 is prime, so 1399^1398/1399! keeps a numerator of 4,395 digits,
+    # past the interpreter's default int/str limit of 4,300
+    code, out, _ = run(["coeffs", "--family", "cayley", "--n", "1400", "--format", fmt])
+    assert code == 0
+    if fmt == "json":
+        values = json.loads(out)["coefficients"]
+    else:
+        values = [line.rpartition(",")[2] for line in out.splitlines()[1:]]
+    assert len(values) == 1401 and max(map(len, values)) > 4300
+    top, bottom = values[-1].split("/")  # int(str) would hit the same limit
+    assert Fraction(int(Decimal(top)), int(Decimal(bottom))) == Fraction(
+        1400 ** 1399, factorial(1400))
 
 
 def test_coeffs_omega():
@@ -123,6 +142,18 @@ def test_table_conditional():
     payload = json.loads(out)
     assert payload["m"] == list(range(2, 10))
     assert abs(payload["asymptotic"][0] - 0.655075) < 1e-5
+
+
+def test_large_forest_size_tables_are_pinned():
+    # sha256 of the output at --mmax 1400, unchanged since the forest terms
+    # came off the exact D; the second request reuses the D the first grew
+    for which, digest in (
+            ("forest-size", "6d8069a09af3181c02776257e2a3052ffc5d24b2a9da0c7bba328417d796c2dc"),
+            ("forest-size-conditional",
+             "b4a7b51b4ae559c02449e699832b68aae32d02eb2474f82a491f36622b5ea44e")):
+        code, out, _ = run(["table", "--which", which, "--mmax", "1400"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 TABLE_ARGV = ["table", "--which", "forest-size", "--mmax", "3", "--exact-n", "10"]

@@ -3,6 +3,7 @@
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from operator import mul
 
 import pytest
@@ -287,6 +288,81 @@ def test_exp_weights_match_substituted_route(sigma, N):
     assert fam._exp_weights(sigma, N) == substituted_exp_weights(sigma, N)
 
 
+def plain_exp(f, sign, w, N):
+    """Reference route: the falling-factorial loop the exp tables used before
+    they were scaled by one N!, f_n = n! [z^n] exp(sign G) from
+    f_n = sign sum_(i>=2) w_i f_(n-i) (n-1)!/(n-i)!, grown in place."""
+    while len(f) <= N:
+        n = len(f)
+        total, falling = 0, 1  # falling = (n-1)!/(n-i)!
+        for i in range(2, n + 1):
+            falling *= n - i + 1
+            if w[i]:
+                total += f[n - i] * w[i] * falling
+        f.append(sign * total)
+    return f
+
+
+@lru_cache(maxsize=None)
+def plain_forests(sigma, N):
+    return tuple(plain_exp([1], 1, fam._exp_weights(sigma, N), N))
+
+
+@pytest.mark.parametrize("sigma", (1, -1))
+@pytest.mark.parametrize("steps", ((0, 1, 2, 3), (400,), (60, 90, 180),
+                                   (127, 128, 129, 400)))
+def test_forest_table_matches_plain_route(monkeypatch, sigma, steps):
+    # fresh, and grown in place across the 128-term chunks asymptotics asks for
+    monkeypatch.setattr(fam, "_forests", {1: [1], -1: [1]})
+    want = plain_forests(sigma, 400)
+    held = fam._forests[sigma]
+    for N in steps:
+        f = fam._grow_forests(sigma, N)
+        assert f is held
+        assert tuple(f) == want[: N + 1]
+
+
+@pytest.mark.parametrize("sigma", (1, -1))
+@pytest.mark.parametrize("sign", (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+def test_exp_powers_match_plain_route(sigma, sign):
+    # sign -1 is 1/D (or 1/D*); the scaled table is the plain one times N!/n!
+    N = 200
+    w = fam._exp_weights(sigma, N)
+    want = plain_exp([1], sign, w, N)
+    scaled = [v * (factorial(N) // factorial(n)) for n, v in enumerate(want)]
+    assert fam._grow_exp([1], sign, w, N) == want
+    assert fam._scaled_exp([1], sign, w, N) == scaled
+    assert fam._scaled_exp(want[:77], sign, w, N) == scaled
+    held = want[:77]
+    assert fam._grow_exp(held, sign, w, N) is held and held == want
+
+
+def test_kronecker_exp_matches_plain_route():
+    # the weights of D(z,v), v^i packed as 2^(B i)
+    N = 30
+    B = max(fam._grow_forests(1, N)[: N + 1]).bit_length() + 1
+    w = fam._substituted(fam.polya_int_table(N), N, lambda i, k: k << B * i)
+    want = plain_exp([1], 1, w, N)
+    assert fam._grow_exp([1], 1, w, N) == want
+    assert fam._scaled_exp([1], 1, w, N) == [
+        v * (factorial(N) // factorial(n)) for n, v in enumerate(want)]
+
+
+@pytest.mark.parametrize("sigma", (1, -1))
+def test_forest_table_matches_modular_recurrence(sigma):
+    # independent of both exp loops: d_n mod p from n d_n = sum_i w_i d_(n-i),
+    # each division by n an inverse mod p, then n! d_n mod p
+    p, N = (1 << 61) - 1, 1000
+    a, s = modular_counts(sigma, N, p)
+    w = [(s[j] - j * a[j]) % p for j in range(N + 1)]
+    d, want, fact = [1], [1], 1
+    for n in range(1, N + 1):
+        d.append(sum(map(mul, w[2:n + 1], d[n - 2::-1])) * pow(n, -1, p) % p)
+        fact = fact * n % p
+        want.append(fact * d[n] % p)
+    assert [v % p for v in fam._grow_forests(sigma, N)[: N + 1]] == want
+
+
 def test_dforest_regression_value():
     assert fam.dforest_coeffs(10)[10] == F(3066769, 403200)
 
@@ -420,11 +496,13 @@ def test_gamma_weights_forest_components():
 
 
 def _forest_size_q(N):
-    """q = (T/(1-T)) / D through order N, built once per N.  Row m is
+    """q = (T/(1-T)) / D through order N, read off the public rows.  Row m is
     d_m z^m q: its [z^n] over [z^n] T/(1-T) is P(the forest at a random
-    fixed node of a size-n tree has size m)."""
-    w = fam._exp_weights(1, N)
-    return RationalSeries(tuple(fam._pointed_over_dforest(k, w) for k in range(N + 1)))
+    fixed node of a size-n tree has size m), so with d_0 = 1 the row of size
+    k gives q_k at m = 0 times p_k; q_0 = p_0 = 0."""
+    p = fam.pointed_coeffs(N)
+    return RationalSeries((F(0),) + tuple(fam.exact_forest_size_row(k, 0)[0] * p[k]
+                                         for k in range(1, N + 1)))
 
 
 def test_forest_size_rows_sum_to_one():
@@ -448,7 +526,7 @@ def test_exact_forest_size_row_sums_to_one():
 
 def test_forest_size_rows_match_reciprocal_route():
     # q = (T/(1-T)) / D through the Fraction reciprocal of D, against the
-    # integer 1/D table the families use
+    # n!-scaled 1/D table the exact rows use
     n = 60
     d, pointed = fam.dforest_coeffs(n), fam.pointed_coeffs(n)
     q = pointed * d.reciprocal()
