@@ -54,12 +54,14 @@ class _FloatTable:
     """Float coefficients c_0 .. c_order of a power series, each converted
     when a sum first reads it, with a fixed bound r on their growth:
     |c_k| <= |c_first| r^(k-first) for every k past the first nonzero one.
-    more(lo, hi) gives c_lo .. c_hi; dratio is the bound of the derivative's
-    table.  cut_short records whether a sum wanted terms past c_order."""
+    more(lo, hi) gives c_lo .. c_hi; ratios holds r, then the bounds of the
+    tables of the successive derivatives.  cut_short records whether a sum
+    wanted terms past c_order."""
 
     def __init__(self, more: Callable[[int, int], Iterable[float]], order: int,
-                 ratio: float, dratio: float | None = None) -> None:
-        self.more, self.order, self.ratio, self.dratio = more, order, ratio, dratio
+                 ratios: tuple[float, ...]) -> None:
+        self.more, self.order, self.ratios = more, order, ratios
+        self.ratio = ratios[0]
         self.coeffs: list[float] = []
         self.cut_short = False
         self.first = next((k for k in range(order + 1) if self.read(k)[k]), 0)
@@ -74,9 +76,9 @@ class _FloatTable:
 def _count_table(family: str, order: int) -> _FloatTable:
     """The float table of the family's counts t_0 .. t_order, with the row's
     growth bounds."""
-    counts, _, _, (ratio, dratio), _ = _FAMILIES[family]
+    counts, _, _, ratios, _ = _FAMILIES[family]
     return _FloatTable(lambda lo, hi: map(float, counts(hi)[lo:]), order,
-                       ratio, dratio)
+                       ratios)
 
 
 def _derivative_table(table: _FloatTable) -> _FloatTable:
@@ -85,7 +87,7 @@ def _derivative_table(table: _FloatTable) -> _FloatTable:
     def more(lo: int, hi: int) -> list[float]:
         coeffs = table.read(hi + 1)
         return [k * coeffs[k] for k in range(lo + 1, hi + 2)]
-    return _FloatTable(more, table.order - 1, table.dratio)
+    return _FloatTable(more, table.order - 1, table.ratios[1:])
 
 
 def _horner_sum(table: _FloatTable, args: Sequence[float],
@@ -189,17 +191,17 @@ def _substituted_sum(table: _FloatTable, x: float, start: int,
 
 
 def _substituted_derivative(dtable: _FloatTable, x: float,
-                            weights: Iterable[float]) -> float:
-    """sum over i >= 2 of w_i * x^(i-1) * series'(x^i), from the
-    derivative's table, the weights w_2, w_3, ... in order; 0 < x < 1
-    required."""
+                            weights: Iterable[float], power: int = 1) -> float:
+    """sum over i >= 2 of w_i * x^(power (i-1)) * series'(x^i), from the
+    derivative's table (the second derivative's for power 2), the weights
+    w_2, w_3, ... in order; 0 < x < 1 required."""
     args, scaled = [], []
     for i, w in zip(range(2, 2000), weights):
         arg = x ** i
         if arg < 1e-25:
             break
         args.append(arg)
-        scaled.append(w * x ** (i - 1))
+        scaled.append(w * x ** (power * (i - 1)))
     return _horner_sum(dtable, args, scaled)
 
 
@@ -217,12 +219,13 @@ def _forest_value(t: _FloatTable, x: float) -> float:
 # consecutive ratio |c_b/c_a|^(1/(b-a)) of the exact table at the largest
 # order a solve builds, rounded up: MAX_ORDER + ROOT_SHIFT_ORDERS for the
 # counts (reached there, as the ratios rise towards 1/rho), MAX_ORDER for the
-# derivative (reached at a small index: 3, 5/2 and sqrt(3))
+# derivatives (reached at a small index: 3, 5/2 and sqrt(3) for the first,
+# 6 for the Polya second derivative, which only decomposition_constants reads)
 _FAMILIES = {
     # e x D(x) - 1, from T(rho) = 1 (see the module docstring)
     "polya": (lambda n: polya_int_table(n),
               lambda t, x: math.e * x * _forest_value(t, x) - 1.0,
-              (0.25, 0.45), (2.94909, 3.0), None),
+              (0.25, 0.45), (2.94909, 3.0, 6.0), None),
     # no outdegree 1: H = (z/(1+z)) exp(sum_i H(z^i)/i) has H(tau) = 1 at the
     # singularity, so tau solves (tau/(1+tau)) e exp(sum_{i>=2} H(tau^i)/i) = 1
     "hierarchy": (lambda n: hierarchy_int_table(n),
@@ -407,7 +410,7 @@ class DecompositionConstants:
     rho: float
     b: float
     c_share: float          # 2/(b^2 rho): limit of E|C_n|/n
-    c_var_coeff: float      # 11/(12 b^2 rho): limit of Var|C_n|/n
+    c_var_coeff: float      # mu^2 + mu^3 (rho^2 G''(rho) - 1): limit of Var|C_n|/n
     mean_forest_size: float  # b^2 rho/2 - 1
     y_share: float          # 2 gamma(rho)/(b^2 rho): limit of E Y_n/n
     gamma_rho: float
@@ -433,16 +436,30 @@ class DecompositionConstants:
 
 
 def decomposition_constants(order: int = DEFAULT_ORDER) -> DecompositionConstants:
+    """The limits of the skeleton and forest statistics of a random tree.
+
+    |C_n| has mean and variance per node from the quasi-powers theorem
+    (Flajolet-Sedgewick, Analytic Combinatorics, Thm IX.9) applied to
+    rho(u), the root of 1 + log u + log z + G(z) = 0 with G = log D =
+    sum_{i>=2} T(z^i)/i: mu = 1/(1 + rho G'(rho)) = 2/(b^2 rho), and
+    sigma^2 = -(log rho)''(log u) = mu^2 + mu^3 (rho^2 G''(rho) - 1), where
+    G''(z) = sum_{i>=2} (i-1) z^(i-2) T'(z^i) + i z^(2i-2) T''(z^i).
+    """
     sing = solve_polya_singularity(order)
     t = _last_singularity[1]
     gamma_rho = _substituted_sum(t, sing.rho, 2, repeat(1.0))
     b2rho = sing.b ** 2 * sing.rho
+    mu = 2 / b2rho
+    dt = _derivative_table(t)
+    g2 = (_substituted_derivative(dt, sing.rho, map(float, count(1))) / sing.rho
+          + _substituted_derivative(_derivative_table(dt), sing.rho,
+                                    map(float, count(2)), power=2))
     c1 = sing.b / (2 * math.sqrt(math.pi) * (1 - math.sqrt(sing.rho))
                    * (sing.d_rho + sing.rho * sing.d_prime_rho))
     return DecompositionConstants(
         rho=sing.rho, b=sing.b,
-        c_share=2 / b2rho,
-        c_var_coeff=11 / (12 * b2rho),
+        c_share=mu,
+        c_var_coeff=mu ** 2 + mu ** 3 * (sing.rho ** 2 * g2 - 1),
         mean_forest_size=b2rho / 2 - 1,
         y_share=2 * gamma_rho / b2rho,
         gamma_rho=gamma_rho,

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import ne
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .families import OmegaSet
@@ -189,65 +190,108 @@ def pointed_tree_count(tree: CanonicalTree) -> int:
     return 1 + sum(pointed_tree_count(child) for child, _ in tree.children)
 
 
-def _cycle_index(slots: Sequence[UPoly]) -> UPoly:
-    """Z(S_m; s_1, ..., s_m) for m = len(slots), by the standard recurrence
-    k Z_k = sum_{i=1..k} s_i Z_(k-i)."""
-    zs = [UPoly.constant(1)]
-    for k in range(1, len(slots) + 1):
-        part = UPoly.zero()
-        for i in range(1, k + 1):
-            part = part + slots[i - 1] * zs[k - i]
-        zs.append(part.scale(Q(1, k)))
-    return zs[-1]
+# Each node-level automorphism of T fixes the root and, per child class
+# (S, m), permutes the m copies by some pi in S_m and maps copy j onto copy
+# pi(j) by an element of Aut(S).  The sums below run over Aut(T) in integers:
+#   a_T(u) = sum_g u^(fixed nodes of g),
+#   s_T(u) = sum_g (-1)^(even node cycles of g) u^(fixed nodes of g),
+#   sigma_T = sum_g (-1)^(node cycles of g),
+# and the public averages divide each once by |Aut T| = a_T(1).
+
+
+def _times(p: list[int], q: list[int]) -> list[int]:
+    """The product of two integer polynomials, coefficient lists by power."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _copy_cycles(first: list[int], rest: Sequence[int]) -> list[int]:
+    """W_m = sum over pi in S_m of the product over the cycles of pi of
+    V_(cycle length), m = len(rest) + 1, where V_1 = first is a polynomial
+    and V_i = rest[i - 2] an integer for i >= 2.
+
+    This is m! Z(S_m; V_1, ..., V_m): from k Z_k = sum_i V_i Z_(k-i),
+    W_k = sum_(i=1..k) (k-1)!/(k-i)! V_i W_(k-i) with W_0 = 1."""
+    ws = [[1]]
+    for k in range(1, len(rest) + 2):
+        w = _times(first, ws[k - 1])
+        for i in range(2, k + 1):
+            factor = math.perm(k - 1, i - 1) * rest[i - 2]
+            for d, c in enumerate(ws[k - i]):
+                w[d] += factor * c
+        ws.append(w)
+    return ws[-1]
+
+
+def _automorphism_sums(tree: CanonicalTree, signed: bool) -> list[int]:
+    """a_T(u) (signed: s_T(u)) as integer coefficients, from the children's
+    averages held by the caches below.
+
+    A copy cycle of length i over S has fixed nodes only when i = 1; its
+    inner maps range over |Aut S|^i tuples.  Unsigned, V_1 = a_S(u) and
+    V_i = |Aut S|^i.  Signed, the i inner maps compose to one element h of
+    Aut(S), reached by |Aut S|^(i-1) tuples, and a node cycle of h of length
+    l becomes one of length i*l: V_1 = s_S(u), V_i = |Aut S|^(i-1) sigma_S
+    for even i (every cycle even) and |Aut S|^(i-1) s_S(1) for odd i >= 3.
+    """
+    acc = [0, 1]  # the root is always fixed
+    for child, m in tree.children:
+        g = aut_order(child)
+        if signed:
+            first = _sums_over(signed_fixed_point_polynomial(child), g)
+            even, odd = int(_sign_balance(child) * g), sum(first)
+            rest = [g ** (i - 1) * (even if i % 2 == 0 else odd)
+                    for i in range(2, m + 1)]
+        else:
+            first = _sums_over(fixed_point_polynomial(child), g)
+            rest = [g ** i for i in range(2, m + 1)]
+        acc = _times(acc, _copy_cycles(first, rest))
+    return acc
+
+
+def _sums_over(average: UPoly, order: int) -> list[int]:
+    """The integer sums behind an average over `order` automorphisms."""
+    return [c.numerator * (order // c.denominator) for c in average.coeffs]
+
+
+def _averaged(sums: list[int], order: int) -> UPoly:
+    # the identity contributes u^n with coefficient 1, so no trailing zero
+    return UPoly(tuple(Q(c, order) for c in sums))
 
 
 @lru_cache(maxsize=None)
 def fixed_point_polynomial(tree: CanonicalTree) -> UPoly:
-    """t_T(u) = average of u^(number of fixed nodes) over Aut(T).
-
-    A child class (S, m) contributes Z(S_m; t_S(u), 1, ..., 1): copies on a
-    nontrivial cycle of the wreath permutation contain no fixed node at all.
-    """
-    one = UPoly.constant(1)
-    acc = one
-    for child, m in tree.children:
-        acc = acc * _cycle_index([fixed_point_polynomial(child)] + [one] * (m - 1))
-    return acc.shift_marker(1)  # the root is always fixed
+    """t_T(u) = average of u^(number of fixed nodes) over Aut(T)."""
+    return _averaged(_automorphism_sums(tree, False), aut_order(tree))
 
 
 @lru_cache(maxsize=None)
 def _sign_balance(tree: CanonicalTree) -> Fraction:
     """Average of (-1)^(number of cycles) over Aut(T) acting on nodes.
 
-    This is the substitution value of a child class sitting on an even-length
-    copy cycle: every induced node cycle gets even total length, hence -1.
+    The root is one 1-cycle.  A copy cycle of length i over S yields one
+    node cycle per cycle of the composed map h, reached by |Aut S|^(i-1)
+    tuples, so a class sums sigma_S^c(pi) |Aut S|^(m-c(pi)) over S_m, which
+    is the rising product prod_(k<m) (sigma_S + k |Aut S|).
     """
-    acc = -Q(1)  # the root contributes a single 1-cycle
+    acc = -1
     for child, m in tree.children:
-        # Z(S_m; x, ..., x) = x (x+1) ... (x+m-1) / m! with x the child's value
-        x = _sign_balance(child)
-        acc *= math.prod((x + k for k in range(m)), start=Q(1)) / math.factorial(m)
-    return acc
+        g = aut_order(child)
+        sigma = int(_sign_balance(child) * g)
+        acc *= math.prod(sigma + k * g for k in range(m))
+    return Q(acc, aut_order(tree))
 
 
 @lru_cache(maxsize=None)
 def signed_fixed_point_polynomial(tree: CanonicalTree) -> UPoly:
-    """r_T(u) = average of (-1)^(even node cycles) u^(fixed nodes) over Aut(T).
-
-    Wreath recursion: a copy cycle of length j over child S composes its
-    inner maps into one uniform element of Aut(S), and a node cycle of inner
-    length l becomes one cycle of length j*l.  Hence the slot values
-      j = 1: r_S(u);  j even: average of (-1)^cycles = _sign_balance(S);
-      j odd >= 3: r_S(1), which is 1 for identity trees and else 0.
-    """
-    acc = UPoly.constant(1)
-    for child, m in tree.children:
-        r_child = signed_fixed_point_polynomial(child)
-        even_val = UPoly.constant(_sign_balance(child))
-        odd_val = UPoly.constant(r_child.eval(1))
-        acc = acc * _cycle_index([r_child] + [even_val if j % 2 == 0 else odd_val
-                                              for j in range(2, m + 1)])
-    return acc.shift_marker(1)
+    """r_T(u) = average of (-1)^(even node cycles) u^(fixed nodes) over
+    Aut(T); r_T(1) is 1 for identity trees, and in general 1 when every
+    automorphism is an even node permutation, else 0."""
+    return _averaged(_automorphism_sums(tree, True), aut_order(tree))
 
 
 @lru_cache(maxsize=None)
@@ -397,43 +441,48 @@ def naive_automorphisms(children: list[list[int]]) -> Iterator[tuple[int, ...]]:
     cut back to its length on return.  Only pairs whose u has children are
     queued: equal raw subtree size makes v a leaf whenever u is one, and a
     leaf pair has exactly one (empty) image, so skipping it yields the same
-    tuples in the same order.
+    tuples in the same order.  An image that leaves no pair waiting is
+    yielded at once, not through one more generator.
     """
-    sizes = _subtree_sizes(children)
+    size = _subtree_sizes(children).__getitem__
     perm = [0] * len(children)  # the root is fixed; the rest is set before each yield
     queue = [(0, 0)] if children[0] else []
 
     def extend(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(queue):
-            yield tuple(perm)
-            return
         u, v = queue[i]
         cu = children[u]
-        wanted = [sizes[a] for a in cu]
-        base = len(queue)
+        wanted = list(map(size, cu))
+        base, last = len(queue), i + 1
         for image in itertools.permutations(children[v]):
-            if [sizes[b] for b in image] != wanted:
+            if list(map(size, image)) != wanted:
                 continue
             for a, b in zip(cu, image):
                 perm[a] = b
                 if children[a]:
                     queue.append((a, b))
-            yield from extend(i + 1)
-            del queue[base:]
+            if len(queue) == last:
+                yield tuple(perm)
+            else:
+                yield from extend(last)
+                del queue[base:]
 
-    yield from extend(0)
+    if queue:
+        yield from extend(0)
+    else:
+        yield tuple(perm)
 
 
-def cycle_type(perm: tuple[int, ...]) -> dict[int, int]:
-    """Map cycle length -> number of cycles of that length."""
+def cycle_type(perm: Sequence[int]) -> dict[int, int]:
+    """Map cycle length -> number of cycles of that length.  Each cycle is
+    walked once, from its smallest point: the later points are marked seen,
+    and the scan never comes back to the start."""
     seen = [False] * len(perm)
     out: dict[int, int] = {}
-    for start in range(len(perm)):
+    for start, v in enumerate(perm):
         if seen[start]:
             continue
-        length = 0
-        v = start
-        while not seen[v]:
+        length = 1
+        while v != start:
             seen[v] = True
             v = perm[v]
             length += 1
@@ -445,11 +494,11 @@ def naive_forest_weight(forest: ForestSpec) -> Fraction:
     """forest_weight by explicit enumeration over node-level automorphisms."""
     # the forest with a virtual root joining the component roots
     children = _labeled_children(tree_from_classes(forest.components))
-    total = 0
-    free = 0
+    nodes = range(1, len(children))  # every node but the virtual root
+    total = free = 0
     for perm in naive_automorphisms(children):
         total += 1
-        if all(perm[i] != i for i in range(1, len(perm))):
+        if all(map(ne, perm[1:], nodes)):
             free += 1
     return Q(free, total)
 
@@ -464,14 +513,13 @@ def naive_signed_forest_weight(forest: ForestSpec) -> Fraction:
     children = _labeled_children(tree_from_classes(forest.components))
     roots = children[0]
     position = {r: i for i, r in enumerate(roots)}
-    total = 0
-    acc = 0
+    nodes = range(1, len(children))
+    total = acc = 0
     for perm in naive_automorphisms(children):
         total += 1
-        if any(perm[i] == i for i in range(1, len(perm))):
-            continue
-        induced = tuple(position[perm[r]] for r in roots)
-        evens = sum(c for length, c in cycle_type(induced).items()
-                    if length % 2 == 0)
-        acc += (-1) ** evens
+        if all(map(ne, perm[1:], nodes)):
+            induced = [position[perm[r]] for r in roots]
+            evens = sum(c for length, c in cycle_type(induced).items()
+                        if length % 2 == 0)
+            acc += -1 if evens % 2 else 1
     return Q(acc, total)

@@ -203,8 +203,12 @@ class UPoly:
 
     @staticmethod
     def from_coeffs(values: Iterable[Scalar]) -> "UPoly":
-        coeffs = list(_to_fraction_tuple(values))
-        while coeffs and coeffs[-1] == 0:
+        return UPoly._trimmed(list(_to_fraction_tuple(values)))
+
+    @staticmethod
+    def _trimmed(coeffs: list[Fraction]) -> "UPoly":
+        """The polynomial of Fraction coefficients, trailing zeros stripped."""
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         return UPoly(tuple(coeffs))
 
@@ -226,15 +230,18 @@ class UPoly:
             return self.coeffs[k]
         return Q(0)
 
+    # sums, differences and products of Fraction coefficients are Fractions,
+    # so the operators strip trailing zeros without wrapping them again
+
     def __add__(self, other: "UPoly") -> "UPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly.from_coeffs(
+        return UPoly._trimmed(
             [self.coefficient(k) + other.coefficient(k) for k in range(n)]
         )
 
     def __sub__(self, other: "UPoly") -> "UPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly.from_coeffs(
+        return UPoly._trimmed(
             [self.coefficient(k) - other.coefficient(k) for k in range(n)]
         )
 
@@ -248,7 +255,7 @@ class UPoly:
             for j, b in enumerate(other.coeffs):
                 if b:
                     out[i + j] += a * b
-        return UPoly.from_coeffs(out)
+        return UPoly._trimmed(out)
 
     def scale(self, factor: Scalar) -> "UPoly":
         f = Q(factor)
@@ -263,6 +270,8 @@ class UPoly:
         return UPoly((Q(0),) * k + self.coeffs)
 
     def eval(self, v: Scalar) -> Fraction:
+        if v == 1:  # the coefficient sum, without Horner's products by 1
+            return sum(self.coeffs, Q(0))
         vq = Q(v)
         acc = Q(0)
         for c in reversed(self.coeffs):

@@ -130,20 +130,20 @@ def _fixed_point_basics(max_n: int) -> list[str]:
     return bad
 
 
+def _is_odd(perm: tuple[int, ...]) -> bool:
+    """Whether a permutation has an odd number of even-length cycles."""
+    return sum(c for length, c in cycle_type(perm).items() if length % 2 == 0) % 2 == 1
+
+
 def _sign_balance_naive(max_n: int) -> list[str]:
     # r_T(1) is 1 when every automorphism permutes nodes evenly, else 0;
-    # rigid trees are the special case with only the identity automorphism
+    # rigid trees are the special case with only the identity automorphism.
+    # The enumeration stops at the first odd automorphism.
     bad = []
     for n in range(1, max_n + 1):
         for t in enumerate_trees(n):
-            all_even = True
-            for perm in naive_automorphisms(_labeled_children(t)):
-                evens = sum(c for length, c in cycle_type(perm).items()
-                            if length % 2 == 0)
-                if evens % 2 == 1:
-                    all_even = False
-                    break
-            expected = 1 if all_even else 0
+            odd = any(map(_is_odd, naive_automorphisms(_labeled_children(t))))
+            expected = 0 if odd else 1
             got = signed_fixed_point_polynomial(t).eval(1)
             if got != expected:
                 bad.append(f"{t.encoding}: r_T(1)={got} != {expected}")

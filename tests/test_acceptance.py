@@ -259,7 +259,8 @@ def test_criterion_08_sampler_statistics(acceptance_log, deco):
     ok &= len(counts) == 48 and chi2 < 72.44
     report(acceptance_log, 8, ok,
            f"seeded run (n=2000, 10^4 samples): c/n={c_share:.4f}, "
-           f"var_c/n={c_var:.4f}, y/n={y_share:.4f}, var_y/n={y_var:.4f}, "
+           f"var_c/n={c_var:.4f} (limit {deco.c_var_coeff:.4f}), "
+           f"y/n={y_share:.4f}, var_y/n={y_var:.4f}, "
            f"size frequencies within 0.01, chi2(47)={chi2:.1f} < 72.44")
 
 

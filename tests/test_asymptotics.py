@@ -93,9 +93,10 @@ def test_second_solve_at_the_same_order_is_remembered(monkeypatch):
     assert solved == [60]
     # the solve builds the tables at orders 60 and 140 (a sum at order 60 is
     # cut short, so the raised order is solved) and one derivative table, the
+    # decomposition constants the first and second derivative tables, the
     # forest constants their own derivative table; the table at 60 is handed
     # on, not built again, and no table converts past its order
-    assert [t.order for t in built] == [60, 140, 59, 59]
+    assert [t.order for t in built] == [60, 140, 59, 59, 58, 59]
     assert all(len(t.coeffs) <= t.order + 1 for t in built)
     # an L_n law solves once at the default order, then reuses it
     assert lmax_exact_mean(40) == lmax_exact_mean(40)
@@ -128,10 +129,31 @@ def test_forest_count_estimate_parity(forest):
         assert forest.dn_parity_sign(n) == (1 if n % 2 == 0 else -1)
 
 
+def exact_csize_variance_per_node(n: int) -> Fraction:
+    """var|C_n|/n from the exact moments: t_n E|C_n| = [z^n] P and
+    t_n E|C_n|^2 = [z^n] P (1+P)^2, with P = T/(1-T), by big-int
+    convolutions of the pointed table."""
+    p = fam._grow_pointed(1, n)[:n + 1]
+    t_n = fam.polya_int_table(n)[n]
+    lifted = [1] + p[1:]  # 1 + P
+    squared = [sum(lifted[k] * lifted[j - k] for k in range(j + 1))
+               for j in range(n + 1)]
+    second = sum(p[k] * squared[n - k] for k in range(1, n + 1))
+    mean = Fraction(p[n], t_n)
+    return (Fraction(second, t_n) - mean * mean) / n
+
+
 def test_decomposition_constants(deco):
     assert deco.c_share == pytest.approx(0.822365336, abs=1e-7)
     assert deco.y_share == pytest.approx(0.157760431, abs=1e-7)
-    assert deco.c_var_coeff == pytest.approx(0.376917446, abs=1e-7)
+    # the quasi-powers variance against the exact moments, Richardson
+    # extrapolated: the error of var|C_n|/n falls like 1/n, and
+    # 2 v(1000) - v(500) = 0.3638152
+    v500 = exact_csize_variance_per_node(500)
+    v1000 = exact_csize_variance_per_node(1000)
+    assert float(v500) == pytest.approx(0.364806, abs=1e-6)
+    assert float(v1000) == pytest.approx(0.364311, abs=1e-6)
+    assert deco.c_var_coeff == pytest.approx(float(2 * v1000 - v500), abs=1e-5)
     assert deco.mean_forest_size == pytest.approx(1 / deco.c_share - 1, rel=1e-10)
     assert deco.lmax_c1 == pytest.approx(1.367309345, abs=1e-6)
 
@@ -471,13 +493,14 @@ SOLVER_CASES = [
 
 def test_solvers_match_their_pinned_digest(monkeypatch):
     # sha256 of every constant of every solver, computed while each family
-    # had its own hand-written root solve
+    # had its own hand-written root solve; re-pinned when c_var_coeff became
+    # the quasi-powers variance, the only field that moved
     results = []
     for family, order in SOLVER_CASES:
         monkeypatch.setattr(asy, "_last_singularity", None)
         results.append(_solver_results(family, order))
     assert hashlib.sha256("\n".join(results).encode()).hexdigest() == (
-        "972bb6445de782d9d48785f85471c3e33edb264b1a8896f893d9ee26c95626f5")
+        "4cecd6f1a5b7533c812c08d697553e99500d0877dd3be5d39b61541ef3b6f0df")
 
 
 @pytest.mark.parametrize("family, order", SOLVER_CASES)
@@ -702,13 +725,16 @@ def _consecutive_ratios(values) -> list[tuple[Fraction, int]]:
 @pytest.mark.parametrize("family", list(MAX_ORDER))
 def test_growth_bounds_cover_the_largest_tables(family):
     # each bound holds for every consecutive ratio of the exact table at the
-    # largest order a solve builds (the derivative's at MAX_ORDER), exactly,
-    # and is within 1 % of the largest, so that the cuts stay tight
+    # largest order a solve builds (the derivatives' at MAX_ORDER), exactly,
+    # and is within 1 % of the largest, so that the cuts stay tight; the
+    # Polya row also bounds the second derivative decomposition_constants reads
     counts, _, _, bounds, _ = asy._FAMILIES[family]
     top = MAX_ORDER[family]
     base = counts(top + ROOT_SHIFT_ORDERS)
     derivative = [k * base[k] for k in range(1, top + 1)]
-    for bound, values in zip(bounds, (base, derivative)):
+    second = [k * (k - 1) * base[k] for k in range(2, top + 1)]
+    assert len(bounds) == (3 if family == "polya" else 2)
+    for bound, values in zip(bounds, (base, derivative, second)):
         ratios = _consecutive_ratios(values)
         assert all(Fraction(bound) ** gap >= r for r, gap in ratios)
         assert bound <= 1.01 * max(float(r) ** (1 / gap) for r, gap in ratios)

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyakit.verify as verify
 from polyakit.cli import FAMILIES, main
+from polyakit.oracle import aut_order, enumerate_trees
 
 
 def run(argv):
@@ -204,6 +206,27 @@ def test_verify_passes():
     assert payload["all_passed"] is True
     assert len(payload["rows"]) == 15
     assert "PASS" in err
+
+
+def test_verify_reports_a_failing_row(monkeypatch):
+    # one row whose reference is wrong on one tree: the report says so, the
+    # detail names the tree and the exit code is 1
+    star = enumerate_trees(4)[-1]
+    assert star.encoding == "(()()())"
+
+    def off_by_one(tree):
+        return aut_order(tree) + (tree == star)
+    monkeypatch.setattr(verify, "_CHECKS", (
+        ("aut order = wrong reference",
+         verify._agrees(enumerate_trees, aut_order, off_by_one), 8),))
+    code, out, err = run(["verify", "--oracle-max", "4"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_passed"] is False
+    (row,) = payload["rows"]
+    assert row["passed"] is False and row["max_n"] == 4
+    assert row["detail"] == "CanonicalTree((()()())): 6 != 7"
+    assert "FAIL  n<= 4  aut order = wrong reference" in err
 
 
 def test_verify_report_is_pinned():

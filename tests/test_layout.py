@@ -134,3 +134,32 @@ def test_no_module_changes_interpreter_settings():
                        for t in targets for part in ast.walk(t)):
                     setters.append(f"{path.stem}:{node.lineno}")
     assert not setters, f"interpreter setting changed at {setters}"
+
+
+HEAVY_MODULES = {"numpy", "scipy", "mpmath", "sympy"}
+
+
+def _imports_at_import_time(tree: ast.Module) -> list[tuple[str, int]]:
+    """The modules an import statement names outside every function body:
+    module level, and class bodies and blocks, which run on import."""
+    found, pending = [], list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.append((node.module, node.lineno))
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_module_imports_a_heavy_library_on_import():
+    # numpy alone takes about 0.12 s to import, as long as a whole cold CLI
+    # request: a module that needs one imports it inside the function
+    heavy = [f"{path.stem}:{line} {name}" for path in SOURCES
+             for name, line in _imports_at_import_time(
+                 ast.parse(path.read_text(encoding="utf-8")))
+             if name.split(".")[0] in HEAVY_MODULES]
+    assert not heavy, f"heavy import at module level: {heavy}"

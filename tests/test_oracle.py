@@ -1,8 +1,10 @@
 """Enumeration oracle checks: canonical trees, automorphisms, forests."""
 
 import copy
+import functools
 import hashlib
 import itertools
+import math
 import pickle
 from fractions import Fraction
 
@@ -38,7 +40,7 @@ from polyakit.oracle import (
     _sign_balance,
     _subtree_sizes,
 )
-from polyakit.series import RationalSeries
+from polyakit.series import RationalSeries, UPoly
 
 F = Fraction
 
@@ -153,6 +155,73 @@ def test_automorphisms_match_reference_route():
     assert total == 64686
 
 
+def reference_cycle_index(slots):
+    """Z(S_m; s_1, ..., s_m) for m = len(slots), by the standard recurrence
+    k Z_k = sum_{i=1..k} s_i Z_(k-i), in Fraction polynomials."""
+    zs = [UPoly.constant(1)]
+    for k in range(1, len(slots) + 1):
+        part = UPoly.zero()
+        for i in range(1, k + 1):
+            part = part + slots[i - 1] * zs[k - i]
+        zs.append(part.scale(F(1, k)))
+    return zs[-1]
+
+
+@functools.cache
+def reference_fixed_point_polynomial(tree):
+    """The route the integer sums replaced: a child class (S, m) contributes
+    Z(S_m; t_S(u), 1, ..., 1), since copies on a nontrivial cycle of the
+    wreath permutation contain no fixed node."""
+    one = UPoly.constant(1)
+    acc = one
+    for child, m in tree.children:
+        acc = acc * reference_cycle_index(
+            [reference_fixed_point_polynomial(child)] + [one] * (m - 1))
+    return acc.shift_marker(1)
+
+
+@functools.cache
+def reference_sign_balance(tree):
+    """Z(S_m; x, ..., x) = x (x+1) ... (x+m-1) / m! per class, x the
+    child's average, times -1 for the root's 1-cycle."""
+    acc = -F(1)
+    for child, m in tree.children:
+        x = reference_sign_balance(child)
+        acc *= math.prod((x + k for k in range(m)), start=F(1)) / math.factorial(m)
+    return acc
+
+
+@functools.cache
+def reference_signed_fixed_point_polynomial(tree):
+    """Slot values j = 1: r_S(u); j even: the child's sign balance;
+    j odd >= 3: r_S(1)."""
+    acc = UPoly.constant(1)
+    for child, m in tree.children:
+        r_child = reference_signed_fixed_point_polynomial(child)
+        even_val = UPoly.constant(reference_sign_balance(child))
+        odd_val = UPoly.constant(r_child.eval(1))
+        acc = acc * reference_cycle_index(
+            [r_child] + [even_val if j % 2 == 0 else odd_val for j in range(2, m + 1)])
+    return acc.shift_marker(1)
+
+
+def test_integer_sums_match_the_cycle_index_route():
+    # the automorphism sums in integers, each divided once by |Aut T|, give
+    # the cycle-index averages exactly, coefficient types included, on all
+    # 1,205 trees of size <= 10
+    trees = [t for n in range(1, 11) for t in enumerate_trees(n)]
+    assert len(trees) == 1205
+    for t in trees:
+        assert sum(oracle._automorphism_sums(t, False)) == aut_order(t)
+        got = (fixed_point_polynomial(t).coeffs,
+               signed_fixed_point_polynomial(t).coeffs, _sign_balance(t))
+        want = (reference_fixed_point_polynomial(t).coeffs,
+                reference_signed_fixed_point_polynomial(t).coeffs,
+                reference_sign_balance(t))
+        assert got == want, t
+        assert repr(got) == repr(want), t
+
+
 def test_automorphism_counts_match_aut_order():
     for n in range(1, 11):
         for tree in enumerate_trees(n):
@@ -227,7 +296,6 @@ def test_pointed_counts():
 
 
 def test_plane_embeddings_and_catalan():
-    import math
     assert plane_embeddings(chain(4)) == 1
     assert plane_embeddings(star(3)) == 1
     assert plane_embeddings(make_tree([LEAF, chain(2)])) == 2

@@ -149,6 +149,38 @@ def test_upoly_product_matches_eval():
     assert (p * q).eval(7) == p.eval(7) * q.eval(7)
 
 
+def _horner(p, v):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * v + c
+    return acc
+
+
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(fractions, max_size=6), st.lists(fractions, max_size=6))
+def test_upoly_operators_keep_trimmed_fraction_coefficients(a, b):
+    # the operators no longer wrap each coefficient again; their results are
+    # the wrapped route's, with Fraction coefficients and no trailing zero
+    p, q = UPoly.from_coeffs(a), UPoly.from_coeffs(b)
+    n = max(len(p.coeffs), len(q.coeffs))
+    product = [Fraction(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, x in enumerate(p.coeffs):
+        for j, y in enumerate(q.coeffs):
+            product[i + j] += x * y
+    for got, want in ((p + q, [p.coefficient(k) + q.coefficient(k) for k in range(n)]),
+                      (p - q, [p.coefficient(k) - q.coefficient(k) for k in range(n)]),
+                      (p * q, product)):
+        assert got == UPoly.from_coeffs(want)  # the wrapping route
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert not got.coeffs or got.coeffs[-1] != 0
+    # at 1 the value is the coefficient sum, at any other point Horner's
+    for v in (1, Fraction(1), -1, Fraction(2, 3)):
+        assert p.eval(v) == _horner(p, v) and type(p.eval(v)) is Fraction
+
+
 def test_bivariate_row_sums_and_marker():
     rows = [UPoly.constant(1), UPoly.from_coeffs([0, 1]),
             UPoly.from_coeffs([0, Fraction(1, 2), Fraction(1, 2)])]
