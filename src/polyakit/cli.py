@@ -117,10 +117,25 @@ FAMILIES = {
     "hierarchy": families.hierarchy_coeffs,
     "binary": families.binary_polya_coeffs,
     "omega": families.omega_polya_coeffs,
-    "identity": lambda n: families.identity_tree_coeffs(n)[0],
+    "identity": families.identity_coeffs,
     "identity-dforest": lambda n: families.identity_tree_coeffs(n)[1],
-    "identity-pointed": lambda n: families.identity_tree_coeffs(n)[2],
+    "identity-pointed": families.identity_pointed_coeffs,
     "e-series": families.e_series,
+}
+
+
+# the largest --n of each family's cost ladder that finishes cold within
+# about 30 s (one run each at the cap, 2-CPU VM: dforest 21.5 s,
+# identity-dforest 19.5 s, e-series 3.5 s, ctree-poly 2.3 s and 150 MiB,
+# dforest-components 12.0 s); the first three grow about like N^4,
+# ctree-poly like n^2 in memory.  The families not listed are held only by
+# MAX_SIZE.
+N_CAPS = {
+    "dforest": 2000,
+    "identity-dforest": 2000,
+    "e-series": 400,
+    "ctree-poly": 300,
+    "dforest-components": 200,
 }
 
 
@@ -329,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "coeffs" and args.family == "omega" \
             and args.omega is None:
         parser.error("--omega is required for the omega family")
+    if args.command == "coeffs" and args.n > N_CAPS.get(args.family, MAX_SIZE):
+        parser.error(f"argument --n: must be at most {N_CAPS[args.family]} "
+                     f"for --family {args.family}, got {args.n}")
     if args.command == "sample" and not args.lmax and args.n is None:
         parser.error("--n is required unless --lmax is given")
     if args.command == "table" and args.which == "forest-size-conditional" \

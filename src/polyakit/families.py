@@ -268,12 +268,22 @@ def pointed_coeffs(N: int) -> RationalSeries:
     return RationalSeries.from_coeffs(_grow_pointed(1, N)[: N + 1])
 
 
+def identity_coeffs(N: int) -> RationalSeries:
+    """Identity trees R = z exp(sum_i (-1)^(i-1) R(z^i)/i) to order N."""
+    return RationalSeries.from_coeffs(_grow_counts(-1, N)[0][: N + 1])
+
+
+def identity_pointed_coeffs(N: int) -> RationalSeries:
+    """R_c = R/(1-R) to order N."""
+    return RationalSeries.from_coeffs(_grow_pointed(-1, N)[: N + 1])
+
+
 def identity_tree_coeffs(N: int) -> tuple[RationalSeries, RationalSeries, RationalSeries]:
-    """(R, D*, R_c): identity trees R = z exp(sum_i (-1)^(i-1) R(z^i)/i),
-    the signed forest series D* = exp(sum_{i>=2} ...), and R_c = R/(1-R)."""
-    return (RationalSeries.from_coeffs(_grow_counts(-1, N)[0][: N + 1]),
-            _over_factorials(_grow_forests(-1, N), N),
-            RationalSeries.from_coeffs(_grow_pointed(-1, N)[: N + 1]))
+    """(R, D*, R_c): identity trees, the signed forest series
+    D* = exp(sum_{i>=2} (-1)^(i-1) R(z^i)/i), and R_c = R/(1-R).  D* costs
+    about N^4; a caller that needs only R or R_c reads it alone."""
+    return (identity_coeffs(N), _over_factorials(_grow_forests(-1, N), N),
+            identity_pointed_coeffs(N))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ families.py are validated against these enumerations in the test suite and
 the verify command.
 
 A tree is canonical: children are stored as (subtree, multiplicity) pairs
-sorted by (size, encoding), so structural equality is string equality on the
-parenthesis encoding.
+sorted by (size, encoding), so two trees are equal exactly when their
+parenthesis encodings are.  A node holds its children and size; its encoding
+is built on first read.  Siblings are ordered by a structural comparison that
+gives the encoding order without building either encoding.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from operator import ne
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -35,12 +37,17 @@ class CanonicalTree:
     changed node would change all of them.  The constructor fills the slots
     through their descriptors, which costs less than a frozen dataclass's
     `object.__setattr__` calls; the sampler builds one for every node it
-    draws."""
+    draws.
 
-    __slots__ = ("children", "size", "encoding")
+    The encoding is built on first read and kept on this node only, never
+    on its descendants: a tree that is never printed or hashed holds no
+    string, where storing every node's encoding would hold
+    sum_v |subtree(v)| characters."""
+
+    __slots__ = ("children", "size", "_encoding")
 
     def __init__(self, children: tuple[tuple["CanonicalTree", int], ...],
-                 size: int, encoding: str) -> None:
+                 size: int, encoding: Optional[str] = None) -> None:
         _set_children(self, children)
         _set_size(self, size)
         _set_encoding(self, encoding)
@@ -52,14 +59,45 @@ class CanonicalTree:
         raise AttributeError(f"CanonicalTree is immutable: cannot delete {name}")
 
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not by assignment
-        return CanonicalTree, (self.children, self.size, self.encoding)
+        # copy and pickle rebuild through the constructor, not by assignment,
+        # and carry the encoding only if it was built
+        return CanonicalTree, (self.children, self.size, self._encoding)
+
+    def __deepcopy__(self, memo: dict) -> "CanonicalTree":
+        # children first, by an explicit walk: the route through __reduce__
+        # recurses about eight frames per level and stops near 120 levels.
+        # A shared node is copied once.
+        pending = [self]
+        while pending:
+            node = pending[-1]
+            fresh = [t for t, _ in node.children if id(t) not in memo]
+            if fresh:
+                pending += fresh
+                continue
+            pending.pop()
+            if id(node) not in memo:
+                memo[id(node)] = CanonicalTree(
+                    tuple([(memo[id(t)], m) for t, m in node.children]),
+                    node.size, node._encoding)
+        return memo[id(self)]
+
+    @property
+    def encoding(self) -> str:
+        """The parenthesis encoding: "(" + the children's encodings, each
+        repeated by its multiplicity, in canonical order + ")"."""
+        text = self._encoding
+        if text is None:
+            text = _encode(self)
+            _set_encoding(self, text)
+        return text
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CanonicalTree) and self.encoding == other.encoding
+        return isinstance(other, CanonicalTree) and self.size == other.size \
+            and _order(self, other) == 0
 
     def __hash__(self) -> int:
-        return hash(self.encoding)
+        # the lru caches below hash every tree they are called with
+        return hash(self._encoding or self.encoding)
 
     def __repr__(self) -> str:
         return f"CanonicalTree({self.encoding})"
@@ -71,38 +109,98 @@ class CanonicalTree:
 
 _set_children = CanonicalTree.children.__set__
 _set_size = CanonicalTree.size.__set__
-_set_encoding = CanonicalTree.encoding.__set__
+_set_encoding = CanonicalTree._encoding.__set__
 
 LEAF = CanonicalTree((), 1, "()")
 
 
-def _class_order(pair: tuple[CanonicalTree, int]) -> tuple[int, str]:
-    return pair[0].size, pair[0].encoding
+def _encode(tree: CanonicalTree) -> str:
+    """The encoding of a tree by an explicit walk, so its depth is not bounded
+    by the recursion limit.  A node whose encoding is built is copied whole;
+    the walk stores nothing on the nodes it passes."""
+    parts: list[str] = []
+    pending: list = [tree]  # nodes still to write, and their closing ")"
+    while pending:
+        node = pending.pop()
+        if node.__class__ is str:
+            parts.append(node)
+            continue
+        text = node._encoding
+        if text is not None:
+            parts.append(text)
+            continue
+        parts.append("(")
+        pending.append(")")
+        for child, m in reversed(node.children):
+            pending.extend([child] * m)
+    return "".join(parts)
+
+
+def _expanded(tree: CanonicalTree) -> Iterator[CanonicalTree]:
+    """The children of a node in order, each repeated by its multiplicity."""
+    return itertools.chain.from_iterable(
+        itertools.repeat(child, m) for child, m in tree.children)
+
+
+def _order(a: CanonicalTree, b: CanonicalTree) -> int:
+    """-1, 0 or 1 as the encoding of a sorts before, equal to or after the
+    encoding of b, found from the structure without building either.
+
+    An encoding is a complete parenthesis word and none is a proper prefix
+    of another, so two encodings first differ inside the first pair of
+    expanded children that differ, and that pair decides.  When one child
+    sequence is a prefix of the other, the longer one has "(" where the
+    shorter one closes, and "(" sorts before ")": the longer one is smaller.
+    The walk keeps its own stack of open pairs, and equal objects are
+    skipped without a look inside."""
+    if a is b:
+        return 0
+    pending = []
+    xs, ys = _expanded(a), _expanded(b)
+    while True:
+        x, y = next(xs, None), next(ys, None)
+        if x is y:
+            if x is None:  # both sequences closed together
+                if not pending:
+                    return 0
+                xs, ys = pending.pop()
+            continue
+        if x is None or y is None:
+            return 1 if x is None else -1
+        pending.append((xs, ys))
+        xs, ys = _expanded(x), _expanded(y)
+
+
+def _class_order(p: tuple[CanonicalTree, int], q: tuple[CanonicalTree, int]) -> int:
+    """Two (subtree, multiplicity) classes by subtree size, then encoding."""
+    return p[0].size - q[0].size or _order(p[0], q[0])
+
+
+_class_key = cmp_to_key(_class_order)
 
 
 def tree_from_classes(classes: Sequence[tuple[CanonicalTree, int]]) -> CanonicalTree:
     """Root (subtree, multiplicity) pairs: the classes are sorted by (size,
     encoding) and equal subtrees, now adjacent, merge their multiplicities.
-    Subtrees are compared by their encoding strings, never hashed."""
+    Subtrees are compared by structure, the same object at once; no
+    encoding is built or hashed."""
     if len(classes) > 1:
-        ordered = sorted(classes, key=_class_order)
+        ordered = sorted(classes, key=_class_key)
         classes = [ordered[0]]
-        for t, m in ordered[1:]:
-            last, seen = classes[-1]
-            if t.encoding == last.encoding:
-                classes[-1] = (last, seen + m)
+        for pair in ordered[1:]:
+            if _class_order(pair, classes[-1]):
+                classes.append(pair)
             else:
-                classes.append((t, m))
+                last, seen = classes[-1]
+                classes[-1] = (last, seen + pair[1])
     if len(classes) == 1:
         # most sampled nodes have one class: nothing to sort or merge
         pair = classes[0]
-        t, m = pair
-        return CanonicalTree((pair,), 1 + t.size * m, "(" + t.encoding * m + ")")
+        return CanonicalTree((pair,), 1 + pair[0].size * pair[1])
     size = 1
     for t, m in classes:
         size += t.size * m
-    encoding = "(" + "".join([t.encoding * m for t, m in classes]) + ")"
-    return CanonicalTree(tuple(classes), size, encoding)
+    return CanonicalTree(tuple(classes), size)
 
 
 def make_tree(subtrees: Iterable[CanonicalTree]) -> CanonicalTree:

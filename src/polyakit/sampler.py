@@ -14,7 +14,10 @@ interpreter's recursion limit.  For each node it first draws the whole chain
 of peels (m, d), head after head down to a single root, and then draws the
 repeated subtrees, last peel first, each by the same procedure; the node is
 built once from its (subtree, copies) classes, its leaf copies merged into one
-class.  Equal subtrees of one tree share one node object.
+class.  Equal subtrees of one tree share one node object: a node is looked up
+by the identities of its canonical classes, (id(subtree), copies) pairs,
+since its children are shared already.  No encoding string is built; a
+node's encoding is built only when it is read.
 
 Every seeded tree, and with it every seeded report, depends on the draw order
 above, on the divisor walk order, and on how each number is drawn: a value
@@ -63,6 +66,16 @@ def _divisors_sampling_order(n: int) -> list[int]:
 _orders: dict[int, list[int]] = {}  # k -> divisor walk order, k < MAX_SIZE
 
 
+def _shared(built: dict[tuple, CanonicalTree], tree: CanonicalTree) -> CanonicalTree:
+    """The node already built with the same classes as tree, else tree.  A
+    node of one class, most of them, is keyed by its one pair of ints."""
+    children = tree.children
+    if len(children) == 1:
+        t, m = children[0]
+        return built.setdefault((id(t), m), tree)
+    return built.setdefault(tuple([(id(t), m) for t, m in children]), tree)
+
+
 def sample_polya_tree(n: int, rng: random.Random) -> CanonicalTree:
     """One tree of size n, each of the t_n trees with probability 1/t_n,
     drawn over the shared big-integer count tables."""
@@ -74,9 +87,10 @@ def sample_polya_tree(n: int, rng: random.Random) -> CanonicalTree:
     getrandbits = rng.getrandbits
     # open nodes: (peels whose subtree is still to draw, classes drawn)
     stack: list[tuple[list[tuple[int, int]], list]] = []
-    # encoding -> the node built for it: equal subtrees share one node, so
-    # a tree holds about half as many objects for the garbage collector
-    built: dict[str, CanonicalTree] = {}
+    # the (id(subtree), copies) pairs of a node's classes -> the node: equal
+    # subtrees share one node, so a tree holds about half as many objects
+    # for the garbage collector.  Every id in a key is a node held here.
+    built: dict[tuple, CanonicalTree] = {}
     size = n
     while True:
         # the node's whole chain of peels (size m, copies) first; a leaf
@@ -120,16 +134,14 @@ def sample_polya_tree(n: int, rng: random.Random) -> CanonicalTree:
         # a finished subtree, a star or a leaf: hand it to the open node,
         # which draws its next repeated part or, with none left, is built
         # and handed up
-        tree = tree_from_classes(((LEAF, leaves),)) if leaves else LEAF
-        tree = built.setdefault(tree.encoding, tree)
+        tree = _shared(built, tree_from_classes(((LEAF, leaves),))) if leaves else LEAF
         while stack:
             peels, classes = stack[-1]
             classes.append((tree, peels.pop()[1]))
             if peels:
                 break
             stack.pop()
-            tree = tree_from_classes(classes)
-            tree = built.setdefault(tree.encoding, tree)
+            tree = _shared(built, tree_from_classes(classes))
         else:
             return tree
         size = peels[-1][0]

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 
 from .families import (OmegaSet, binary_int_table, cayley_coeffs,
                        ctree_polynomials, dforest_coeffs, hierarchy_int_table,
-                       identity_tree_coeffs, pointed_coeffs, polya_int_table)
+                       identity_coeffs, identity_tree_coeffs, pointed_coeffs,
+                       polya_int_table)
 from .oracle import (aut_order, ctree_weight, cycle_type, enumerate_dforests,
                      enumerate_trees, fixed_point_polynomial, forest_weight,
                      is_identity_tree, naive_automorphisms,
@@ -152,15 +153,11 @@ def _sign_balance_naive(max_n: int) -> list[str]:
     return bad
 
 
-def _identity_counts(max_n: int):
-    return identity_tree_coeffs(max_n)[0]
-
-
 # (row name, check, nominal largest size), in report order
 _CHECKS = (
     ("tree census = t_n", _sums(enumerate_trees, _one, polya_int_table), 10),
     ("outdegree-filtered census", _outdegree_census, 10),
-    ("rigid-tree census = r_n", _sums(_identity_trees, _one, _identity_counts), 10),
+    ("rigid-tree census = r_n", _sums(_identity_trees, _one, identity_coeffs), 10),
     ("aut order = brute-force count",
      _agrees(enumerate_trees, _brute_force_aut_order, aut_order), 8),
     ("sum of t_T(u) = row polynomial",
@@ -184,7 +181,7 @@ _CHECKS = (
     ("r_T(1) = [all automorphisms even]", _sign_balance_naive, 7),
     ("sum of r_T(1) over rigid trees = r_n",
      _sums(_identity_trees, lambda t: signed_fixed_point_polynomial(t).eval(1),
-           _identity_counts), 8),
+           identity_coeffs), 8),
 )
 
 

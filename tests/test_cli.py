@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyakit.verify as verify
-from polyakit.cli import FAMILIES, main
+import polyakit.families as fam
+from polyakit.cli import FAMILIES, N_CAPS, main
 from polyakit.oracle import aut_order, enumerate_trees
+from polyakit.sampler import MAX_SIZE
 
 
 def run(argv):
@@ -304,6 +306,32 @@ def test_invalid_input_is_a_usage_error(argv, _id_suffix, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", sorted(N_CAPS))
+def test_coeffs_refuses_n_past_the_family_cap(family, capsys):
+    # one refusal just past each cap: a request at the cap takes up to about
+    # 20 s cold, too slow for this suite
+    cap = N_CAPS[family]
+    assert family in FAMILIES and cap < MAX_SIZE
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--family", family, "--n", str(cap + 1)])
+    assert exc.value.code == 2
+    assert [line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line] == [
+        f"polyakit: error: argument --n: must be at most {cap} "
+        f"for --family {family}, got {cap + 1}"]
+
+
+def test_identity_families_build_only_their_own_table(monkeypatch):
+    # R and R_c come from their own tables; only identity-dforest needs D*
+    want = fam.identity_tree_coeffs(30)
+    monkeypatch.setattr(fam, "_grow_forests", None)
+    for name, series in (("identity", want[0]), ("identity-pointed", want[2])):
+        code, out, _ = run(["coeffs", "--family", name, "--n", "30"])
+        assert code == 0
+        assert json.loads(out)["coefficients"] == [
+            str(series[k]) for k in range(31)]
 
 
 OMEGA_TEXTS = ("all", "all-except:1", "0,2", "0,3,5", "all-except:", "", "abc",

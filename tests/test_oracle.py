@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -507,6 +508,73 @@ def test_class_fast_paths_match_the_general_route():
             classes = [(pool[i], 1 + j % 2) for j, i in enumerate(picks)]
             assert _shape(tree_from_classes(classes)) == \
                 reference_tree_from_classes(classes)
+
+
+def test_canonicaliser_matches_the_reference_on_every_small_multiset():
+    # the classes arrive in reverse canonical order, and a repeated tree
+    # comes back as a separate copy, so equal subtrees merge by structure,
+    # not only by identity: every multiset of up to three classes over the
+    # 85 trees of size <= 7, and of four over the 37 trees of size <= 6
+    pool = [t for n in range(1, 8) for t in enumerate_trees(n)]
+    twins = [pickle.loads(pickle.dumps(t)) for t in pool]
+    for width, trees in ((1, 85), (2, 85), (3, 85), (4, 37)):
+        for picks in itertools.combinations_with_replacement(range(trees), width):
+            classes = [(twins[i] if j and picks[j - 1] == i else pool[i], 1 + j % 2)
+                       for j, i in enumerate(picks)][::-1]
+            assert _shape(tree_from_classes(classes)) == \
+                reference_tree_from_classes(classes)
+
+
+def _reference_encoding(tree):
+    return "(" + "".join(_reference_encoding(t) * m for t, m in tree.children) + ")"
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+def test_structural_order_matches_the_encoding_order_on_the_corpus():
+    # every node of the pinned sampler corpus: its encoding, its sibling
+    # order, and its place among all the corpus nodes agree with strings
+    # built by the definition
+    import random
+    from polyakit.sampler import sample_polya_tree
+    nodes = {}
+    for n in (5, 12, 36, 60):
+        for seed in range(20):
+            stack = [sample_polya_tree(n, random.Random(seed))]
+            while stack:
+                node = stack.pop()
+                if nodes.setdefault(id(node), node) is node:
+                    stack.extend(t for t, _ in node.children)
+    nodes = list(nodes.values())
+    text = {id(t): _reference_encoding(t) for t in nodes}
+    for node in nodes:
+        assert node.encoding == text[id(node)]
+        for (a, _), (b, _) in itertools.pairwise(node.children):
+            assert (a.size, text[id(a)]) < (b.size, text[id(b)])
+        for (a, _), (b, _) in itertools.product(node.children, repeat=2):
+            assert oracle._order(a, b) == _sign(text[id(a)], text[id(b)])
+    by_string = sorted(nodes, key=lambda t: text[id(t)])
+    assert sorted(nodes, key=functools.cmp_to_key(oracle._order)) == by_string
+    for a, b in itertools.pairwise(by_string):
+        assert oracle._order(a, b) == _sign(text[id(a)], text[id(b)])
+        assert oracle._order(b, a) == -oracle._order(a, b)
+
+
+def test_deep_trees_encode_and_compare_without_recursion():
+    # chain(5000) is far deeper than the recursion limit, which stays as is
+    limit = sys.getrecursionlimit()
+    assert limit < 5000
+    a, b = chain(5000), chain(5000)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert b.encoding == "(" * 5000 + ")" * 5000
+    twin = copy.deepcopy(a)
+    assert twin == a and twin is not a and twin.children[0][0] is not a.children[0][0]
+    bent = make_tree([chain(4998), LEAF])  # "(()((...)))" sorts after a
+    assert a != bent and oracle._order(a, bent) == -1 == -oracle._order(bent, a)
+    assert a.encoding < bent.encoding
+    assert sys.getrecursionlimit() == limit
 
 
 def test_canonical_tree_compares_and_hashes_by_encoding():

@@ -1,7 +1,10 @@
 """Exact uniform sampling and decomposition statistics."""
 
+import copy
+import gc
 import math
 import os
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -141,16 +144,71 @@ def test_decomposition_draws_as_shuffle():
             assert mine.getstate() == stdlib.getstate()
 
 
-def test_equal_subtrees_share_one_node():
-    # one object per distinct subtree of a tree: a retained tree holds about
-    # half the objects, which the garbage collector walks
+def _nodes(tree):
+    """Every node object of a tree once, by an explicit walk."""
     seen = {}
-    stack = [sample_polya_tree(500, random.Random(3))]
+    stack = [tree]
     while stack:
         node = stack.pop()
-        assert seen.setdefault(node.encoding, node) is node
-        stack.extend(child for child, _ in node.children)
-    assert len(seen) > 100
+        if seen.setdefault(id(node), node) is node:
+            stack.extend(child for child, _ in node.children)
+    return list(seen.values())
+
+
+def test_equal_subtrees_share_one_node():
+    # one object per distinct subtree of a tree: a retained tree holds about
+    # half the objects, which the garbage collector walks.  Smallest first,
+    # each node is labelled by its children's labels and multiplicities;
+    # equal subtrees held by two objects would meet under one label.  No
+    # encoding is built on the way.
+    nodes = sorted(_nodes(sample_polya_tree(500, random.Random(3))),
+                   key=lambda t: t.size)
+    label, owner = {}, {}
+    for node in nodes:
+        key = tuple((label[id(child)], m) for child, m in node.children)
+        assert owner.setdefault(key, node) is node
+        label[id(node)] = len(owner)
+    assert len(nodes) > 100
+    assert all(node._encoding is None for node in nodes if node.size > 1)
+
+
+def test_sampled_trees_build_encodings_only_when_read():
+    # only the root keeps the encoding it was asked for; copies carry what
+    # was built and build nothing more
+    rng = random.Random(5)
+    tree = sample_polya_tree(2000, rng)
+    sample_decomposition(tree, rng)
+    assert tree._encoding is None
+    text = tree.encoding
+    assert len(text) == 4000 and tree._encoding is text
+    for twin in (tree, copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert twin == tree and twin._encoding == text
+        inner = [node for node in _nodes(twin)
+                 if node is not twin and node.size > 1]
+        assert len(inner) > 100
+        assert all(node._encoding is None for node in inner)
+
+
+# retained memory per tree at n = 2000 over seeds 0..9, measured as the test
+# below does: 125.5 KiB, against 344.1 KiB while every node kept its encoding
+RETAINED_KIB_PER_TREE = 125.5
+
+
+def test_retained_memory_per_tree_stays_small():
+    import tracemalloc
+    seeds = range(10)
+    for seed in seeds:  # the count table and divisor orders these trees read
+        sample_polya_tree(2000, random.Random(seed))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [sample_polya_tree(2000, random.Random(seed)) for seed in seeds]
+        gc.collect()
+        per_tree = (tracemalloc.get_traced_memory()[0] - before) / len(kept) / 1024
+    finally:
+        tracemalloc.stop()
+    assert per_tree < 1.5 * RETAINED_KIB_PER_TREE, per_tree
 
 
 def test_sampling_leaves_global_state_alone():
