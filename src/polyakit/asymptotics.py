@@ -31,9 +31,10 @@ ROOT_SHIFT_ORDERS = 80
 MAX_ORDER = {"polya": 584, "hierarchy": 839, "binary": 1504}
 
 # A Horner pass leaves out the terms whose sum stays below TAIL_MARGIN times
-# the table's first nonzero term: 2^-110 is the square of the double unit
-# roundoff with four bits to spare, so the cut tail never reaches the last bit
-# of the result.  The full loop is the reference route in the tests.
+# the term where the table's growth bound starts: 2^-110 is the square of the
+# double unit roundoff with four bits to spare, so the cut tail never reaches
+# the last bit of the result.  The full loop is the reference route in the
+# tests.
 TAIL_MARGIN = 2.0 ** -110
 _LN_TAIL_MARGIN = math.log(TAIL_MARGIN)
 
@@ -52,19 +53,21 @@ class OrderTooLarge(ValueError):
 
 class _FloatTable:
     """Float coefficients c_0 .. c_order of a power series, each converted
-    when a sum first reads it, with a fixed bound r on their growth:
-    |c_k| <= |c_first| r^(k-first) for every k past the first nonzero one.
-    more(lo, hi) gives c_lo .. c_hi; ratios holds r, then the bounds of the
-    tables of the successive derivatives.  cut_short records whether a sum
-    wanted terms past c_order."""
+    when a sum first reads it, with a fixed bound r on their growth from an
+    anchor index on: |c_k| <= |c_first| r^(k-first) for every k past first,
+    the first nonzero coefficient at or after the anchor.  more(lo, hi)
+    gives c_lo .. c_hi; bounds holds the pair (anchor, r), then the pairs of
+    the tables of the successive derivatives.  cut_short records whether a
+    sum wanted terms past c_order."""
 
     def __init__(self, more: Callable[[int, int], Iterable[float]], order: int,
-                 ratios: tuple[float, ...]) -> None:
-        self.more, self.order, self.ratios = more, order, ratios
-        self.ratio = ratios[0]
+                 bounds: tuple[tuple[int, float], ...]) -> None:
+        self.more, self.order, self.bounds = more, order, bounds
+        anchor, self.ratio = bounds[0]
         self.coeffs: list[float] = []
         self.cut_short = False
-        self.first = next((k for k in range(order + 1) if self.read(k)[k]), 0)
+        self.first = next((k for k in range(anchor, order + 1)
+                           if self.read(k)[k]), anchor)
 
     def read(self, top: int) -> list[float]:
         """The coefficients, converted at least through c_top."""
@@ -76,9 +79,9 @@ class _FloatTable:
 def _count_table(family: str, order: int) -> _FloatTable:
     """The float table of the family's counts t_0 .. t_order, with the row's
     growth bounds."""
-    counts, _, _, ratios, _ = _FAMILIES[family]
+    counts, _, _, bounds, _ = _FAMILIES[family]
     return _FloatTable(lambda lo, hi: map(float, counts(hi)[lo:]), order,
-                       ratios)
+                       bounds)
 
 
 def _derivative_table(table: _FloatTable) -> _FloatTable:
@@ -87,7 +90,7 @@ def _derivative_table(table: _FloatTable) -> _FloatTable:
     def more(lo: int, hi: int) -> list[float]:
         coeffs = table.read(hi + 1)
         return [k * coeffs[k] for k in range(lo + 1, hi + 2)]
-    return _FloatTable(more, table.order - 1, table.ratios[1:])
+    return _FloatTable(more, table.order - 1, table.bounds[1:])
 
 
 def _horner_sum(table: _FloatTable, args: Sequence[float],
@@ -98,12 +101,12 @@ def _horner_sum(table: _FloatTable, args: Sequence[float],
     that comes first.
 
     With q = r|y| < 1 the terms after K sum to at most
-    q^(K+1-first)/(1-q) times the first term, which is below TAIL_MARGIN
-    for K = first + 1 + ceil((ln TAIL_MARGIN + ln(1-q)) / ln q).  When q is
-    too close to 1 for that K to fall inside the table, every term is used
-    and the table records that the sum was cut short.  K does not depend on
-    how much of the table is converted, so every sum is the one the whole
-    table gives.
+    q^(K+1-first)/(1-q) times the term at first, which is below TAIL_MARGIN
+    for K = first + 1 + ceil((ln TAIL_MARGIN + ln(1-q)) / ln q); the terms
+    before first are always summed.  When q is too close to 1 for that K to
+    fall inside the table, every term is used and the table records that
+    the sum was cut short.  K does not depend on how much of the table is
+    converted, so every sum is the one the whole table gives.
     """
     first, ratio, order = table.first, table.ratio, table.order
     total = 0.0
@@ -126,18 +129,39 @@ def _bisect(g: Callable[[float], float], lo: float, hi: float) -> float:
     """The point where bisection of [lo, hi] on the sign of g ends, found
     with under half of its evaluations of g for the solvers' equations.
 
-    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) first closes an
-    evaluated bracket g(a) <= 0 < g(b) to width _NEAR; then the bisection
-    runs from (lo, hi) as it always did, but a midpoint _NEAR or more below
-    a goes low and one _NEAR or more above b goes high without evaluating g.
-    For an increasing g whose float error is below g' * _NEAR, g's sign at
-    such a midpoint is the one bisection would read, so the result is the
-    plain bisection's to the last bit.
+    The evaluated bracket g(a) <= 0 < g(b) comes from bisection's own first
+    midpoints: they are halved as bisection halves them until one has
+    g <= 0 and another g > 0.  Only when every midpoint falls on one side
+    is g evaluated at lo or hi, and the bracket is checked there; the check
+    assumes an increasing g, whose midpoints then need no check.  The ends
+    are never read otherwise, and an end can lie past a series' radius of
+    convergence, where its sum would read the whole table.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) then closes the
+    bracket to width _NEAR; then the bisection runs from (lo, hi) as it
+    always did, but a midpoint _NEAR or more below a goes low and one _NEAR
+    or more above b goes high without evaluating g.  For an increasing g
+    whose float error is below g' * _NEAR, g's sign at such a midpoint is
+    the one bisection would read, so the result is the plain bisection's to
+    the last bit.
     """
-    ga, gb = g(lo), g(hi)
+    a, b, ga, gb = lo, hi, None, None
+    while ga is None or gb is None:
+        mid = (a + b) / 2
+        if mid in (a, b):
+            break
+        gm = g(mid)
+        if gm <= 0:
+            a, ga = mid, gm
+        else:
+            b, gb = mid, gm
+    if ga is None:  # every midpoint had g > 0, so a is still lo
+        ga = g(lo)
+    if gb is None:
+        gb = g(hi)
     if ga > 0 or gb < 0:
         raise ValueError("root not bracketed")
-    a, b, side = lo, hi, 0
+    side = 0
     # the solvers take 8 or 9 steps; a g that is flat left of its root, or
     # very steep right of it, moves a by only _NEAR/2 a step, so the steps are
     # bounded, and the bisection below is right from any bracket
@@ -215,22 +239,26 @@ def _forest_value(t: _FloatTable, x: float) -> float:
 # wrapper bound to that name sees every call), the equation g(table, x) whose
 # root in the bracket is its singularity, that bracket, the growth bounds of
 # its float table and of its derivative's table, and for a variant the rule
-# mu(table, tau) for E|C_n|/n -> 1/(1+mu).  Each bound is the largest
-# consecutive ratio |c_b/c_a|^(1/(b-a)) of the exact table at the largest
-# order a solve builds, rounded up: MAX_ORDER + ROOT_SHIFT_ORDERS for the
-# counts (reached there, as the ratios rise towards 1/rho), MAX_ORDER for the
-# derivatives (reached at a small index: 3, 5/2 and sqrt(3) for the first,
-# 6 for the Polya second derivative, which only decomposition_constants reads)
+# mu(table, tau) for E|C_n|/n -> 1/(1+mu).  Each bound is a pair (anchor,
+# r): r is the largest consecutive ratio |c_b/c_a|^(1/(b-a)), a >= anchor, of
+# the exact table at the largest order a solve builds, rounded up:
+# MAX_ORDER + ROOT_SHIFT_ORDERS for the counts (reached there, as the ratios
+# rise towards 1/rho), MAX_ORDER for the derivatives (reached at a small
+# index: 3, 5/2 and sqrt(3) for the first).  The ratios of the Polya second
+# derivative, which only decomposition_constants reads, fall from 6 at its
+# first index towards 1/rho, so its bound holds from index 5, where the
+# largest later ratio is 3.1975...; that anchor makes its sum at rho^2
+# shortest, 84 terms where the bound 6 from index 0 needs 208
 _FAMILIES = {
     # e x D(x) - 1, from T(rho) = 1 (see the module docstring)
     "polya": (lambda n: polya_int_table(n),
               lambda t, x: math.e * x * _forest_value(t, x) - 1.0,
-              (0.25, 0.45), (2.94909, 3.0, 6.0), None),
+              (0.25, 0.45), ((0, 2.94909), (0, 3.0), (5, 3.197516)), None),
     # no outdegree 1: H = (z/(1+z)) exp(sum_i H(z^i)/i) has H(tau) = 1 at the
     # singularity, so tau solves (tau/(1+tau)) e exp(sum_{i>=2} H(tau^i)/i) = 1
     "hierarchy": (lambda n: hierarchy_int_table(n),
                   lambda h, x: (x / (1 + x)) * math.e * _forest_value(h, x) - 1.0,
-                  (0.3, 0.6), (2.185889, 2.5),
+                  (0.3, 0.6), ((0, 2.185889), (0, 2.5)),
                   lambda h, x: x ** 2 * math.e * _forest_value(h, x)
                   * _substituted_derivative(_derivative_table(h), x, repeat(1.0))),
     # outdegrees {0, 2}: B = z + (z/2)B^2 + (z/2)B(z^2) with B(tau) = 1/tau at
@@ -239,7 +267,7 @@ _FAMILIES = {
     # slot of the pair cycle index is held fixed, so only B(x^2) contributes
     "binary": (lambda n: binary_int_table(n),
                lambda b, x: _horner_sum(b, [x * x], [x * x]) + 2 * x * x - 1.0,
-               (0.5, 0.75), (1.574341, 1.7320509),
+               (0.5, 0.75), ((0, 1.574341), (0, 1.7320509)),
                lambda b, x: _horner_sum(_derivative_table(b), [x * x], [x ** 4])),
 }
 

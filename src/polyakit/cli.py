@@ -129,7 +129,12 @@ FAMILIES = {
 # identity-dforest 19.5 s, e-series 3.5 s, ctree-poly 2.3 s and 150 MiB,
 # dforest-components 12.0 s); the first three grow about like N^4,
 # ctree-poly like n^2 in memory.  The families not listed are held only by
-# MAX_SIZE.
+# MAX_SIZE.  table --exact-n has one cap for both tables, the largest size
+# at which `table --which forest-size --mmax <cap> --exact-n <cap>` finishes
+# cold within about 30 s (27.4 and 31.2 s at 1500 in two runs, 20.8 s at
+# 1400): its exact row grows D, 1/D and the pointed table to n, at a cost of
+# about N^4.  --mmax needs none, as the forest terms stop growing D once they
+# underflow, near m = 1400.
 N_CAPS = {
     "dforest": 2000,
     "identity-dforest": 2000,
@@ -137,6 +142,7 @@ N_CAPS = {
     "ctree-poly": 300,
     "dforest-components": 200,
 }
+EXACT_N_CAP = 1500
 
 
 def _coeffs_payload(family: str, n: int, omega: OmegaSet | None) -> dict:
@@ -208,6 +214,16 @@ def _converged(residual: float, shift: float) -> bool:
     return residual < RESIDUAL_TOL and shift < SHIFT_TOL
 
 
+def _exit_status(root: str, order: int, residual: float, shift: float) -> int:
+    """0 for a converged solve; 1 for one that has not, said on stderr."""
+    if _converged(residual, shift):
+        return 0
+    print(f"polyakit: the {root} solve at order {order} has not converged "
+          f"(residual {residual:.3g}, shift {shift:.3g}); raise --order",
+          file=sys.stderr)
+    return 1
+
+
 def _cmd_singularity(args) -> int:
     order = args.order
     if args.family == "polya":
@@ -216,15 +232,15 @@ def _cmd_singularity(args) -> int:
         payload["family"] = "polya"
         payload["forest"] = asdict(forest_asymptotics(order))
         payload["decomposition"] = asdict(decomposition_constants(order))
-        converged = _converged(sing.residual, sing.rho_shift)
+        root, residual, shift = "rho", sing.residual, sing.rho_shift
     else:
         var = solve_variant_singularity(args.family, order)
         payload = asdict(var)
         payload["c_share"] = var.c_share
-        converged = _converged(var.residual, var.tau_shift)
-    payload["converged"] = converged
+        root, residual, shift = "tau", var.residual, var.tau_shift
+    payload["converged"] = _converged(residual, shift)
     _emit(payload, args.format, args.output)
-    return 0 if converged else 1
+    return _exit_status(root, order, residual, shift)
 
 
 def _cmd_table(args) -> int:
@@ -248,12 +264,7 @@ def _cmd_table(args) -> int:
         "exact": exact,
     }
     _emit(payload, args.format, args.output)
-    if _converged(sing.residual, sing.rho_shift):
-        return 0
-    print(f"polyakit: the rho solve at order {args.order} has not converged "
-          f"(residual {sing.residual:.3g}, shift {sing.rho_shift:.3g}); "
-          "raise --order", file=sys.stderr)
-    return 1
+    return _exit_status("rho", args.order, sing.residual, sing.rho_shift)
 
 
 def _cmd_sample(args) -> int:
@@ -308,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    choices=("forest-size", "forest-size-conditional"))
     p.add_argument("--mmax", type=_int_in(0, MAX_SIZE), required=True)
-    p.add_argument("--exact-n", type=_int_in(1, MAX_SIZE), default=300,
+    p.add_argument("--exact-n", type=_int_in(1, EXACT_N_CAP), default=300,
                    help="size for the exact finite-n comparison row")
     p.add_argument("--order", type=_int_in(1, math.inf), default=DEFAULT_ORDER)
     common(p)

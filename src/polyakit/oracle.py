@@ -59,26 +59,28 @@ class CanonicalTree:
         raise AttributeError(f"CanonicalTree is immutable: cannot delete {name}")
 
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not by assignment,
-        # and carry the encoding only if it was built
-        return CanonicalTree, (self.children, self.size, self._encoding)
+        # pickle rebuilds through the constructor, not by assignment, from one
+        # post-order table of the distinct nodes, children as indices, so a
+        # deep tree does not recurse once per level and a shared node stays
+        # shared; each node carries its encoding only if it was built
+        index: dict[int, int] = {}
+        table = []
+        for node in _post_order(self, index):
+            index[id(node)] = len(table)
+            table.append((tuple([(index[id(t)], m) for t, m in node.children]),
+                          node.size, node._encoding))
+        return _from_table, (table,)
+
+    def __copy__(self) -> "CanonicalTree":
+        # a shallow copy shares the children, not rebuilt from the table
+        return CanonicalTree(self.children, self.size, self._encoding)
 
     def __deepcopy__(self, memo: dict) -> "CanonicalTree":
-        # children first, by an explicit walk: the route through __reduce__
-        # recurses about eight frames per level and stops near 120 levels.
-        # A shared node is copied once.
-        pending = [self]
-        while pending:
-            node = pending[-1]
-            fresh = [t for t, _ in node.children if id(t) not in memo]
-            if fresh:
-                pending += fresh
-                continue
-            pending.pop()
-            if id(node) not in memo:
-                memo[id(node)] = CanonicalTree(
-                    tuple([(memo[id(t)], m) for t, m in node.children]),
-                    node.size, node._encoding)
+        # children first, by an explicit walk; a shared node is copied once
+        for node in _post_order(self, memo):
+            memo[id(node)] = CanonicalTree(
+                tuple([(memo[id(t)], m) for t, m in node.children]),
+                node.size, node._encoding)
         return memo[id(self)]
 
     @property
@@ -112,6 +114,31 @@ _set_size = CanonicalTree.size.__set__
 _set_encoding = CanonicalTree._encoding.__set__
 
 LEAF = CanonicalTree((), 1, "()")
+
+
+def _post_order(tree: CanonicalTree, done) -> Iterator[CanonicalTree]:
+    """The nodes of tree whose ids are not in done, each once and every child
+    before its parent, by an explicit walk; the caller adds the id of each
+    node it is given to done before asking for the next."""
+    pending = [tree]
+    while pending:
+        node = pending[-1]
+        fresh = [t for t, _ in node.children if id(t) not in done]
+        if fresh:
+            pending += fresh
+            continue
+        pending.pop()
+        if id(node) not in done:
+            yield node
+
+
+def _from_table(table: list) -> CanonicalTree:
+    """The tree of a post-order node table from CanonicalTree.__reduce__."""
+    nodes: list[CanonicalTree] = []
+    for children, size, encoding in table:
+        nodes.append(CanonicalTree(tuple([(nodes[i], m) for i, m in children]),
+                                   size, encoding))
+    return nodes[-1]
 
 
 def _encode(tree: CanonicalTree) -> str:

@@ -13,7 +13,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polyakit.asymptotics as asy
@@ -507,11 +507,13 @@ def test_cut_evaluation_matches_full_route(family, order, monkeypatch):
 
 def solver_table(name: str):
     """The solvers' tables at order 480 (the raised order of 400), and their
-    derivative tables, by name: T, T', H, H', B, B'; each is converted only
-    as far as it is read."""
+    derivative tables, by name: T, T', T'', H, H', B, B'; each is converted
+    only as far as it is read."""
     family = {"T": "polya", "H": "hierarchy", "B": "binary"}[name[0]]
     table = _count_table(family, 480)
-    return _derivative_table(table) if name.endswith("'") else table
+    for _ in range(name.count("'")):
+        table = _derivative_table(table)
+    return table
 
 
 # the bisection bracket of the solver that evaluates each table
@@ -526,7 +528,7 @@ def _argument(name: str):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(("T", "T'", "H", "H'", "B", "B'")).flatmap(_argument))
+@given(st.sampled_from(("T", "T'", "T''", "H", "H'", "B", "B'")).flatmap(_argument))
 def test_cut_horner_is_bit_identical(case):
     name, x, i = case
     table, y = solver_table(name), x ** i
@@ -635,6 +637,27 @@ def test_bisect_rejects_an_unbracketed_root(g, lo, hi):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.floats(0.05, 0.8), st.floats(1e-6, 0.5), st.floats(0.0, 1.0),
        st.floats(1e-3, 700.0), st.booleans())
+def test_bisect_never_evaluates_the_bracket_ends(lo, width, at, scale, linear):
+    # the evaluated bracket comes from bisection's midpoints: when g <= 0 at
+    # some float above lo and g > 0 at some float below hi, g is read at
+    # neither end, and the root is still plain bisection's
+    hi = lo + width
+    r = lo + at * (hi - lo)
+    assume(lo < r < math.nextafter(hi, lo))
+    if linear:
+        def g(x):
+            return scale * (x - r)
+    else:
+        def g(x):
+            return math.expm1(scale / width * (x - r))
+    counted_g, calls = counted(g)
+    assert asy._bisect(counted_g, lo, hi).hex() == plain_bisect(g, lo, hi).hex()
+    assert lo not in calls and hi not in calls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.05, 0.8), st.floats(1e-6, 0.5), st.floats(0.0, 1.0),
+       st.floats(1e-3, 700.0), st.booleans())
 def test_bisect_matches_plain_route_on_monotone_g(lo, width, at, scale, linear):
     hi = lo + width
     r = lo + at * (hi - lo)
@@ -683,9 +706,10 @@ def test_skipped_raised_solve_matches_two_table_route():
             == [_solve_hexes(two_table_solve, *case) for case in WALKED_ORDERS])
 
 
-# how many times a solve at order 400 bisects: only binary's sums reach past
-# the table, so only binary solves the raised order as well
-BISECTIONS_AT_400 = {"polya": 1, "hierarchy": 1, "binary": 2}
+# how many times a solve at order 400 bisects: no sum reaches past the table
+# (binary's did while g was read at its bracket end 0.75, past the radius),
+# so no family solves the raised order as well
+BISECTIONS_AT_400 = {"polya": 1, "hierarchy": 1, "binary": 1}
 
 
 @pytest.mark.parametrize("family", list(BISECTIONS_AT_400))
@@ -713,31 +737,41 @@ def _consecutive_ratios(values) -> list[tuple[Fraction, int]]:
 
 @pytest.mark.parametrize("family", list(MAX_ORDER))
 def test_growth_bounds_cover_the_largest_tables(family):
-    # each bound holds for every consecutive ratio of the exact table at the
-    # largest order a solve builds (the derivatives' at MAX_ORDER), exactly,
-    # and is within 1 % of the largest, so that the cuts stay tight; the
-    # Polya row also bounds the second derivative decomposition_constants reads
+    # each bound holds for every consecutive ratio from its anchor on of the
+    # exact table at the largest order a solve builds (the derivatives' at
+    # MAX_ORDER), exactly, and is within 1 % of the largest, so that the cuts
+    # stay tight; the Polya row also bounds the second derivative
+    # decomposition_constants reads, whose early ratios (6 at its index 0)
+    # lie above its bound
     counts, _, _, bounds, _ = asy._FAMILIES[family]
     top = MAX_ORDER[family]
     base = counts(top + ROOT_SHIFT_ORDERS)
     derivative = [k * base[k] for k in range(1, top + 1)]
     second = [k * (k - 1) * base[k] for k in range(2, top + 1)]
     assert len(bounds) == (3 if family == "polya" else 2)
-    for bound, values in zip(bounds, (base, derivative, second)):
-        ratios = _consecutive_ratios(values)
+    anchors = [anchor for anchor, _ in bounds]
+    assert anchors == ([0, 0, 5] if family == "polya" else [0, 0])
+    for (anchor, bound), values in zip(bounds, (base, derivative, second)):
+        ratios = _consecutive_ratios(values[anchor:])
         assert all(Fraction(bound) ** gap >= r for r, gap in ratios)
         assert bound <= 1.01 * max(float(r) ** (1 / gap) for r, gap in ratios)
+    if family == "polya":  # the anchor leaves out ratios above the bound
+        assert max(r for r, _ in _consecutive_ratios(second)) == 6
 
 
 @pytest.mark.parametrize("family, held, limit", [
-    ("polya", lambda: fam._counts[1], 160),
-    ("hierarchy", lambda: fam._h_counts, 340),
-    ("binary", lambda: fam._binary.a, 481)])
+    pytest.param("polya", lambda: fam._counts[1], 79, id="polya"),
+    pytest.param("hierarchy", lambda: fam._h_counts, 156, id="hierarchy"),
+    pytest.param("binary", lambda: fam._binary.a, 266, id="binary"),
+    pytest.param("decomposition", lambda: fam._counts[1], 145,
+                 id="decomposition")])
 def test_solve_grows_the_count_table_only_as_far_as_it_reads(
         family, held, limit, monkeypatch):
     # counted work, not time: from fresh count tables, a solve at order 400
-    # converts only the terms its sums read, and solves the raised order only
-    # where a sum reaches past 400 (binary's g at 0.75 does)
+    # converts only the terms its sums read, and no sum reaches past 400, so
+    # no family solves the raised order.  The Polya root reads t_0 .. t_78;
+    # the constants of a full singularity command read through t_144, for
+    # -sqrt(rho)^3 in forest_asymptotics, and the T'' sum no further
     monkeypatch.setattr(fam, "_counts", {1: [0, 1], -1: [0, 1]})
     monkeypatch.setattr(fam, "_weights", {1: [0, 1], -1: [0, 1]})
     monkeypatch.setattr(fam, "_h_counts", [0, 1])
@@ -750,10 +784,13 @@ def test_solve_grows_the_count_table_only_as_far_as_it_reads(
                         lambda g, lo, hi: solved.append(lo) or bisect(g, lo, hi))
     if family == "polya":
         solve_polya_singularity(400)
+    elif family == "decomposition":
+        forest_asymptotics(400)
+        decomposition_constants(400)
     else:
         solve_variant_singularity(family, 400)
     assert len(held()) <= limit
-    assert len(solved) == BISECTIONS_AT_400[family]
+    assert len(solved) == BISECTIONS_AT_400.get(family, 1)
 
 
 @pytest.mark.parametrize("family, counts", [

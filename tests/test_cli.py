@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import polyakit.verify as verify
 import polyakit.families as fam
-from polyakit.cli import FAMILIES, N_CAPS, main
+from polyakit.cli import EXACT_N_CAP, FAMILIES, N_CAPS, main
 from polyakit.oracle import aut_order, enumerate_trees
 from polyakit.sampler import MAX_SIZE
 
@@ -182,6 +182,18 @@ def test_table_exits_1_when_the_solve_has_not_converged(order, code, digest):
         assert singularity == 1
 
 
+def test_singularity_says_why_it_exits_1():
+    # sha256 of the stdout, computed before singularity said anything on
+    # stderr; at order 3 tau moves by 6.6e-4 when the order is raised
+    code, out, err = run(["singularity", "--family", "hierarchy", "--order", "3"])
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3954d3be8deb332470f155acabd4fa11711c7b66952c91e6bb9708dd573dcd3e")
+    assert err.splitlines() == [
+        "polyakit: the tau solve at order 3 has not converged "
+        "(residual 2.22e-16, shift 0.000656); raise --order"]
+
+
 def test_sample_reports():
     code, out, _ = run(["sample", "--n", "40", "--samples", "200",
                         "--seed", "7"])
@@ -321,6 +333,19 @@ def test_coeffs_refuses_n_past_the_family_cap(family, capsys):
             if "error:" in line] == [
         f"polyakit: error: argument --n: must be at most {cap} "
         f"for --family {family}, got {cap + 1}"]
+
+
+def test_table_refuses_exact_n_past_its_cap(capsys):
+    # a request at the cap takes about 30 s cold; the default stays accepted
+    assert 300 < EXACT_N_CAP < MAX_SIZE
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--which", "forest-size", "--mmax", "7",
+              "--exact-n", str(EXACT_N_CAP + 1)])
+    assert exc.value.code == 2
+    assert [line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line] == [
+        f"polyakit table: error: argument --exact-n: must be at most "
+        f"{EXACT_N_CAP}, got {EXACT_N_CAP + 1}"]
 
 
 def test_identity_families_build_only_their_own_table(monkeypatch):

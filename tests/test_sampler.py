@@ -155,6 +155,21 @@ def _nodes(tree):
     return list(seen.values())
 
 
+def test_deep_and_sampled_trees_pickle_as_one_node_table():
+    # a tree pickles as one post-order table of its distinct nodes: chain(2000)
+    # is far deeper than the recursion limit, and a sampled tree comes back
+    # with as many node objects as it had, so shared nodes stay shared.  A
+    # shallow copy still shares the children
+    sampled = sample_polya_tree(2000, random.Random(7))
+    assert len(_nodes(sampled)) < sampled.size
+    for tree in (chain(2000), sampled):
+        twin = pickle.loads(pickle.dumps(tree))
+        assert twin == tree and twin is not tree
+        assert twin.encoding == tree.encoding
+        assert len(_nodes(twin)) == len(_nodes(tree))
+        assert copy.copy(tree).children is tree.children
+
+
 def test_equal_subtrees_share_one_node():
     # one object per distinct subtree of a tree: a retained tree holds about
     # half the objects, which the garbage collector walks.  Smallest first,
