@@ -12,9 +12,8 @@ e * x * D(x) - 1 = 0, and D's argument stays deep inside its disk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count, repeat
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .families import (
     _grow_forests,
@@ -300,8 +299,7 @@ def _solve(family: str, order: int) -> tuple[_FloatTable, float, float, float]:
 # the main tree family
 
 
-@dataclass(frozen=True)
-class PolyaSingularity:
+class PolyaSingularity(NamedTuple):
     rho: float
     b: float
     c: float
@@ -348,8 +346,7 @@ def solve_polya_singularity(order: int = DEFAULT_ORDER) -> PolyaSingularity:
 # constants of the forest series D around +-sqrt(rho)
 
 
-@dataclass(frozen=True)
-class ForestAsymptotics:
+class ForestAsymptotics(NamedTuple):
     rho: float
     b: float
     xi_plus: float    # xi(sqrt(rho)),  xi(z) = exp(sum_{i>=3} T(z^i)/i)
@@ -433,8 +430,7 @@ def _forest_terms(rho: float, mmax: int) -> list[float]:
     return terms
 
 
-@dataclass(frozen=True)
-class DecompositionConstants:
+class DecompositionConstants(NamedTuple):
     rho: float
     b: float
     c_share: float          # 2/(b^2 rho): limit of E|C_n|/n
@@ -500,8 +496,7 @@ def decomposition_constants(order: int = DEFAULT_ORDER) -> DecompositionConstant
 # outdegree-restricted variants
 
 
-@dataclass(frozen=True)
-class VariantSingularity:
+class VariantSingularity(NamedTuple):
     family: str
     tau: float
     mu: float        # E|C_n|/n -> 1/(1+mu)

@@ -16,12 +16,10 @@ truncation order for singularity and table; sample --lmax solves at the default.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
-from dataclasses import asdict
 
 from . import families
 from .asymptotics import (DEFAULT_ORDER, OrderTooLarge,
@@ -153,6 +151,8 @@ def _coeffs_payload(family: str, n: int, omega: OmegaSet | None) -> dict:
 
 
 def _payload_to_csv(payload: dict) -> str:
+    import csv  # only CSV output needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     if "rows" in payload and isinstance(payload["rows"], list) \
@@ -228,14 +228,14 @@ def _cmd_singularity(args) -> int:
     order = args.order
     if args.family == "polya":
         sing = solve_polya_singularity(order)
-        payload = asdict(sing)
+        payload = sing._asdict()
         payload["family"] = "polya"
-        payload["forest"] = asdict(forest_asymptotics(order))
-        payload["decomposition"] = asdict(decomposition_constants(order))
+        payload["forest"] = forest_asymptotics(order)._asdict()
+        payload["decomposition"] = decomposition_constants(order)._asdict()
         root, residual, shift = "rho", sing.residual, sing.rho_shift
     else:
         var = solve_variant_singularity(args.family, order)
-        payload = asdict(var)
+        payload = var._asdict()
         payload["c_share"] = var.c_share
         root, residual, shift = "tau", var.residual, var.tau_shift
     payload["converged"] = _converged(residual, shift)

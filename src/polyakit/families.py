@@ -29,11 +29,11 @@ convolution (_grow_online) on packed exact Decimal products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
+from typing import NamedTuple
 
 from .series import BivariateSeries, Q, RationalSeries, UPoly
 
@@ -468,8 +468,7 @@ def dforest_component_bivariate(N: int) -> BivariateSeries:
 # arbitrary allowed-outdegree sets via symmetric-group cycle indices
 
 
-@dataclass(frozen=True)
-class OmegaSet:
+class OmegaSet(NamedTuple):
     """An allowed-outdegree set: the listed outdegrees or, if cofinite, every
     outdegree but the listed ones."""
 

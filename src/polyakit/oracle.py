@@ -16,28 +16,27 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from operator import ne
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .families import OmegaSet
-from .series import Q, UPoly
+from .series import Q, UPoly, _Immutable
 
 TREE_ENUMERATION_CAP = 14
 FOREST_ENUMERATION_CAP = 12
 
 
-class CanonicalTree:
+class CanonicalTree(_Immutable):
     """Rooted unlabeled non-plane tree in canonical form.
 
     Immutable: assigning or deleting a field raises.  Equal subtrees of a
     sampled tree share one node, and LEAF is shared by every tree, so one
     changed node would change all of them.  The constructor fills the slots
-    through their descriptors, which costs less than a frozen dataclass's
-    `object.__setattr__` calls; the sampler builds one for every node it
-    draws.
+    through their descriptors, which costs less than one
+    `object.__setattr__` call per field; the sampler builds one for every
+    node it draws.
 
     The encoding is built on first read and kept on this node only, never
     on its descendants: a tree that is never printed or hashed holds no
@@ -51,12 +50,6 @@ class CanonicalTree:
         _set_children(self, children)
         _set_size(self, size)
         _set_encoding(self, encoding)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"CanonicalTree is immutable: cannot set {name}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"CanonicalTree is immutable: cannot delete {name}")
 
     def __reduce__(self):
         # pickle rebuilds through the constructor, not by assignment, from one
@@ -444,11 +437,18 @@ def ctree_weight(tree: CanonicalTree) -> Fraction:
 # forests of repeated components
 
 
-@dataclass(frozen=True, eq=False)
-class ForestSpec:
-    """Multiset of trees, every distinct component repeated at least twice."""
+class ForestSpec(_Immutable):
+    """Multiset of trees, every distinct component repeated at least twice,
+    as (tree, multiplicity) pairs in canonical order.  Immutable, like
+    CanonicalTree."""
 
-    components: tuple[tuple[CanonicalTree, int], ...]  # canonical order
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple[tuple[CanonicalTree, int], ...]) -> None:
+        _set_components(self, components)
+
+    def __reduce__(self):
+        return ForestSpec, (self.components,)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ForestSpec) and self.components == other.components
@@ -463,6 +463,9 @@ class ForestSpec:
     @property
     def size(self) -> int:
         return sum(t.size * m for t, m in self.components)
+
+
+_set_components = ForestSpec.components.__set__
 
 
 def make_forest(pairs: Iterable[tuple[CanonicalTree, int]]) -> ForestSpec:

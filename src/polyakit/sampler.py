@@ -39,7 +39,7 @@ import hashlib
 import math
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .families import _divisors, _grow_counts
 from .oracle import LEAF, CanonicalTree, tree_from_classes
@@ -151,13 +151,12 @@ def sample_polya_tree(n: int, rng: random.Random) -> CanonicalTree:
 # decomposition of (tree, uniform automorphism) into fixed-point statistics
 
 
-@dataclass(frozen=True)
-class DecompositionSample:
+class DecompositionSample(NamedTuple):
     n: int
     c_size: int
     l_max: int
     y_count: int
-    forest_size_histogram: dict[int, int] = field(compare=False)
+    forest_size_histogram: dict[int, int]
     seed: int | None = None
 
     def validate(self) -> None:
@@ -218,8 +217,7 @@ def sample_decomposition(tree: CanonicalTree, rng: random.Random,
 # seeded experiments
 
 
-@dataclass(frozen=True)
-class StatsReport:
+class StatsReport(NamedTuple):
     n: int
     num_samples: int
     master_seed: str
@@ -234,10 +232,10 @@ class StatsReport:
     mean_y_count: float
     var_y_count: float
     half_width_y_count: float
-    forest_size_distribution: dict[int, float] = field(compare=False)
+    forest_size_distribution: dict[int, float]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _mean_var(values: list[int]) -> tuple[float, float, float]:

@@ -9,7 +9,6 @@ is an error rather than a silent zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -21,11 +20,46 @@ def _to_fraction_tuple(values: Iterable[Scalar]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
-class RationalSeries:
-    """Polynomial truncation of a formal power series, exact coefficients."""
+class _Immutable:
+    """Base of the slotted value classes: a subclass's constructor fills its
+    slots through their descriptors, and after that assigning or deleting
+    any attribute raises."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name}")
+
+
+class RationalSeries(_Immutable):
+    """Polynomial truncation of a formal power series, exact coefficients.
+
+    Immutable: assigning or deleting a field raises.  Not a tuple: equal
+    only to a RationalSeries with equal coefficients, never to a UPoly or a
+    tuple, and it has no len and no repetition by an int."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        _set_series_coeffs(self, coeffs)
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not by assignment
+        return RationalSeries, (self.coeffs,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is RationalSeries:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"RationalSeries(coeffs={self.coeffs!r})"
 
     @staticmethod
     def from_coeffs(values: Iterable[Scalar]) -> "RationalSeries":
@@ -195,11 +229,33 @@ class RationalSeries:
         return all(c == 0 for c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class UPoly:
-    """Polynomial in a marker variable, exact coefficients, index = power."""
+_set_series_coeffs = RationalSeries.coeffs.__set__
 
-    coeffs: tuple[Fraction, ...]  # trailing zeros stripped; () is the zero polynomial
+
+class UPoly(_Immutable):
+    """Polynomial in a marker variable, exact coefficients, index = power.
+
+    Immutable and not a tuple, like RationalSeries; coeffs has its
+    trailing zeros stripped, and () is the zero polynomial."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        _set_poly_coeffs(self, coeffs)
+
+    def __reduce__(self):
+        return UPoly, (self.coeffs,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is UPoly:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"UPoly(coeffs={self.coeffs!r})"
 
     @staticmethod
     def from_coeffs(values: Iterable[Scalar]) -> "UPoly":
@@ -287,11 +343,32 @@ class UPoly:
         return not self.coeffs
 
 
-@dataclass(frozen=True)
-class BivariateSeries:
-    """Series in z whose z^n coefficient is a UPoly in the marker."""
+_set_poly_coeffs = UPoly.coeffs.__set__
 
-    rows: tuple[UPoly, ...]
+
+class BivariateSeries(_Immutable):
+    """Series in z whose z^n coefficient is a UPoly in the marker.
+
+    Immutable and not a tuple, like RationalSeries."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[UPoly, ...]) -> None:
+        _set_rows(self, rows)
+
+    def __reduce__(self):
+        return BivariateSeries, (self.rows,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is BivariateSeries:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"BivariateSeries(rows={self.rows!r})"
 
     @property
     def order(self) -> int:
@@ -327,3 +404,6 @@ class BivariateSeries:
                 acc = acc + (ak * out[m - k]).scale(k)
             out.append(acc.scale(Q(1, m)))
         return BivariateSeries(tuple(out))
+
+
+_set_rows = BivariateSeries.rows.__set__

@@ -10,7 +10,7 @@ size range; `oracle_max` caps every range so the whole matrix stays cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .families import (OmegaSet, binary_int_table, cayley_coeffs,
                        ctree_polynomials, dforest_coeffs, hierarchy_int_table,
@@ -26,19 +26,17 @@ from .oracle import (aut_order, ctree_weight, cycle_type, enumerate_dforests,
 from .series import UPoly
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     max_n: int
     passed: bool
     detail: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     oracle_max: int
     rows: tuple[CheckRow, ...]
 

@@ -6,7 +6,6 @@ import gc
 import hashlib
 import math
 import weakref
-from dataclasses import asdict, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
@@ -192,7 +191,7 @@ def test_forest_terms_match_the_fraction_route(sing):
 def test_forest_rows_stop_where_the_terms_underflow(deco, monkeypatch):
     # at rho = 1e-30 the terms round to 0.0 from m = 11 on: a row through
     # m = 10^6 reads D no further than its first chunk and pads with zeros
-    tiny = replace(deco, rho=1e-30)
+    tiny = deco._replace(rho=1e-30)
     d = fam.dforest_coeffs(60)
     terms = [forest_term(d[m], tiny.rho, m) for m in range(61)]
     stop = next(m for m in range(2, 61) if terms[m - 1] == terms[m] == 0.0) + 1
@@ -468,9 +467,9 @@ def full_horner(table, y: float) -> float:
 def _solver_results(family: str, order: int) -> str:
     if family == "polya":
         sing = solve_polya_singularity(order)
-        return repr((asdict(sing), asdict(forest_asymptotics(order)),
-                     asdict(decomposition_constants(order))))
-    return repr(asdict(solve_variant_singularity(family, order)))
+        return repr((sing._asdict(), forest_asymptotics(order)._asdict(),
+                     decomposition_constants(order)._asdict()))
+    return repr(solve_variant_singularity(family, order)._asdict())
 
 
 CUT_ORDERS = (1, 5, 20, 60, 200, 400, 584)

@@ -1,6 +1,9 @@
 """Static checks on the layout of the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -137,6 +140,9 @@ def test_no_module_changes_interpreter_settings():
 
 
 HEAVY_MODULES = {"numpy", "scipy", "mpmath", "sympy"}
+# each would lengthen every cold start: dataclasses pulls in inspect, ast and
+# dis (about 6 ms, and its decorators another 9), csv only CSV output needs
+SLOW_STDLIB = ("dataclasses", "inspect", "csv")
 
 
 def _imports_at_import_time(tree: ast.Module) -> list[tuple[str, int]]:
@@ -163,3 +169,17 @@ def test_no_module_imports_a_heavy_library_on_import():
                  ast.parse(path.read_text(encoding="utf-8")))
              if name.split(".")[0] in HEAVY_MODULES]
     assert not heavy, f"heavy import at module level: {heavy}"
+
+
+def test_importing_polyakit_loads_no_slow_stdlib_module():
+    # a fresh interpreter, so a module pulled in by another import counts too
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            + "".join(f"import polyakit.{path.stem}\n" for path in SOURCES
+                      if path.stem != "__init__")
+            + f"print(sorted((set(sys.modules) - before) & set({SLOW_STDLIB!r})))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ,
+                                          "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]", f"loaded on import: {done.stdout}"
