@@ -317,7 +317,7 @@ def pointed_tree_count(tree: CanonicalTree) -> int:
 # and the public averages divide each once by |Aut T| = a_T(1).
 
 
-def _times(p: list[int], q: list[int]) -> list[int]:
+def _times(p: Sequence[int], q: Sequence[int]) -> list[int]:
     """The product of two integer polynomials, coefficient lists by power."""
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -327,7 +327,7 @@ def _times(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def _copy_cycles(first: list[int], rest: Sequence[int]) -> list[int]:
+def _copy_cycles(first: Sequence[int], rest: Sequence[int]) -> list[int]:
     """W_m = sum over pi in S_m of the product over the cycles of pi of
     V_(cycle length), m = len(rest) + 1, where V_1 = first is a polynomial
     and V_i = rest[i - 2] an integer for i >= 2.
@@ -345,9 +345,10 @@ def _copy_cycles(first: list[int], rest: Sequence[int]) -> list[int]:
     return ws[-1]
 
 
-def _automorphism_sums(tree: CanonicalTree, signed: bool) -> list[int]:
-    """a_T(u) (signed: s_T(u)) as integer coefficients, from the children's
-    averages held by the caches below.
+@lru_cache(maxsize=None)
+def _automorphism_sums(tree: CanonicalTree) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(a_T(u), s_T(u), sigma_T), the polynomials as integer coefficients,
+    from the children's own triples, with |Aut S| = a_S(1).
 
     A copy cycle of length i over S has fixed nodes only when i = 1; its
     inner maps range over |Aut S|^i tuples.  Unsigned, V_1 = a_S(u) and
@@ -355,61 +356,40 @@ def _automorphism_sums(tree: CanonicalTree, signed: bool) -> list[int]:
     Aut(S), reached by |Aut S|^(i-1) tuples, and a node cycle of h of length
     l becomes one of length i*l: V_1 = s_S(u), V_i = |Aut S|^(i-1) sigma_S
     for even i (every cycle even) and |Aut S|^(i-1) s_S(1) for odd i >= 3.
+
+    The root is one 1-cycle.  A copy cycle yields one node cycle per cycle
+    of h, so a class sums sigma_S^c(pi) |Aut S|^(m-c(pi)) over S_m, which
+    is the rising product prod_(k<m) (sigma_S + k |Aut S|).
     """
-    acc = [0, 1]  # the root is always fixed
+    fixed, signed, sigma = [0, 1], [0, 1], -1  # the root is always fixed
     for child, m in tree.children:
-        g = aut_order(child)
-        if signed:
-            first = _sums_over(signed_fixed_point_polynomial(child), g)
-            even, odd = int(_sign_balance(child) * g), sum(first)
-            rest = [g ** (i - 1) * (even if i % 2 == 0 else odd)
-                    for i in range(2, m + 1)]
-        else:
-            first = _sums_over(fixed_point_polynomial(child), g)
-            rest = [g ** i for i in range(2, m + 1)]
-        acc = _times(acc, _copy_cycles(first, rest))
-    return acc
+        a, s, sigma_child = _automorphism_sums(child)
+        g, odd = sum(a), sum(s)
+        fixed = _times(fixed, _copy_cycles(a, [g ** i for i in range(2, m + 1)]))
+        signed = _times(signed, _copy_cycles(s, [
+            g ** (i - 1) * (sigma_child if i % 2 == 0 else odd)
+            for i in range(2, m + 1)]))
+        sigma *= math.prod(sigma_child + k * g for k in range(m))
+    return tuple(fixed), tuple(signed), sigma
 
 
-def _sums_over(average: UPoly, order: int) -> list[int]:
-    """The integer sums behind an average over `order` automorphisms."""
-    return [c.numerator * (order // c.denominator) for c in average.coeffs]
-
-
-def _averaged(sums: list[int], order: int) -> UPoly:
+def _averaged(sums: Sequence[int], order: int) -> UPoly:
     # the identity contributes u^n with coefficient 1, so no trailing zero
     return UPoly(tuple(Q(c, order) for c in sums))
 
 
-@lru_cache(maxsize=None)
 def fixed_point_polynomial(tree: CanonicalTree) -> UPoly:
     """t_T(u) = average of u^(number of fixed nodes) over Aut(T)."""
-    return _averaged(_automorphism_sums(tree, False), aut_order(tree))
+    a, _, _ = _automorphism_sums(tree)
+    return _averaged(a, sum(a))
 
 
-@lru_cache(maxsize=None)
-def _sign_balance(tree: CanonicalTree) -> Fraction:
-    """Average of (-1)^(number of cycles) over Aut(T) acting on nodes.
-
-    The root is one 1-cycle.  A copy cycle of length i over S yields one
-    node cycle per cycle of the composed map h, reached by |Aut S|^(i-1)
-    tuples, so a class sums sigma_S^c(pi) |Aut S|^(m-c(pi)) over S_m, which
-    is the rising product prod_(k<m) (sigma_S + k |Aut S|).
-    """
-    acc = -1
-    for child, m in tree.children:
-        g = aut_order(child)
-        sigma = int(_sign_balance(child) * g)
-        acc *= math.prod(sigma + k * g for k in range(m))
-    return Q(acc, aut_order(tree))
-
-
-@lru_cache(maxsize=None)
 def signed_fixed_point_polynomial(tree: CanonicalTree) -> UPoly:
     """r_T(u) = average of (-1)^(even node cycles) u^(fixed nodes) over
     Aut(T); r_T(1) is 1 for identity trees, and in general 1 when every
     automorphism is an even node permutation, else 0."""
-    return _averaged(_automorphism_sums(tree, True), aut_order(tree))
+    a, s, _ = _automorphism_sums(tree)
+    return _averaged(s, sum(a))
 
 
 @lru_cache(maxsize=None)
@@ -444,18 +424,6 @@ class ForestSpec(_Immutable):
 
     __slots__ = ("components",)
 
-    def __init__(self, components: tuple[tuple[CanonicalTree, int], ...]) -> None:
-        _set_components(self, components)
-
-    def __reduce__(self):
-        return ForestSpec, (self.components,)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ForestSpec) and self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash(tuple((t.encoding, m) for t, m in self.components))
-
     def __repr__(self) -> str:
         inner = " ".join(f"{t.encoding}^{m}" for t, m in self.components)
         return f"ForestSpec({inner})"
@@ -465,11 +433,8 @@ class ForestSpec(_Immutable):
         return sum(t.size * m for t, m in self.components)
 
 
-_set_components = ForestSpec.components.__set__
-
-
 def make_forest(pairs: Iterable[tuple[CanonicalTree, int]]) -> ForestSpec:
-    pairs = sorted(pairs, key=lambda kv: (kv[0].size, kv[0].encoding))
+    pairs = sorted(pairs, key=_class_key)
     for _, m in pairs:
         if m < 2:
             raise ValueError("every forest component must repeat at least twice")

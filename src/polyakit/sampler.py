@@ -35,7 +35,6 @@ statistics, so they are not drawn.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from collections import Counter
@@ -51,6 +50,8 @@ SEED_RULE = "int.from_bytes(sha256(f'{master}:{label}').digest()[:8], 'big')"
 
 
 def derived_seed(master_seed: int | str, label: int | str) -> int:
+    import hashlib  # loads OpenSSL: only a derived seed needs it
+
     digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

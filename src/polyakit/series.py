@@ -21,11 +21,41 @@ def _to_fraction_tuple(values: Iterable[Scalar]) -> tuple[Fraction, ...]:
 
 
 class _Immutable:
-    """Base of the slotted value classes: a subclass's constructor fills its
-    slots through their descriptors, and after that assigning or deleting
-    any attribute raises."""
+    """Base of the slotted value classes, one value per slot.
+
+    The constructor takes one positional value per slot, in slot order, and
+    fills the slots through their descriptors; after that, assigning or
+    deleting any attribute raises.  Pickle and copy rebuild through the
+    constructor, a value equals only a value of its own class with equal
+    slots, and the hash and repr are those of the slot values."""
 
     __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        slots = self.__slots__
+        if len(values) != len(slots):
+            raise TypeError(f"{type(self).__name__} takes one value per slot "
+                            f"{slots}, got {len(values)}")
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name}")
@@ -42,24 +72,6 @@ class RationalSeries(_Immutable):
     tuple, and it has no len and no repetition by an int."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
-        _set_series_coeffs(self, coeffs)
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, not by assignment
-        return RationalSeries, (self.coeffs,)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is RationalSeries:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"RationalSeries(coeffs={self.coeffs!r})"
 
     @staticmethod
     def from_coeffs(values: Iterable[Scalar]) -> "RationalSeries":
@@ -229,8 +241,6 @@ class RationalSeries(_Immutable):
         return all(c == 0 for c in self.coeffs)
 
 
-_set_series_coeffs = RationalSeries.coeffs.__set__
-
 
 class UPoly(_Immutable):
     """Polynomial in a marker variable, exact coefficients, index = power.
@@ -239,23 +249,6 @@ class UPoly(_Immutable):
     trailing zeros stripped, and () is the zero polynomial."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
-        _set_poly_coeffs(self, coeffs)
-
-    def __reduce__(self):
-        return UPoly, (self.coeffs,)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is UPoly:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"UPoly(coeffs={self.coeffs!r})"
 
     @staticmethod
     def from_coeffs(values: Iterable[Scalar]) -> "UPoly":
@@ -343,8 +336,6 @@ class UPoly(_Immutable):
         return not self.coeffs
 
 
-_set_poly_coeffs = UPoly.coeffs.__set__
-
 
 class BivariateSeries(_Immutable):
     """Series in z whose z^n coefficient is a UPoly in the marker.
@@ -352,23 +343,6 @@ class BivariateSeries(_Immutable):
     Immutable and not a tuple, like RationalSeries."""
 
     __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[UPoly, ...]) -> None:
-        _set_rows(self, rows)
-
-    def __reduce__(self):
-        return BivariateSeries, (self.rows,)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is BivariateSeries:
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"BivariateSeries(rows={self.rows!r})"
 
     @property
     def order(self) -> int:
@@ -405,5 +379,3 @@ class BivariateSeries(_Immutable):
             out.append(acc.scale(Q(1, m)))
         return BivariateSeries(tuple(out))
 
-
-_set_rows = BivariateSeries.rows.__set__

@@ -141,8 +141,9 @@ def test_no_module_changes_interpreter_settings():
 
 HEAVY_MODULES = {"numpy", "scipy", "mpmath", "sympy"}
 # each would lengthen every cold start: dataclasses pulls in inspect, ast and
-# dis (about 6 ms, and its decorators another 9), csv only CSV output needs
-SLOW_STDLIB = ("dataclasses", "inspect", "csv")
+# dis (about 6 ms, and its decorators another 9), csv only CSV output needs,
+# hashlib loads OpenSSL (about 3.5 ms) and only a derived seed needs it
+SLOW_STDLIB = ("dataclasses", "inspect", "csv", "hashlib")
 
 
 def _imports_at_import_time(tree: ast.Module) -> list[tuple[str, int]]:

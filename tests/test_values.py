@@ -14,7 +14,7 @@ import pytest
 from polyakit.asymptotics import (DecompositionConstants, ForestAsymptotics,
                                   PolyaSingularity, VariantSingularity)
 from polyakit.families import OmegaSet
-from polyakit.oracle import LEAF, make_forest, make_tree
+from polyakit.oracle import LEAF, ForestSpec, make_forest, make_tree
 from polyakit.sampler import DecompositionSample, run_experiment
 from polyakit.series import BivariateSeries, RationalSeries, UPoly
 from polyakit.verify import CheckRow, VerificationReport
@@ -86,6 +86,32 @@ def test_containers_equal_only_their_own_class():
     assert SERIES == RationalSeries.from_coeffs(COEFFS)
     assert hash(SERIES) == hash(RationalSeries.from_coeffs(COEFFS))
     assert BIVARIATE == BivariateSeries((UPoly.zero(), POLY))
+
+
+SLOTTED = (RationalSeries, UPoly, BivariateSeries, ForestSpec)
+
+
+@pytest.mark.parametrize("cls", SLOTTED)
+def test_slotted_classes_share_one_value_protocol(cls):
+    # construction, equality, hashing and pickling are written once, in
+    # their common base, not once per class
+    own = {"__init__", "__eq__", "__hash__", "__reduce__"} & set(vars(cls))
+    assert not own, f"{cls.__name__} defines {sorted(own)}"
+
+
+@pytest.mark.parametrize("cls", SLOTTED)
+def test_constructor_takes_one_value_per_slot(cls):
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls((), ())
+
+
+def test_forest_spec_is_not_its_component_tuple():
+    forest = VALUES["ForestSpec"]
+    assert forest != forest.components and forest.components != forest
+    assert forest == ForestSpec(forest.components)
+    assert hash(forest) == hash(ForestSpec(forest.components))
 
 
 def test_reprs_read_as_before():
