@@ -11,6 +11,7 @@ e * x * D(x) - 1 = 0, and D's argument stays deep inside its disk.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import count, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -202,6 +203,8 @@ def _substituted_sum(table: _FloatTable, x: float, start: int,
 
     The arguments x^i shrink geometrically, so each evaluation sits far
     inside the radius; the i-sum is cut when x^i underflows the tolerance.
+    A derivative of such a sum is another, by the chain rule: d/dx of
+    A(x^i) is i x^(i-1) A'(x^i), read from the derivative's table.
     """
     args = []
     xi = x ** (start - 1)
@@ -213,25 +216,11 @@ def _substituted_sum(table: _FloatTable, x: float, start: int,
     return _horner_sum(table, args, weights)
 
 
-def _substituted_derivative(dtable: _FloatTable, x: float,
-                            weights: Iterable[float], power: int = 1) -> float:
-    """sum over i >= 2 of w_i * x^(power (i-1)) * series'(x^i), from the
-    derivative's table (the second derivative's for power 2), the weights
-    w_2, w_3, ... in order; 0 < x < 1 required."""
-    args, scaled = [], []
-    for i, w in zip(range(2, 2000), weights):
-        arg = x ** i
-        if arg < 1e-25:
-            break
-        args.append(arg)
-        scaled.append(w * x ** (power * (i - 1)))
-    return _horner_sum(dtable, args, scaled)
-
-
-def _forest_value(t: _FloatTable, x: float) -> float:
-    """exp(sum_{i>=2} A(x^i)/i) from the float coefficients of A: the forest
-    series D(x) for A = T."""
-    return math.exp(_substituted_sum(t, x, 2, (1.0 / i for i in count(2))))
+def _forest_value(t: _FloatTable, x: float, start: int = 2) -> float:
+    """exp(sum_{i>=start} A(x^i)/i) from the float coefficients of A: the
+    forest series D(x) for A = T and start 2."""
+    return math.exp(_substituted_sum(t, x, start,
+                                     (1.0 / i for i in count(start))))
 
 
 # each family's count table (called through the module's name, so that a
@@ -259,7 +248,8 @@ _FAMILIES = {
                   lambda h, x: (x / (1 + x)) * math.e * _forest_value(h, x) - 1.0,
                   (0.3, 0.6), ((0, 2.185889), (0, 2.5)),
                   lambda h, x: x ** 2 * math.e * _forest_value(h, x)
-                  * _substituted_derivative(_derivative_table(h), x, repeat(1.0))),
+                  * _substituted_sum(_derivative_table(h), x, 2,
+                                     (x ** (i - 1) for i in count(2)))),
     # outdegrees {0, 2}: B = z + (z/2)B^2 + (z/2)B(z^2) with B(tau) = 1/tau at
     # the singularity gives tau^2 B(tau^2) + 2 tau^2 - 1 = 0, tau^2 well inside.
     # mu = tau^2/B(tau) * d/dx[(B(tau)^2 + B(x^2))/2] at x = tau; the first
@@ -312,21 +302,15 @@ class PolyaSingularity(NamedTuple):
 
 # the last solve and its float table, kept so that asking again at the same
 # order (every L_n law, the forest and decomposition constants after the
-# singularity) does not solve again; the only hand-off of rho, one slot, not a
-# cache per order
-_last_singularity: tuple[PolyaSingularity, _FloatTable] | None = None
-
-
-def solve_polya_singularity(order: int = DEFAULT_ORDER) -> PolyaSingularity:
-    """rho, and the square-root expansion T = 1 - b sqrt(rho-z) + c(rho-z)."""
-    global _last_singularity
-    if _last_singularity is not None and _last_singularity[0].order == order:
-        return _last_singularity[0]
+# singularity) does not solve again; the only hand-off of rho, one entry, not
+# a cache per order
+@functools.lru_cache(maxsize=1)
+def _polya(order: int) -> tuple[PolyaSingularity, _FloatTable]:
     t, rho, residual, rho_shift = _solve("polya", order)
     d_rho = _forest_value(t, rho)
     # D' = D * d/dx sum_{i>=2} T(x^i)/i = D * sum_{i>=2} x^(i-1) T'(x^i)
-    d_prime_rho = d_rho * _substituted_derivative(_derivative_table(t), rho,
-                                                  repeat(1.0))
+    d_prime_rho = d_rho * _substituted_sum(_derivative_table(t), rho, 2,
+                                           (rho ** (i - 1) for i in count(2)))
     b = math.sqrt(2 * math.e * (d_rho + rho * d_prime_rho))
     sing = PolyaSingularity(
         rho=rho,
@@ -338,8 +322,12 @@ def solve_polya_singularity(order: int = DEFAULT_ORDER) -> PolyaSingularity:
         rho_shift=rho_shift,
         order=order,
     )
-    _last_singularity = (sing, t)
-    return sing
+    return sing, t
+
+
+def solve_polya_singularity(order: int = DEFAULT_ORDER) -> PolyaSingularity:
+    """rho, and the square-root expansion T = 1 - b sqrt(rho-z) + c(rho-z)."""
+    return _polya(order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -373,27 +361,20 @@ class ForestAsymptotics(NamedTuple):
 
 
 def forest_asymptotics(order: int = DEFAULT_ORDER) -> ForestAsymptotics:
-    sing = solve_polya_singularity(order)
-    t = _last_singularity[1]
+    sing, t = _polya(order)
     r = math.sqrt(sing.rho)
-
-    def xi(x: float) -> float:
-        return math.exp(_substituted_sum(t, x, 3, (1.0 / i for i in count(3))))
-
-    def tail3(x: float) -> float:
-        return _substituted_sum(t, x, 3, repeat(1.0))
-
-    xi_p, xi_m = xi(r), xi(-r)
+    xi_p, xi_m = _forest_value(t, r, start=3), _forest_value(t, -r, start=3)
     # the i=2 term of gamma(+-sqrt(rho)) is T(rho) = 1 exactly; the truncated
     # series converges like n^(-1/2) there and must not be used
-    v_p, v_m = tail3(r), tail3(-r)
+    v_p = _substituted_sum(t, r, 3, repeat(1.0))
+    v_m = _substituted_sum(t, -r, 3, repeat(1.0))
     mu_even = (xi_p * v_p + xi_m * v_m) / (xi_p + xi_m)
     mu_odd = (xi_p * v_p - xi_m * v_m) / (xi_p - xi_m)
 
     gamma_rho = _substituted_sum(t, sing.rho, 2, repeat(1.0))
     gamma2_rho = _substituted_sum(t, sing.rho, 2, map(float, count(2)))
-    gp = _substituted_derivative(_derivative_table(t), sing.rho,
-                                map(float, count(2)))
+    gp = _substituted_sum(_derivative_table(t), sing.rho, 2,
+                          (i * sing.rho ** (i - 1) for i in count(2)))
 
     return ForestAsymptotics(
         rho=sing.rho, b=sing.b,
@@ -469,21 +450,22 @@ def decomposition_constants(order: int = DEFAULT_ORDER) -> DecompositionConstant
     sigma^2 = -(log rho)''(log u) = mu^2 + mu^3 (rho^2 G''(rho) - 1), where
     G''(z) = sum_{i>=2} (i-1) z^(i-2) T'(z^i) + i z^(2i-2) T''(z^i).
     """
-    sing = solve_polya_singularity(order)
-    t = _last_singularity[1]
-    gamma_rho = _substituted_sum(t, sing.rho, 2, repeat(1.0))
-    b2rho = sing.b ** 2 * sing.rho
+    sing, t = _polya(order)
+    rho = sing.rho
+    gamma_rho = _substituted_sum(t, rho, 2, repeat(1.0))
+    b2rho = sing.b ** 2 * rho
     mu = 2 / b2rho
     dt = _derivative_table(t)
-    g2 = (_substituted_derivative(dt, sing.rho, map(float, count(1))) / sing.rho
-          + _substituted_derivative(_derivative_table(dt), sing.rho,
-                                    map(float, count(2)), power=2))
-    c1 = sing.b / (2 * math.sqrt(math.pi) * (1 - math.sqrt(sing.rho))
-                   * (sing.d_rho + sing.rho * sing.d_prime_rho))
+    g2 = (_substituted_sum(dt, rho, 2,
+                           ((i - 1) * rho ** (i - 1) for i in count(2))) / rho
+          + _substituted_sum(_derivative_table(dt), rho, 2,
+                             (i * rho ** (2 * i - 2) for i in count(2))))
+    c1 = sing.b / (2 * math.sqrt(math.pi) * (1 - math.sqrt(rho))
+                   * (sing.d_rho + rho * sing.d_prime_rho))
     return DecompositionConstants(
-        rho=sing.rho, b=sing.b,
+        rho=rho, b=sing.b,
         c_share=mu,
-        c_var_coeff=mu ** 2 + mu ** 3 * (sing.rho ** 2 * g2 - 1),
+        c_var_coeff=mu ** 2 + mu ** 3 * (rho ** 2 * g2 - 1),
         mean_forest_size=b2rho / 2 - 1,
         y_share=2 * gamma_rho / b2rho,
         gamma_rho=gamma_rho,

@@ -273,7 +273,7 @@ def _cmd_sample(args) -> int:
                              master_seed=args.seed,
                              exact_mean=args.exact_mean)
     else:
-        payload = run_experiment(args.n, args.samples, args.seed).to_dict()
+        payload = run_experiment(args.n, args.samples, args.seed)._asdict()
     _emit(payload, args.format, args.output)
     return 0
 

@@ -52,10 +52,11 @@ class CanonicalTree(_Immutable):
         _set_encoding(self, encoding)
 
     def __reduce__(self):
-        # pickle rebuilds through the constructor, not by assignment, from one
-        # post-order table of the distinct nodes, children as indices, so a
-        # deep tree does not recurse once per level and a shared node stays
-        # shared; each node carries its encoding only if it was built
+        # pickle and copy.deepcopy rebuild through the constructor, not by
+        # assignment, from one post-order table of the distinct nodes,
+        # children as indices, so a deep tree does not recurse once per level
+        # and a shared node stays shared; each node carries its encoding only
+        # if it was built
         index: dict[int, int] = {}
         table = []
         for node in _post_order(self, index):
@@ -67,14 +68,6 @@ class CanonicalTree(_Immutable):
     def __copy__(self) -> "CanonicalTree":
         # a shallow copy shares the children, not rebuilt from the table
         return CanonicalTree(self.children, self.size, self._encoding)
-
-    def __deepcopy__(self, memo: dict) -> "CanonicalTree":
-        # children first, by an explicit walk; a shared node is copied once
-        for node in _post_order(self, memo):
-            memo[id(node)] = CanonicalTree(
-                tuple([(memo[id(t)], m) for t, m in node.children]),
-                node.size, node._encoding)
-        return memo[id(self)]
 
     @property
     def encoding(self) -> str:
@@ -427,10 +420,6 @@ class ForestSpec(_Immutable):
     def __repr__(self) -> str:
         inner = " ".join(f"{t.encoding}^{m}" for t, m in self.components)
         return f"ForestSpec({inner})"
-
-    @property
-    def size(self) -> int:
-        return sum(t.size * m for t, m in self.components)
 
 
 def make_forest(pairs: Iterable[tuple[CanonicalTree, int]]) -> ForestSpec:

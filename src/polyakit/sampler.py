@@ -235,9 +235,6 @@ class StatsReport(NamedTuple):
     half_width_y_count: float
     forest_size_distribution: dict[int, float]
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 def _mean_var(values: list[int]) -> tuple[float, float, float]:
     n = len(values)

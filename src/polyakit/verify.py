@@ -32,9 +32,6 @@ class CheckRow(NamedTuple):
     passed: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class VerificationReport(NamedTuple):
     oracle_max: int
@@ -47,7 +44,7 @@ class VerificationReport(NamedTuple):
     def to_dict(self) -> dict:
         return {"oracle_max": self.oracle_max,
                 "all_passed": self.all_passed,
-                "rows": [r.to_dict() for r in self.rows]}
+                "rows": [r._asdict() for r in self.rows]}
 
 
 def _row(name: str, max_n: int, failures: list[str]) -> CheckRow:

@@ -8,7 +8,7 @@ import math
 import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count, repeat
 
 import numpy as np
 import pytest
@@ -72,7 +72,7 @@ def test_singularity_constants(sing):
 
 def test_second_solve_at_the_same_order_is_remembered(monkeypatch):
     import polyakit.asymptotics as asy
-    monkeypatch.setattr(asy, "_last_singularity", None)
+    asy._polya.cache_clear()
     solved, built = [], []
     solve = asy._solve
 
@@ -104,7 +104,7 @@ def test_second_solve_at_the_same_order_is_remembered(monkeypatch):
     lmax_cdf_exact(40, 40)
     lmax_exact_mean(50)
     assert solved == [60, 400]
-    monkeypatch.setattr(asy, "_last_singularity", None)
+    asy._polya.cache_clear()
     assert solve_polya_singularity(60) == first  # the same bits when re-solved
 
 
@@ -479,13 +479,13 @@ SOLVER_CASES = [
     ("hierarchy", 839), ("binary", 1504)]
 
 
-def test_solvers_match_their_pinned_digest(monkeypatch):
+def test_solvers_match_their_pinned_digest():
     # sha256 of every constant of every solver, computed while each family
     # had its own hand-written root solve; re-pinned when c_var_coeff became
     # the quasi-powers variance, the only field that moved
     results = []
     for family, order in SOLVER_CASES:
-        monkeypatch.setattr(asy, "_last_singularity", None)
+        asy._polya.cache_clear()
         results.append(_solver_results(family, order))
     assert hashlib.sha256("\n".join(results).encode()).hexdigest() == (
         "4cecd6f1a5b7533c812c08d697553e99500d0877dd3be5d39b61541ef3b6f0df")
@@ -495,13 +495,51 @@ def test_solvers_match_their_pinned_digest(monkeypatch):
 def test_cut_evaluation_matches_full_route(family, order, monkeypatch):
     # every constant of every solver, to the last bit, against Horner's rule
     # over the whole table; forest_asymptotics covers the negative arguments
-    monkeypatch.setattr(asy, "_last_singularity", None)
+    asy._polya.cache_clear()
     cut = _solver_results(family, order)
-    monkeypatch.setattr(asy, "_last_singularity", None)
+    asy._polya.cache_clear()
     # a tail margin of e^(-10^9) keeps every coefficient: the cut would need
     # more than 10^9/745 terms, far past every table
     monkeypatch.setattr(asy, "_LN_TAIL_MARGIN", -1e9)
     assert cut == _solver_results(family, order)
+
+
+def x_power_derivative_sum(dtable, x, weights, power=1):
+    """sum over i >= 2 of w_i * x^(power (i-1)) * series'(x^i), each argument
+    x ** i, from the derivative's table (the second derivative's for power
+    2): the route the chain-rule weights of _substituted_sum replaced."""
+    args, scaled = [], []
+    for i, w in zip(range(2, 2000), weights):
+        arg = x ** i
+        if arg < 1e-25:
+            break
+        args.append(arg)
+        scaled.append(w * x ** (power * (i - 1)))
+    return _horner_sum(dtable, args, scaled)
+
+
+@pytest.mark.parametrize("family, order",
+                         [case for case in SOLVER_CASES if case[0] != "binary"])
+def test_chain_rule_sums_match_the_x_power_route(family, order):
+    # each derivative sum the solvers read, to the last bit: x^i built by
+    # repeated products against x ** i.  Hierarchy mu; for Polya D'(rho),
+    # gamma'(rho) and the two parts of G''(rho).  Off these orders they can
+    # differ in the last bit (hierarchy mu at order 29 moved by one ulp)
+    table = _count_table(family, order)
+    dt = _derivative_table(table)
+    if family == "hierarchy":
+        x = solve_variant_singularity(family, order).tau
+        sums = [(dt, lambda i: x ** (i - 1), repeat(1.0), 1)]
+    else:
+        x = solve_polya_singularity(order).rho
+        sums = [(dt, lambda i: x ** (i - 1), repeat(1.0), 1),
+                (dt, lambda i: i * x ** (i - 1), map(float, count(2)), 1),
+                (dt, lambda i: (i - 1) * x ** (i - 1), map(float, count(1)), 1),
+                (_derivative_table(dt), lambda i: i * x ** (2 * i - 2),
+                 map(float, count(2)), 2)]
+    for d, weight, old_weights, power in sums:
+        assert (asy._substituted_sum(d, x, 2, map(weight, count(2)))
+                == x_power_derivative_sum(d, x, old_weights, power))
 
 
 def solver_table(name: str):
@@ -776,7 +814,7 @@ def test_solve_grows_the_count_table_only_as_far_as_it_reads(
     monkeypatch.setattr(fam, "_h_counts", [0, 1])
     monkeypatch.setattr(fam, "_h_weights", [0, 1])
     monkeypatch.setattr(fam, "_binary", fam._OmegaTable(fam._binary.omega))
-    monkeypatch.setattr(asy, "_last_singularity", None)
+    asy._polya.cache_clear()
     solved = []
     bisect = asy._bisect
     monkeypatch.setattr(asy, "_bisect",

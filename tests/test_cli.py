@@ -1,6 +1,7 @@
 """Command line interface: subcommands, formats, exit codes."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -211,6 +212,40 @@ def test_sample_lmax_mode():
     assert code == 0
     payload = json.loads(out)
     assert [r["n"] for r in payload["rows"]] == [30, 50]
+
+
+def test_sample_lmax_accepts_an_interval_exponent():
+    code, out, _ = run(["sample", "--lmax", "--n-values", "30", "--samples", "2",
+                        "--s", "0.25"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["s"] == 0.25 and [r["n"] for r in payload["rows"]] == [30]
+
+
+def _csv_rows(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
+def test_key_value_csv_flattens_the_json_payload():
+    # the records without a coefficient table print one key,value line per
+    # leaf of their JSON payload, nested keys joined by dots
+    argv = ["singularity", "--family", "binary"]
+    _, out, _ = run(argv)
+    payload = json.loads(out)
+    code, out, _ = run([*argv, "--format", "csv"])
+    assert code == 0 and list(payload) == [
+        "family", "tau", "mu", "residual", "tau_shift", "order", "c_share",
+        "converged"]
+    assert _csv_rows(out) == [["key", "value"],
+                              *([k, str(v)] for k, v in payload.items())]
+    _, out, _ = run(["verify", "--oracle-max", "3"])
+    payload = json.loads(out)
+    code, out, _ = run(["verify", "--oracle-max", "3", "--format", "csv"])
+    assert code == 0
+    assert _csv_rows(out) == [
+        ["key", "value"], ["oracle_max", "3"], ["all_passed", "True"],
+        *([f"rows.{i}.{k}", str(v)] for i, row in enumerate(payload["rows"])
+          for k, v in row.items())]
 
 
 def test_verify_passes():

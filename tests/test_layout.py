@@ -109,6 +109,42 @@ def test_no_module_reads_the_environment():
     assert not readers, f"environment read at {readers}"
 
 
+# the oracle's per-tree caches, keyed by tree and kept unbounded until
+# ROADMAP's open item "The oracle's per-tree caches are unbounded" is closed
+UNBOUNDED_CACHES = {"aut_order", "pointed_tree_count", "_automorphism_sums",
+                    "plane_embeddings", "ctree_weight", "_derangements"}
+
+
+def _caches(tree: ast.Module) -> list[tuple[str, bool]]:
+    """(function, whether its maxsize is an integer) for every function that
+    an lru_cache or cache decorator wraps, bare or called."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            if getattr(target, "attr", getattr(target, "id", None)) \
+                    not in ("lru_cache", "cache"):
+                continue
+            size = ([k.value for k in call.keywords if k.arg == "maxsize"]
+                    + call.args[:1]) if call else []
+            found.append((node.name, len(size) == 1
+                          and isinstance(size[0], ast.Constant)
+                          and type(size[0].value) is int))
+    return found
+
+
+def test_every_cache_is_bounded():
+    # a cache with no integer maxsize keeps every key it is called with; only
+    # the listed oracle caches may, and each listed one still is unbounded
+    unbounded = {f"{path.stem}.{name}" for path in SOURCES
+                 for name, bounded in _caches(ast.parse(path.read_text(encoding="utf-8")))
+                 if not bounded}
+    assert unbounded == {f"oracle.{name}" for name in UNBOUNDED_CACHES}
+
+
 GLOBAL_SETTERS = {"setrecursionlimit", "set_int_max_str_digits", "setcontext"}
 
 

@@ -12,14 +12,18 @@ from fractions import Fraction
 import pytest
 
 import polyakit.families as fam
-from polyakit.oracle import LEAF, aut_order, chain, enumerate_trees, make_tree
+from polyakit.oracle import (LEAF, aut_order, chain, enumerate_trees,
+                             make_forest, make_tree, signed_forest_weight)
 from polyakit.sampler import (
+    MAX_SIZE,
+    DecompositionSample,
     derived_seed,
     lmax_check,
     run_experiment,
     sample_decomposition,
     sample_polya_tree,
 )
+from polyakit.verify import run_verification
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -60,7 +64,7 @@ def test_seeded_decompositions_are_pinned():
                           sorted(d.forest_size_histogram.items()))))
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
         "946232d3277777698da75d89fdcbba450c0816dfb886cd976248d598ac20cb41")
-    report = repr(run_experiment(300, 40, "pin").to_dict())
+    report = repr(run_experiment(300, 40, "pin")._asdict())
     assert hashlib.sha256(report.encode()).hexdigest() == (
         "ee9adab1a1b6501cdddb4a9a4483aefe5e263ba47f6237615cc2201b937f24fa")
 
@@ -156,17 +160,17 @@ def _nodes(tree):
 
 
 def test_deep_and_sampled_trees_pickle_as_one_node_table():
-    # a tree pickles as one post-order table of its distinct nodes: chain(2000)
-    # is far deeper than the recursion limit, and a sampled tree comes back
-    # with as many node objects as it had, so shared nodes stay shared.  A
-    # shallow copy still shares the children
+    # a tree pickles, and deep-copies, as one post-order table of its
+    # distinct nodes: chain(2000) is far deeper than the recursion limit, and
+    # a sampled tree comes back with as many node objects as it had, so
+    # shared nodes stay shared.  A shallow copy still shares the children
     sampled = sample_polya_tree(2000, random.Random(7))
     assert len(_nodes(sampled)) < sampled.size
     for tree in (chain(2000), sampled):
-        twin = pickle.loads(pickle.dumps(tree))
-        assert twin == tree and twin is not tree
-        assert twin.encoding == tree.encoding
-        assert len(_nodes(twin)) == len(_nodes(tree))
+        for twin in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+            assert twin == tree and twin is not tree
+            assert twin.encoding == tree.encoding
+            assert len(_nodes(twin)) == len(_nodes(tree))
         assert copy.copy(tree).children is tree.children
 
 
@@ -332,7 +336,7 @@ def test_mean_c_size_against_exact_moment():
 def test_run_experiment_deterministic_and_sane():
     a = run_experiment(50, 300, master_seed="t")
     b = run_experiment(50, 300, master_seed="t")
-    assert a.to_dict() == b.to_dict()
+    assert a._asdict() == b._asdict()
     assert a.n == 50 and a.num_samples == 300
     assert a.first_seeds[0] == derived_seed("t", 0)
     assert 0 < a.mean_c_size < 50
@@ -376,6 +380,36 @@ def test_lmax_check_rejects_sizes_below_two():
     # log n = 0 at n = 1, and the report divides by it
     with pytest.raises(ValueError):
         lmax_check((30, 1), 2)
+
+
+CHERRY = make_tree([LEAF, LEAF])  # its two leaves swap
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: sample_polya_tree(0, random.Random(0)),
+                 "tree size must be positive", id="sample-size-0"),
+    pytest.param(lambda: sample_polya_tree(MAX_SIZE + 1, random.Random(0)),
+                 "size budget exceeded", id="sample-past-max-size"),
+    pytest.param(lambda: lmax_check([500], 1, s=1.0),
+                 r"s must lie in \(0, 1\)", id="lmax-s-1"),
+    pytest.param(lambda: fam.exact_forest_size_row(0, 3),
+                 "needs n >= 1", id="forest-size-row-n-0"),
+    pytest.param(lambda: run_verification(0),
+                 "oracle_max must be at least 1", id="verify-0"),
+    pytest.param(lambda: DecompositionSample(1, 0, 0, 0, {}).validate(),
+                 "the root is always fixed", id="validate-no-root"),
+    pytest.param(lambda: DecompositionSample(3, 1, 0, 0, {0: 1}).validate(),
+                 "must cover the tree", id="validate-cover"),
+    pytest.param(lambda: DecompositionSample(3, 1, 2, 1, {2: 1, 0: 1}).validate(),
+                 "one forest slot per fixed node", id="validate-slots"),
+    pytest.param(lambda: make_forest([(LEAF, 1)]),
+                 "must repeat at least twice", id="forest-single-copy"),
+    pytest.param(lambda: signed_forest_weight(make_forest([(CHERRY, 2)])),
+                 "identity-tree forests", id="signed-weight-non-identity"),
+])
+def test_library_refusals_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_small_sizes_exact():

@@ -86,6 +86,15 @@ def test_derivative_and_eval():
     assert f.eval_fraction(Fraction(1, 2)) == sum(Fraction(1, 2) ** n
                                                   for n in range(ORDER + 1))
     assert f.eval_float(0.5) == 2 - 0.5 ** ORDER  # exact in binary floating point
+    # a constant's derivative keeps the z^0 slot
+    assert RationalSeries.from_coeffs([5]).derivative() == RationalSeries.zero(0)
+
+
+def test_negation():
+    s = RationalSeries.from_coeffs([1, Fraction(-1, 2), 0, 3])
+    assert (-s).coeffs == (-1, Fraction(1, 2), 0, -3)
+    assert -s == s.scale(-1) and -(-s) == s
+    assert (s + -s).is_zero()
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3,
@@ -141,6 +150,9 @@ def test_upoly_basics():
     assert p.shift_marker(2).coefficient(3) == Fraction(1, 2)
     assert p.shift_marker(2).coefficient(5) == Fraction(1, 2)
     assert p.shift_marker(2).coefficient(2) == 0
+    # the zero polynomial stays trimmed: no leading zeros, degree -1
+    assert p.scale(0) == UPoly.zero() and p.scale(0).degree == -1
+    assert UPoly.zero().shift_marker(2) == UPoly.zero()
 
 
 def test_upoly_product_matches_eval():
