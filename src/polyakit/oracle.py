@@ -517,7 +517,9 @@ def naive_automorphisms(children: list[list[int]]) -> Iterator[tuple[int, ...]]:
 
     No isomorphism shortcuts: sibling images are tried permutation by
     permutation (pruned only by raw subtree size), so this is structurally
-    independent of the canonical-form recursions it cross-checks.
+    independent of the canonical-form recursions it cross-checks.  Where
+    the children of u and of v all have one size, every image passes that
+    check, so it is skipped there.
 
     Mapped pairs (u, v) wait in one shared FIFO queue, read at depth i and
     cut back to its length on return.  Only pairs whose u has children are
@@ -534,9 +536,10 @@ def naive_automorphisms(children: list[list[int]]) -> Iterator[tuple[int, ...]]:
         u, v = queue[i]
         cu = children[u]
         wanted = list(map(size, cu))
+        mixed = len(set(wanted)) > 1 or wanted != list(map(size, children[v]))
         base, last = len(queue), i + 1
         for image in itertools.permutations(children[v]):
-            if list(map(size, image)) != wanted:
+            if mixed and list(map(size, image)) != wanted:
                 continue
             for a, b in zip(cu, image):
                 perm[a] = b
@@ -572,36 +575,40 @@ def cycle_type(perm: Sequence[int]) -> dict[int, int]:
     return out
 
 
-def naive_forest_weight(forest: ForestSpec) -> Fraction:
-    """forest_weight by explicit enumeration over node-level automorphisms."""
-    # the forest with a virtual root joining the component roots
-    children = _labeled_children(tree_from_classes(forest.components))
-    nodes = range(1, len(children))  # every node but the virtual root
-    total = free = 0
-    for perm in naive_automorphisms(children):
-        total += 1
-        if all(map(ne, perm[1:], nodes)):
-            free += 1
-    return Q(free, total)
+@lru_cache(maxsize=32)
+def _naive_forest_counts(forest: ForestSpec) -> tuple[int, int, int]:
+    """(automorphisms, fixed-point-free ones, signed sum of those) of the
+    forest, by explicit enumeration in one pass.
 
-
-def naive_signed_forest_weight(forest: ForestSpec) -> Fraction:
-    """signed_forest_weight by explicit enumeration.
-
-    The sign is computed on the induced permutation of component copies, not
-    on node cycles: that is the convention under which the signed weights
-    sum to the coefficients of exp(sum_{i>=2} (-1)^(i-1) R(z^i)/i).
+    The forest is labelled as the tree whose virtual root joins the
+    component roots.  The sign is computed on the induced permutation of
+    component copies, not on node cycles: that is the convention under which
+    the signed weights sum to the coefficients of
+    exp(sum_{i>=2} (-1)^(i-1) R(z^i)/i).
     """
     children = _labeled_children(tree_from_classes(forest.components))
     roots = children[0]
     position = {r: i for i, r in enumerate(roots)}
-    nodes = range(1, len(children))
-    total = acc = 0
+    nodes = range(1, len(children))  # every node but the virtual root
+    total = free = signed = 0
     for perm in naive_automorphisms(children):
         total += 1
         if all(map(ne, perm[1:], nodes)):
+            free += 1
             induced = [position[perm[r]] for r in roots]
             evens = sum(c for length, c in cycle_type(induced).items()
                         if length % 2 == 0)
-            acc += -1 if evens % 2 else 1
-    return Q(acc, total)
+            signed += -1 if evens % 2 else 1
+    return total, free, signed
+
+
+def naive_forest_weight(forest: ForestSpec) -> Fraction:
+    """forest_weight by explicit enumeration over node-level automorphisms."""
+    total, free, _ = _naive_forest_counts(forest)
+    return Q(free, total)
+
+
+def naive_signed_forest_weight(forest: ForestSpec) -> Fraction:
+    """signed_forest_weight by explicit enumeration (see _naive_forest_counts)."""
+    total, _, signed = _naive_forest_counts(forest)
+    return Q(signed, total)

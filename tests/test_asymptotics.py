@@ -70,6 +70,56 @@ def test_singularity_constants(sing):
     assert sing.d_prime_rho == pytest.approx(0.694237917, abs=1e-6)
 
 
+# Otter's growth constant 1/rho and his constant C in t_n ~ C rho^-n n^(-3/2)
+# (Finch, Mathematical Constants, section 5.6; OEIS A051491)
+OTTER_INV_RHO = Decimal("2.9557652856519949747")
+OTTER_C = Decimal("0.4399240125710253")
+# The error after two Richardson steps falls like n^-3: at n = 1000/2000/4000
+# (a 3.3 s table) both limits agree to 2.5e-10 relative or better, so 1e-9
+# holds with a margin of 4; at 500/1000/2000 (0.6 s) they agree only to
+# 9.1e-10 and 2.0e-9.
+EXTRAPOLATION_SIZES = (1000, 2000, 4000)
+
+
+@pytest.fixture(scope="module")
+def large_counts():
+    """t_0 .. t_4000 from a count table grown for this module alone, as the
+    table tests of test_families.py grow theirs, so no other test reads it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fam, "_counts", {1: [0, 1], -1: [0, 1]})
+        mp.setattr(fam, "_weights", {1: [0, 1], -1: [0, 1]})
+        return fam.polya_int_table(EXTRAPOLATION_SIZES[-1])
+
+
+def _extrapolated(f) -> Decimal:
+    """lim f(n) for f(n) = L + a/n + b/n^2 + O(n^-3), from n, 2n and 4n by
+    two Richardson steps in 1/n."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        f1, f2, f4 = map(f, EXTRAPOLATION_SIZES)
+        return (4 * (2 * f4 - f2) - (2 * f2 - f1)) / 3
+
+
+def test_count_ratios_extrapolate_to_otters_growth_constant(large_counts, sing):
+    # the Domb-Sykes ratios t_n/t_(n-1) = (1/rho)(1 - 3/(2n) + O(n^-2)):
+    # the limit agrees to 1.1e-10 relative, the solver's 1/rho to 3.3e-16
+    t = large_counts
+    limit = _extrapolated(lambda n: Decimal(t[n]) / Decimal(t[n - 1]))
+    assert abs(limit / OTTER_INV_RHO - 1) < 1e-9
+    assert 1 / sing.rho == pytest.approx(float(OTTER_INV_RHO), rel=1e-13)
+
+
+def test_scaled_counts_extrapolate_to_otters_constant(large_counts, sing):
+    # t_n rho^n n^(3/2) = C (1 + O(1/n)), C = b sqrt(rho) / (2 sqrt(pi)): a
+    # check of b that does not replay its formula: the limit agrees to
+    # 2.5e-10 relative, the solver's b and rho to 2.2e-16
+    t, rho = large_counts, 1 / OTTER_INV_RHO
+    limit = _extrapolated(lambda n: t[n] * rho ** n * (n * Decimal(n).sqrt()))
+    assert abs(limit / OTTER_C - 1) < 1e-9
+    c = sing.b * math.sqrt(sing.rho) / (2 * math.sqrt(math.pi))
+    assert c == pytest.approx(float(OTTER_C), rel=1e-13)
+
+
 def test_second_solve_at_the_same_order_is_remembered(monkeypatch):
     import polyakit.asymptotics as asy
     asy._polya.cache_clear()

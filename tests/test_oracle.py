@@ -5,6 +5,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import pickle
 import sys
 from fractions import Fraction
@@ -41,6 +42,7 @@ from polyakit.oracle import (
     _subtree_sizes,
 )
 from polyakit.series import RationalSeries, UPoly
+from polyakit.verify import run_verification
 
 F = Fraction
 
@@ -158,6 +160,79 @@ def test_automorphisms_match_reference_route():
         assert got == list(reference_automorphisms(ch))
         total += len(got)
     assert total == 64686
+
+
+def test_automorphisms_match_reference_route_on_the_largest_forests():
+    # the size check is skipped where every child of u and of v has one
+    # size; the forests of size 8 hold its largest cases, the star of 8
+    # leaves among them with 8! automorphisms
+    objects = [_labeled_children(tree_from_classes(f.components))
+               for f in enumerate_dforests(8)]
+    assert len(objects) == 10
+    counts = []
+    for ch in objects:
+        got = list(naive_automorphisms(ch))
+        assert got == list(reference_automorphisms(ch))
+        counts.append(len(got))
+    assert sum(counts) == 40508
+    assert max(counts) == math.factorial(8)
+
+
+def _reference_labelling(forest):
+    """The forest as the tree whose virtual root joins the component roots,
+    and every node but that root."""
+    children = _labeled_children(tree_from_classes(forest.components))
+    return children, range(1, len(children))
+
+
+def reference_forest_weight(forest):
+    """naive_forest_weight as it was before the two forest weights shared
+    one enumeration pass: its own pass."""
+    children, nodes = _reference_labelling(forest)
+    total = free = 0
+    for perm in reference_automorphisms(children):
+        total += 1
+        if all(map(operator.ne, perm[1:], nodes)):
+            free += 1
+    return F(free, total)
+
+
+def reference_signed_forest_weight(forest):
+    """naive_signed_forest_weight as it was before the two forest weights
+    shared one enumeration pass: its own pass, the sign taken on the induced
+    permutation of component copies."""
+    children, nodes = _reference_labelling(forest)
+    roots = children[0]
+    position = {r: i for i, r in enumerate(roots)}
+    total = acc = 0
+    for perm in reference_automorphisms(children):
+        total += 1
+        if all(map(operator.ne, perm[1:], nodes)):
+            induced = [position[perm[r]] for r in roots]
+            evens = sum(c for length, c in cycle_type(induced).items()
+                        if length % 2 == 0)
+            acc += -1 if evens % 2 else 1
+    return F(acc, total)
+
+
+def test_naive_forest_weights_match_their_separate_passes():
+    # one pass per forest returns exactly the Fractions of the two loops it
+    # replaced, on every forest of size <= 8 (non-identity ones included)
+    forests = [f for n in range(1, 9) for f in enumerate_dforests(n)]
+    assert len(forests) == 22
+    for f in forests:
+        assert naive_forest_weight(f) == reference_forest_weight(f)
+        assert naive_signed_forest_weight(f) == reference_signed_forest_weight(f)
+
+
+def test_verification_enumerates_each_forest_once():
+    # the plain row enumerates the 22 forests of size <= 8; the signed row
+    # reads the 18 identity forests among them from the cache
+    oracle._naive_forest_counts.cache_clear()
+    run_verification(8)
+    info = oracle._naive_forest_counts.cache_info()
+    assert (info.misses, info.hits) == (22, 18)
+    assert info.currsize == 22 <= info.maxsize
 
 
 def reference_cycle_index(slots):
