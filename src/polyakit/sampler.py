@@ -9,14 +9,19 @@ head of size n - m*d and one subtree of size m, then attach d identical copies
 of that subtree to the head's root.  Each tree of size n has probability
 exactly 1/t_n; the walk is over big integers, so nothing is approximated.
 
+A term k = m*d is found by a walk from k = n - 1 (small heads, most of the
+mass) or, on the complement of the draw, from k = 1, whichever end is nearer:
+since t_n ~ C rho^(-n) n^(-3/2), C Otter's constant, the terms with k <= n/2
+hold about 2C/sqrt(n) of the mass.  Both walks give the same k and residual.
+
 The walk keeps an explicit stack, so its depth is not bounded by the
 interpreter's recursion limit.  For each node it first draws the whole chain
 of peels (m, d), head after head down to a single root, and then draws the
 repeated subtrees, last peel first, each by the same procedure; the node is
 built once from its (subtree, copies) classes, its leaf copies merged into one
 class.  Equal subtrees of one tree share one node object: a node is looked up
-by the identities of its canonical classes, (id(subtree), copies) pairs,
-since its children are shared already.  No encoding string is built; a
+by the identities of its classes, (id(subtree), copies) pairs, before it is
+built, since its children are shared already.  No encoding string is built; a
 node's encoding is built only when it is read.
 
 Every seeded tree, and with it every seeded report, depends on the draw order
@@ -67,14 +72,23 @@ def _divisors_sampling_order(n: int) -> list[int]:
 _orders: dict[int, list[int]] = {}  # k -> divisor walk order, k < MAX_SIZE
 
 
-def _shared(built: dict[tuple, CanonicalTree], tree: CanonicalTree) -> CanonicalTree:
-    """The node already built with the same classes as tree, else tree.  A
-    node of one class, most of them, is keyed by its one pair of ints."""
-    children = tree.children
-    if len(children) == 1:
-        t, m = children[0]
-        return built.setdefault((id(t), m), tree)
-    return built.setdefault(tuple([(id(t), m) for t, m in children]), tree)
+def _node(built: dict, classes: list | tuple) -> CanonicalTree:
+    """The node of these classes, looked up before it is built: equal
+    subtrees are one object already, so the key is (id(subtree), copies)
+    with copies merged, one pair of ints for a node of one class."""
+    if len(classes) == 1:
+        t, m = classes[0]
+        key = (id(t), m)
+    else:
+        merged: dict[int, int] = {}
+        for t, m in classes:
+            merged[id(t)] = merged.get(id(t), 0) + m
+        key = (next(iter(merged.items())) if len(merged) == 1
+               else frozenset(merged.items()))
+    tree = built.get(key)
+    if tree is None:
+        tree = built[key] = tree_from_classes(classes)
+    return tree
 
 
 def sample_polya_tree(n: int, rng: random.Random) -> CanonicalTree:
@@ -88,10 +102,10 @@ def sample_polya_tree(n: int, rng: random.Random) -> CanonicalTree:
     getrandbits = rng.getrandbits
     # open nodes: (peels whose subtree is still to draw, classes drawn)
     stack: list[tuple[list[tuple[int, int]], list]] = []
-    # the (id(subtree), copies) pairs of a node's classes -> the node: equal
-    # subtrees share one node, so a tree holds about half as many objects
-    # for the garbage collector.  Every id in a key is a node held here.
-    built: dict[tuple, CanonicalTree] = {}
+    # a node's key (see _node) -> the node: equal subtrees share one node,
+    # so a tree holds about half as many objects for the garbage collector.
+    # Every id in a key is a node held here.
+    built: dict[object, CanonicalTree] = {}
     size = n
     while True:
         # the node's whole chain of peels (size m, copies) first; a leaf
@@ -104,14 +118,24 @@ def sample_polya_tree(n: int, rng: random.Random) -> CanonicalTree:
             r = getrandbits(bits)
             while r >= bound:
                 r = getrandbits(bits)
-            # small heads carry most of the mass, so walk k = size - head
-            # downward; the first term is t[1] * s[k] = s[k]
-            k = size - 1
-            w = s[k]
+            # the terms t[size-k] * s[k] sum to bound; the walk starts from
+            # k = size - 1 (small heads, most of the mass) or, if r lies in
+            # the top 2C/sqrt(size) of the mass (k <= size/2 or so; 57662 =
+            # 2C * 2^16, C Otter's constant, see tests/test_sampler.py::
+            # test_top_share_follows_otters_constant), from k = 1 on
+            # bound - 1 - r, which gives the same k and residual.  Walks up
+            # to size 32 are short, and cheaper than the test
+            if size > 32 and r >= bound - (bound >> 16) * (57662 // math.isqrt(size)):
+                r, k, step = bound - 1 - r, 1, 1
+            else:
+                k, step = size - 1, -1
+            w = t[size - k] * s[k]
             while r >= w:
                 r -= w
-                k -= 1
+                k += step
                 w = t[size - k] * s[k]
+            if step == 1:
+                r = w - 1 - r
             # r is uniform below t[size-k]*s[k]; its residue picks the
             # repeated size
             b = r % s[k]
@@ -135,14 +159,14 @@ def sample_polya_tree(n: int, rng: random.Random) -> CanonicalTree:
         # a finished subtree, a star or a leaf: hand it to the open node,
         # which draws its next repeated part or, with none left, is built
         # and handed up
-        tree = _shared(built, tree_from_classes(((LEAF, leaves),))) if leaves else LEAF
+        tree = _node(built, ((LEAF, leaves),)) if leaves else LEAF
         while stack:
             peels, classes = stack[-1]
             classes.append((tree, peels.pop()[1]))
             if peels:
                 break
             stack.pop()
-            tree = _shared(built, tree_from_classes(classes))
+            tree = _node(built, classes)
         else:
             return tree
         size = peels[-1][0]

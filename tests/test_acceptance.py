@@ -137,9 +137,14 @@ def test_criterion_03_fixed_point_polynomial_displays(acceptance_log):
 def test_criterion_04_singularity_constants(acceptance_log, sing):
     hier = solve_variant_singularity("hierarchy")
     bina = solve_variant_singularity("binary")
-    main_ok = (abs(sing.rho - 0.3383219) < 1e-6
+    # Otter's growth constant 1/rho (OEIS A051491) and his constant
+    # C = b sqrt(rho) / (2 sqrt(pi)) in t_n ~ C rho^-n n^(-3/2) (Finch,
+    # Mathematical Constants, section 5.6), each to the 1e-13 relative of
+    # test_asymptotics.py
+    otter_c = sing.b * math.sqrt(sing.rho) / (2 * math.sqrt(math.pi))
+    main_ok = (abs(sing.rho * 2.9557652856519949747 - 1) < 1e-13
                and abs(sing.b - 2.68112) < 1e-4
-               and abs(sing.c - sing.b ** 2 / 3) < 1e-12
+               and abs(otter_c / 0.4399240125710253 - 1) < 1e-13
                and abs(sing.rho * sing.d_rho * math.e - 1) < 1e-8)
     subs = [
         # tau: root of the hierarchy solve; 1/tau is checked below against
@@ -168,8 +173,8 @@ def test_criterion_04_singularity_constants(acceptance_log, sing):
     misses = [f"{name} {got:.10f} vs target {want} +- {tol:g}"
               for name, got, want, tol in subs if abs(got - want) >= tol]
     ok = main_ok and not misses
-    detail = (f"main family: rho={sing.rho:.7f}, b={sing.b:.5f}, "
-              f"c-b^2/3={sing.c - sing.b ** 2 / 3:.1e}, "
+    detail = (f"main family: rho={sing.rho:.16f}, b={sing.b:.5f}, "
+              f"Otter C={otter_c:.16f}, "
               f"rho*D(rho)*e-1={sing.rho * sing.d_rho * math.e - 1:.1e}; "
               f"hierarchy tau={hier.tau:.7f} (1/tau={1 / hier.tau:.10f}), "
               f"mu={hier.mu:.7f}; binary tau={bina.tau:.7f} "

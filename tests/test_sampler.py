@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import inspect
 import math
 import os
 import pickle
@@ -12,8 +13,11 @@ from fractions import Fraction
 import pytest
 
 import polyakit.families as fam
+import polyakit.sampler as sampler
+from polyakit.asymptotics import solve_polya_singularity
 from polyakit.oracle import (LEAF, aut_order, chain, enumerate_trees,
-                             make_forest, make_tree, signed_forest_weight)
+                             make_forest, make_tree, signed_forest_weight,
+                             tree_from_classes)
 from polyakit.sampler import (
     MAX_SIZE,
     DecompositionSample,
@@ -132,6 +136,117 @@ def test_tree_walk_draws_as_randrange():
         mine = RecordingRandom(m)
         sample_polya_tree(m, mine)
         assert mine.calls[:len(stdlib.calls)] == stdlib.calls
+
+
+def reference_sample_polya_tree(n, rng):
+    """The sampler's tree walk with every head walk from k = n - 1 downward,
+    and no node shared: the route the nearer-end walk replaced, kept as its
+    check.  Sharing nodes changes no encoding."""
+    t, s = fam._grow_counts(1, n)
+    stack = []
+    size = n
+    while True:
+        peels, leaves = [], 0
+        while size > 1:
+            bound = (size - 1) * t[size]
+            r = inline_below(rng, bound)
+            k = size - 1
+            w = s[k]
+            while r >= w:
+                r -= w
+                k -= 1
+                w = t[size - k] * s[k]
+            b = r % s[k]
+            for m in sampler._divisors_sampling_order(k):
+                w = m * t[m]
+                if b < w:
+                    break
+                b -= w
+            if m == 1:
+                leaves += k
+            else:
+                peels.append((m, k // m))
+            size -= k
+        if peels:
+            stack.append((peels, [(LEAF, leaves)] if leaves else []))
+            size = peels[-1][0]
+            continue
+        tree = tree_from_classes(((LEAF, leaves),)) if leaves else LEAF
+        while stack:
+            peels, classes = stack[-1]
+            classes.append((tree, peels.pop()[1]))
+            if peels:
+                break
+            stack.pop()
+            tree = tree_from_classes(classes)
+        else:
+            return tree
+        size = peels[-1][0]
+
+
+def test_nearer_end_walk_matches_the_downward_walk():
+    # the same tree and the same generator state afterwards, so every later
+    # draw is unchanged too
+    cases = [(n, seed) for n in range(2, 301) for seed in range(20)]
+    cases += [(2000, seed) for seed in range(50)]
+    for n, seed in cases:
+        mine, ref = random.Random(seed), random.Random(seed)
+        tree = sample_polya_tree(n, mine)
+        assert tree.encoding == reference_sample_polya_tree(n, ref).encoding
+        assert mine.getstate() == ref.getstate(), (n, seed)
+
+
+class ScriptedRandom(random.Random):
+    """A Random whose first getrandbits call answers `first`; every later
+    call draws as usual."""
+
+    def __init__(self, seed, first):
+        super().__init__(seed)
+        self.first = first
+
+    def getrandbits(self, k):
+        if self.first is None:
+            return super().getrandbits(k)
+        value, self.first = self.first, None
+        return value
+
+
+def test_head_walks_end_at_either_end():
+    # the root's first draw at 0 ends its walk at k = n - 1, the downward
+    # walk's first term: one class of n - 1 nodes under the root.  At
+    # (n - 1) t_n - 1 it ends at k = 1, the upward walk's first term (from
+    # n = 33 on) and the downward walk's last: a leaf under the root
+    t = fam.polya_int_table(60)
+    for n in range(2, 61):
+        for first in (0, (n - 1) * t[n] - 1):
+            for seed in range(3):
+                mine, ref = ScriptedRandom(seed, first), ScriptedRandom(seed, first)
+                tree = sample_polya_tree(n, mine)
+                assert tree.encoding == reference_sample_polya_tree(n, ref).encoding
+                assert mine.getstate() == ref.getstate(), (n, first, seed)
+                if first == 0:
+                    assert len(tree.children) == 1
+                else:
+                    assert tree.children[0][0] is LEAF
+
+
+def test_top_share_follows_otters_constant():
+    # the sampler walks up from k = 1 when its draw lies in the top
+    # 57662 / 2^16 / sqrt(size) of the mass.  The exact share of the terms
+    # with k <= (S - 1) / 2, times sqrt(S), rises towards 2C, C = b sqrt(rho)
+    # / (2 sqrt(pi)) Otter's constant, since t_n ~ C rho^-n n^(-3/2) and
+    # s_k ~ k t_k: 0.805, 0.843, 0.861 and 0.867 at S = 64, 256, 1000, 2000
+    sing = solve_polya_singularity()
+    two_c = sing.b * math.sqrt(sing.rho) / math.sqrt(math.pi)
+    assert round(two_c * 2 ** 16) == 57662
+    assert "57662 // math.isqrt(size)" in inspect.getsource(sample_polya_tree)
+    t, s = fam._grow_counts(1, 2000)
+    scaled = []
+    for size in (64, 128, 256, 512, 1000, 2000):
+        top = sum(s[k] * t[size - k] for k in range(1, (size - 1) // 2 + 1))
+        scaled.append(top / ((size - 1) * t[size]) * math.sqrt(size))
+    assert scaled == sorted(scaled) and scaled[-1] < two_c
+    assert scaled[-1] == pytest.approx(two_c, rel=0.02)
 
 
 def test_decomposition_draws_as_shuffle():
