@@ -11,17 +11,11 @@ e * x * D(x) - 1 = 0, and D's argument stays deep inside its disk.
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import count, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .families import (
-    _grow_forests,
-    binary_int_table,
-    hierarchy_int_table,
-    polya_int_table,
-)
+from .families import _grow_binary, _grow_counts, _grow_forests, _grow_hierarchy
 
 DEFAULT_ORDER = 400
 
@@ -78,9 +72,9 @@ class _FloatTable:
 
 def _count_table(family: str, order: int) -> _FloatTable:
     """The float table of the family's counts t_0 .. t_order, with the row's
-    growth bounds."""
+    growth bounds; each read converts only the new counts of the held list."""
     counts, _, _, bounds, _ = _FAMILIES[family]
-    return _FloatTable(lambda lo, hi: map(float, counts(hi)[lo:]), order,
+    return _FloatTable(lambda lo, hi: map(float, counts(hi)[lo:hi + 1]), order,
                        bounds)
 
 
@@ -223,8 +217,7 @@ def _forest_value(t: _FloatTable, x: float, start: int = 2) -> float:
                                      (1.0 / i for i in count(start))))
 
 
-# each family's count table (called through the module's name, so that a
-# wrapper bound to that name sees every call), the equation g(table, x) whose
+# each family's held count list grown through n, the equation g(table, x) whose
 # root in the bracket is its singularity, that bracket, the growth bounds of
 # its float table and of its derivative's table, and for a variant the rule
 # mu(table, tau) for E|C_n|/n -> 1/(1+mu).  Each bound is a pair (anchor,
@@ -239,12 +232,12 @@ def _forest_value(t: _FloatTable, x: float, start: int = 2) -> float:
 # shortest, 84 terms where the bound 6 from index 0 needs 208
 _FAMILIES = {
     # e x D(x) - 1, from T(rho) = 1 (see the module docstring)
-    "polya": (lambda n: polya_int_table(n),
+    "polya": (lambda n: _grow_counts(1, n)[0],
               lambda t, x: math.e * x * _forest_value(t, x) - 1.0,
               (0.25, 0.45), ((0, 2.94909), (0, 3.0), (5, 3.197516)), None),
     # no outdegree 1: H = (z/(1+z)) exp(sum_i H(z^i)/i) has H(tau) = 1 at the
     # singularity, so tau solves (tau/(1+tau)) e exp(sum_{i>=2} H(tau^i)/i) = 1
-    "hierarchy": (lambda n: hierarchy_int_table(n),
+    "hierarchy": (_grow_hierarchy,
                   lambda h, x: (x / (1 + x)) * math.e * _forest_value(h, x) - 1.0,
                   (0.3, 0.6), ((0, 2.185889), (0, 2.5)),
                   lambda h, x: x ** 2 * math.e * _forest_value(h, x)
@@ -254,7 +247,7 @@ _FAMILIES = {
     # the singularity gives tau^2 B(tau^2) + 2 tau^2 - 1 = 0, tau^2 well inside.
     # mu = tau^2/B(tau) * d/dx[(B(tau)^2 + B(x^2))/2] at x = tau; the first
     # slot of the pair cycle index is held fixed, so only B(x^2) contributes
-    "binary": (lambda n: binary_int_table(n),
+    "binary": (_grow_binary,
                lambda b, x: _horner_sum(b, [x * x], [x * x]) + 2 * x * x - 1.0,
                (0.5, 0.75), ((0, 1.574341), (0, 1.7320509)),
                lambda b, x: _horner_sum(_derivative_table(b), [x * x], [x ** 4])),
@@ -285,6 +278,30 @@ def _solve(family: str, order: int) -> tuple[_FloatTable, float, float, float]:
     return table, x, residual, shift
 
 
+# each family's last solve, (low, high, record); the Polya slot is the only
+# hand-off of rho.  low is the reach, the highest count the bisection, the
+# residual and the record read.  A sum cut short reads the last count, also
+# through a derivative's table, so a reach below the order shows that no sum
+# was cut, and every order from the reach on reads the same terms: the solve
+# covers them.  A solve that read its last count covers only its own order.
+_last_solves: dict[str, tuple] = {}
+
+
+def _solved(family: str, order: int) -> tuple[tuple, _FloatTable]:
+    """The family's solve record at the order, and its count table there."""
+    low, high, held = _last_solves.get(family, (1, 0, None))
+    if low <= order <= high:
+        return held._replace(order=order), _count_table(family, order)
+    table, x, residual, shift = _solve(family, order)
+    mu = _FAMILIES[family][4]
+    held = (_polya_record(table, x, residual, shift, order) if mu is None else
+            VariantSingularity(family, x, mu(table, x), residual, shift, order))
+    low = len(table.coeffs) - 1
+    _last_solves[family] = (low, MAX_ORDER[family] if low < order else order,
+                            held)
+    return held, table
+
+
 # ---------------------------------------------------------------------------
 # the main tree family
 
@@ -300,34 +317,20 @@ class PolyaSingularity(NamedTuple):
     order: int
 
 
-# the last solve and its float table, kept so that asking again at the same
-# order (every L_n law, the forest and decomposition constants after the
-# singularity) does not solve again; the only hand-off of rho, one entry, not
-# a cache per order
-@functools.lru_cache(maxsize=1)
-def _polya(order: int) -> tuple[PolyaSingularity, _FloatTable]:
-    t, rho, residual, rho_shift = _solve("polya", order)
+def _polya_record(t: _FloatTable, rho: float, residual: float,
+                  rho_shift: float, order: int) -> PolyaSingularity:
     d_rho = _forest_value(t, rho)
     # D' = D * d/dx sum_{i>=2} T(x^i)/i = D * sum_{i>=2} x^(i-1) T'(x^i)
     d_prime_rho = d_rho * _substituted_sum(_derivative_table(t), rho, 2,
                                            (rho ** (i - 1) for i in count(2)))
     b = math.sqrt(2 * math.e * (d_rho + rho * d_prime_rho))
-    sing = PolyaSingularity(
-        rho=rho,
-        b=b,
-        c=b * b / 3,
-        d_rho=d_rho,
-        d_prime_rho=d_prime_rho,
-        residual=residual,
-        rho_shift=rho_shift,
-        order=order,
-    )
-    return sing, t
+    return PolyaSingularity(rho, b, b * b / 3, d_rho, d_prime_rho, residual,
+                            rho_shift, order)
 
 
 def solve_polya_singularity(order: int = DEFAULT_ORDER) -> PolyaSingularity:
     """rho, and the square-root expansion T = 1 - b sqrt(rho-z) + c(rho-z)."""
-    return _polya(order)[0]
+    return _solved("polya", order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +364,7 @@ class ForestAsymptotics(NamedTuple):
 
 
 def forest_asymptotics(order: int = DEFAULT_ORDER) -> ForestAsymptotics:
-    sing, t = _polya(order)
+    sing, t = _solved("polya", order)
     r = math.sqrt(sing.rho)
     xi_p, xi_m = _forest_value(t, r, start=3), _forest_value(t, -r, start=3)
     # the i=2 term of gamma(+-sqrt(rho)) is T(rho) = 1 exactly; the truncated
@@ -450,7 +453,7 @@ def decomposition_constants(order: int = DEFAULT_ORDER) -> DecompositionConstant
     sigma^2 = -(log rho)''(log u) = mu^2 + mu^3 (rho^2 G''(rho) - 1), where
     G''(z) = sum_{i>=2} (i-1) z^(i-2) T'(z^i) + i z^(2i-2) T''(z^i).
     """
-    sing, t = _polya(order)
+    sing, t = _solved("polya", order)
     rho = sing.rho
     gamma_rho = _substituted_sum(t, rho, 2, repeat(1.0))
     b2rho = sing.b ** 2 * rho
@@ -496,39 +499,50 @@ def solve_variant_singularity(family: str,
                               order: int = DEFAULT_ORDER) -> VariantSingularity:
     """The singularity tau and mu of a variant family, "hierarchy" (no
     outdegree 1) or "binary" (outdegrees {0, 2}), from its row of _FAMILIES."""
-    mu = _FAMILIES[family][4] if family in _FAMILIES else None
-    if mu is None:
+    if family not in _FAMILIES or _FAMILIES[family][4] is None:
         raise ValueError(f"unknown variant family: {family}")
-    table, tau, residual, tau_shift = _solve(family, order)
-    return VariantSingularity(family, tau, mu(table, tau), residual, tau_shift,
-                              order)
+    return _solved(family, order)[0]
 
 
 # ---------------------------------------------------------------------------
 # exact scaled-float coefficients at large n (max forest size law)
 
 
-def _scaled_polya_coeffs(n: int, rho: float) -> "np.ndarray":
-    """t_m rho^m for m <= n, stable float recurrence (all terms positive).
+def _grow_scaled_column(t: "np.ndarray", s: "np.ndarray", n: int,
+                        rho: float) -> tuple["np.ndarray", "np.ndarray"]:
+    """The column t_m rho^m and its divisor sums s, grown through n from the
+    held t and s ((0.0,) each to start), all terms positive.
 
     (m-1) t_m = sum_{i<m} t_(m-i) s_i with s_j = sum_{d|j} d t_d rho^(j-d);
     each t_d is added to s at the multiples of d as soon as it is known, so
-    s_i is complete before any t_m with m > i reads it.
+    s_i is complete before any t_m with m > i reads it.  When the arrays
+    grow, the known t_d first add their terms at the new multiples, in
+    increasing d (np.add.at adds in the order given), so each s_j gets its
+    terms in the order of a fresh column.
     """
     import numpy as np
 
-    t = np.zeros(n + 1)
-    s = np.zeros(n + 1)
-    for m in range(1, n + 1):
+    known = len(t) - 1
+    if n <= known:
+        return t, s
+    t, s = np.pad(t, (0, n - known)), np.pad(s, (0, n - known))
+    held = np.arange(1, known + 1)
+    new = n // held - known // held  # the multiples of each in (known, n]
+    start = np.cumsum(new) - new  # where the run of each begins in d
+    d = np.repeat(held, new)
+    j = d * (np.repeat(known // held + 1 - start, new) + np.arange(len(d)))
+    np.add.at(s, j, d * t[d] * rho ** (j - d))
+    for m in range(known + 1, n + 1):
         t[m] = rho if m == 1 else (t[m - 1 : 0 : -1] @ s[1:m]) / (m - 1)
         s[m::m] += m * t[m] * rho ** (m * np.arange(n // m))
-    return t
+    return t, s
 
 
-# the last L_n law, (rho, caps, trunc, y, e^y, degree): row K of y and e^y
-# holds Y_K and e^(Y_K) through the degree reached.  One slot, grown in place
-# when the next request has the same rho and cap count (a sweep over rising
-# n), replaced by any other request
+# the last L_n law, (rho, caps, trunc, y, e^y, degree, t, s): row K of y and
+# e^y holds Y_K and e^(Y_K) through the degree reached, t and s the column
+# t_m rho^m and its divisor sums through the largest n asked.  One slot,
+# grown in place when the next request has the same rho and cap count (a
+# sweep over rising n), replaced by any other; the column only by a new rho
 _last_law: tuple | None = None
 
 
@@ -562,8 +576,10 @@ def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
     global _last_law
     rho = solve_polya_singularity().rho
     caps = min(kmax, n - 1)
-    if _last_law is not None and _last_law[:2] == (rho, caps):
-        trunc, y, ey, degree = _last_law[2:]
+    same_rho = _last_law is not None and _last_law[0] == rho
+    column = _last_law[6:] if same_rho else ((0.0,), (0.0,))
+    if same_rho and _last_law[1] == caps:
+        trunc, y, ey, degree = _last_law[2:6]
     else:
         # row K of trunc is the forest capped at degree K
         trunc = np.tril(np.tile(_forest_terms(rho, caps), (caps + 1, 1)))
@@ -581,8 +597,9 @@ def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
             ey[:, m] = np.einsum("j,ij,ij->i", idx[1 : m + 1], y[:, 1 : m + 1],
                                  back[:, :m]) / m
         degree = n
-    _last_law = (rho, caps, trunc, y, ey, degree)
-    cdf = (y[:, n] / _scaled_polya_coeffs(n, rho)[n]).tolist()
+    t, s = _grow_scaled_column(*column, n, rho)
+    _last_law = (rho, caps, trunc, y, ey, degree, t, s)
+    cdf = (y[:, n] / t[n]).tolist()
     return cdf + cdf[-1:] * (kmax - caps)
 
 

@@ -294,10 +294,10 @@ _h_counts: list[int] = [0, 1]
 _h_weights: list[int] = [0, 1]  # s[i] = sum over divisors m of i of m * h_m
 
 
-def hierarchy_int_table(N: int) -> tuple[int, ...]:
-    """Counts of Polya trees with no outdegree-1 node: 1, 0, 1, 1, 2, 3, ..."""
+def _grow_hierarchy(N: int) -> list[int]:
+    """The held hierarchy counts, grown through N."""
     t, s = _h_counts, _h_weights
-    pairs = [0, *map(add, t[1:], t)]  # t_k + t_(k-1)
+    pairs = [0, *map(add, t[1:], t)] if len(t) <= N else []  # t_k + t_(k-1)
     while len(t) <= N:
         n = len(t)
         total = sum(map(mul, pairs[n - 1 : 1 : -1], s[1 : n - 1]))
@@ -308,7 +308,12 @@ def hierarchy_int_table(N: int) -> tuple[int, ...]:
         t.append(q)
         pairs.append(q + t[n - 1])
         s.append(sum(m * t[m] for m in _divisors(n)))
-    return tuple(t[: N + 1])
+    return t
+
+
+def hierarchy_int_table(N: int) -> tuple[int, ...]:
+    """Counts of Polya trees with no outdegree-1 node: 1, 0, 1, 1, 2, 3, ..."""
+    return tuple(_grow_hierarchy(N)[: N + 1])
 
 
 def hierarchy_coeffs(N: int) -> RationalSeries:
@@ -548,9 +553,14 @@ def omega_polya_coeffs(omega: OmegaSet, N: int) -> RationalSeries:
 _binary = _OmegaTable(OmegaSet(frozenset((0, 2)), cofinite=False))
 
 
+def _grow_binary(N: int) -> list[int]:
+    """The held binary counts, grown through N."""
+    return _grow_omega(_binary, N)
+
+
 def binary_int_table(N: int) -> tuple[int, ...]:
     """Counts of Polya trees with outdegrees in {0, 2}; zero at even sizes."""
-    return tuple(_grow_omega(_binary, N)[: N + 1])
+    return tuple(_grow_binary(N)[: N + 1])
 
 
 def binary_polya_coeffs(N: int) -> RationalSeries:

@@ -5,6 +5,7 @@ import functools
 import gc
 import hashlib
 import math
+import random
 import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -24,7 +25,6 @@ from polyakit.asymptotics import (
     _derivative_table,
     _forest_terms,
     _horner_sum,
-    _scaled_polya_coeffs,
     decomposition_constants,
     forest_asymptotics,
     lmax_cdf_exact,
@@ -121,8 +121,7 @@ def test_scaled_counts_extrapolate_to_otters_constant(large_counts, sing):
 
 
 def test_second_solve_at_the_same_order_is_remembered(monkeypatch):
-    import polyakit.asymptotics as asy
-    asy._polya.cache_clear()
+    asy._last_solves.clear()
     solved, built = [], []
     solve = asy._solve
 
@@ -136,25 +135,32 @@ def test_second_solve_at_the_same_order_is_remembered(monkeypatch):
     monkeypatch.setattr(asy, "_FloatTable", RecordedTable)
     first = solve_polya_singularity(60)
     assert solved == [60]
-    assert solve_polya_singularity(60) is first
+    assert solve_polya_singularity(60) == first
     decomposition_constants(60)
     forest_asymptotics(60)
     assert solved == [60]
     # the solve builds the tables at orders 60 and 140 (a sum at order 60 is
-    # cut short, so the raised order is solved) and one derivative table, the
-    # decomposition constants the first and second derivative tables, the
-    # forest constants their own derivative table; the table at 60 is handed
-    # on, not built again, and no table converts past its order
-    assert [t.order for t in built] == [60, 140, 59, 59, 58, 59]
+    # cut short, so the raised order is solved) and one derivative table; the
+    # remembered solve hands a fresh count table at 60 to each later request,
+    # from which the decomposition constants build the first and second
+    # derivative tables and the forest constants their own derivative table;
+    # no table converts past its order
+    assert [t.order for t in built] == [60, 140, 59, 60, 60, 59, 58, 60, 59]
     assert all(len(t.coeffs) <= t.order + 1 for t in built)
-    # an L_n law solves once at the default order, then reuses it
+    # the Polya root reads t_0 .. t_78, so a solve at 200 covers every order
+    # from 78 to MAX_ORDER: a solve at 400 or an L_n law at the default
+    # order is not run again, and one at 60, below the reach, is
+    assert solve_polya_singularity(200).order == 200
+    assert solve_polya_singularity(400).order == 400
+    assert solved == [60, 200]
     assert lmax_exact_mean(40) == lmax_exact_mean(40)
-    assert solved == [60, 400]
     forest_asymptotics(asy.DEFAULT_ORDER)
     lmax_cdf_exact(40, 40)
     lmax_exact_mean(50)
-    assert solved == [60, 400]
-    asy._polya.cache_clear()
+    assert solved == [60, 200]
+    assert solve_polya_singularity(60) == first
+    assert solved == [60, 200, 60]
+    asy._last_solves.clear()
     assert solve_polya_singularity(60) == first  # the same bits when re-solved
 
 
@@ -427,6 +433,17 @@ def test_lmax_cdf_matches_per_cap_route(sing, n, kmax):
     assert batched == pytest.approx(reference, abs=1e-12)
 
 
+def _scaled_polya_coeffs(n: int, rho: float) -> np.ndarray:
+    """Reference route: t_m rho^m for m <= n by the scaled Euler recurrence,
+    built afresh, as the L_n law did before it grew one column."""
+    t = np.zeros(n + 1)
+    s = np.zeros(n + 1)
+    for m in range(1, n + 1):
+        t[m] = rho if m == 1 else (t[m - 1 : 0 : -1] @ s[1:m]) / (m - 1)
+        s[m::m] += m * t[m] * rho ** (m * np.arange(n // m))
+    return t
+
+
 def reference_lmax_cdf(n: int, kmax: int, rho: float) -> list[float]:
     """Reference route: the L_n law computed afresh, every cap K = 0..kmax
     a row, with the forest terms from the Fraction route."""
@@ -461,14 +478,14 @@ def test_remembered_law_is_bit_identical_to_a_fresh_law(sing, monkeypatch):
 def test_only_the_last_law_is_held(monkeypatch):
     monkeypatch.setattr(asy, "_last_law", None)
     lmax_cdf_exact(40, 64)
-    _, caps, _, y, _, degree = asy._last_law
+    _, caps, _, y, _, degree = asy._last_law[:6]
     assert (caps, degree) == (39, 40)
     first = weakref.ref(y)
     del y
     lmax_cdf_exact(60, 20)
     gc.collect()
     assert first() is None
-    _, caps, _, y, ey, degree = asy._last_law
+    _, caps, _, y, ey, degree = asy._last_law[:6]
     assert (caps, degree, y.shape, ey.shape) == (20, 60, (21, 61), (21, 61))
     lmax_cdf_exact(30, 20)  # a column already there
     assert asy._last_law[3] is y and asy._last_law[5] == 60
@@ -480,13 +497,40 @@ def test_only_the_last_law_is_held(monkeypatch):
     assert cdf[9:] == cdf[9:10] * (10 ** 6 - 8)
 
 
+def test_grown_column_is_bit_identical_to_a_fresh_column(sing, monkeypatch):
+    # the law's column t_m rho^m grows with the law, across cap counts, and
+    # is read where it is held for smaller n
+    monkeypatch.setattr(asy, "_last_law", None)
+    for n in (250, 500, 750, 1000, 500, 2000, 40):
+        lmax_cdf_exact(n, 6 if n == 500 else 4)
+        t, s = asy._last_law[6:]
+        want = _scaled_polya_coeffs(n, sing.rho)
+        assert [v.hex() for v in t[:n + 1]] == [v.hex() for v in want], n
+        fresh = asy._grow_scaled_column((0.0,), (0.0,), len(t) - 1, sing.rho)
+        assert [v.hex() for v in s] == [v.hex() for v in fresh[1]], n
+    # small steps, where the known t_d still reach the last bit of each new
+    # s_j (past 250, where d <= j/2, they add about rho^125 of it or less)
+    t, s = (0.0,), (0.0,)
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144):
+        t, s = asy._grow_scaled_column(t, s, n, sing.rho)
+        assert [v.hex() for v in t] == [v.hex() for v in
+                                        _scaled_polya_coeffs(n, sing.rho)], n
+    # a column of another rho is replaced, not extended
+    law = asy._last_law
+    monkeypatch.setattr(asy, "_last_law", (sing.rho * (1 - 2 ** -30),
+                                           *law[1:6], np.ones(41), np.ones(41)))
+    lmax_cdf_exact(60, 4)
+    want = _scaled_polya_coeffs(60, sing.rho)
+    assert [v.hex() for v in asy._last_law[6]] == [v.hex() for v in want]
+
+
 def test_scaled_counts_match_integer_table(sing):
     # the exact route: rho = p/q exactly, and t_m p^m / q^m is one correctly
     # rounded integer division.  The float recurrence's largest relative
     # error through n = 2000 is 2.18e-14 (at m = 1994; 4.6e-15 through 400),
     # growing about like m; the bound is twice that
     n = 2000
-    scaled = _scaled_polya_coeffs(n, sing.rho)
+    scaled = asy._grow_scaled_column((0.0,), (0.0,), n, sing.rho)[0]
     p, q = sing.rho.as_integer_ratio()
     exact = [t * p ** m / q ** m for m, t in enumerate(fam.polya_int_table(n))]
     assert scaled[0] == exact[0] == 0
@@ -535,22 +579,73 @@ def test_solvers_match_their_pinned_digest():
     # the quasi-powers variance, the only field that moved
     results = []
     for family, order in SOLVER_CASES:
-        asy._polya.cache_clear()
+        asy._last_solves.clear()
         results.append(_solver_results(family, order))
     assert hashlib.sha256("\n".join(results).encode()).hexdigest() == (
         "4cecd6f1a5b7533c812c08d697553e99500d0877dd3be5d39b61541ef3b6f0df")
+
+
+def test_remembered_solves_match_fresh_solves_in_any_order():
+    # every order 1..128 and every solver case of each family, walked rising,
+    # falling and shuffled without clearing the slots: each request, reused
+    # or solved, gives the characters of a fresh solve at its order
+    walks = {family: sorted({*range(1, 129), *(o for f, o in SOLVER_CASES
+                                                if f == family)})
+             for family in ("polya", "hierarchy", "binary")}
+    fresh = {}
+    for family, orders in walks.items():
+        for order in orders:
+            asy._last_solves.clear()
+            fresh[family, order] = _solver_results(family, order)
+    for family, orders in walks.items():
+        shuffled = random.Random(36).sample(orders, len(orders))
+        for walk in (orders, orders[::-1], shuffled):
+            for order in walk:
+                assert _solver_results(family, order) == fresh[family, order], (
+                    family, order)
+
+
+@pytest.mark.parametrize("family", ["polya", "hierarchy", "binary"])
+def test_a_solve_is_reused_only_from_its_reach_on(family, monkeypatch):
+    # the reaches are 78 (Polya), 155 (hierarchy) and 265 (binary); below
+    # the reach, and after a solve that read its whole table, _bisect runs
+    solved = []
+    bisect = asy._bisect
+    monkeypatch.setattr(asy, "_bisect",
+                        lambda g, lo, hi: solved.append(lo) or bisect(g, lo, hi))
+    solve = (solve_polya_singularity if family == "polya" else
+             functools.partial(solve_variant_singularity, family))
+    asy._last_solves.clear()
+    solve(400)
+    reach, top = asy._last_solves[family][:2]
+    assert (reach, top) == ({"polya": 78, "hierarchy": 155, "binary": 265}[family],
+                            MAX_ORDER[family])
+    for order in (reach, 584, MAX_ORDER[family], 400):
+        assert solve(order).order == order
+    assert len(solved) == 1
+    solve(reach - 1)  # below the reach: solved again, and cut short there
+    assert len(solved) > 1 and asy._last_solves[family][:2] == (reach - 1,) * 2
+    runs = len(solved)
+    solve(reach - 1)  # the same order is read from the slot
+    assert len(solved) == runs
+    solve(400)  # after a cut-short solve, every other order solves again
+    assert len(solved) > runs
+    with pytest.raises(asy.OrderTooLarge):
+        solve(MAX_ORDER[family] + 1)
 
 
 @pytest.mark.parametrize("family, order", SOLVER_CASES)
 def test_cut_evaluation_matches_full_route(family, order, monkeypatch):
     # every constant of every solver, to the last bit, against Horner's rule
     # over the whole table; forest_asymptotics covers the negative arguments
-    asy._polya.cache_clear()
+    asy._last_solves.clear()
     cut = _solver_results(family, order)
-    asy._polya.cache_clear()
     # a tail margin of e^(-10^9) keeps every coefficient: the cut would need
-    # more than 10^9/745 terms, far past every table
+    # more than 10^9/745 terms, far past every table.  The slots are emptied
+    # after the patch, and the old ones come back with the old margin, so
+    # that no root is reused across margins
     monkeypatch.setattr(asy, "_LN_TAIL_MARGIN", -1e9)
+    monkeypatch.setattr(asy, "_last_solves", {})
     assert cut == _solver_results(family, order)
 
 
@@ -832,7 +927,7 @@ def test_growth_bounds_cover_the_largest_tables(family):
     # lie above its bound
     counts, _, _, bounds, _ = asy._FAMILIES[family]
     top = MAX_ORDER[family]
-    base = counts(top + ROOT_SHIFT_ORDERS)
+    base = counts(top + ROOT_SHIFT_ORDERS)[:top + ROOT_SHIFT_ORDERS + 1]
     derivative = [k * base[k] for k in range(1, top + 1)]
     second = [k * (k - 1) * base[k] for k in range(2, top + 1)]
     assert len(bounds) == (3 if family == "polya" else 2)
@@ -864,7 +959,7 @@ def test_solve_grows_the_count_table_only_as_far_as_it_reads(
     monkeypatch.setattr(fam, "_h_counts", [0, 1])
     monkeypatch.setattr(fam, "_h_weights", [0, 1])
     monkeypatch.setattr(fam, "_binary", fam._OmegaTable(fam._binary.omega))
-    asy._polya.cache_clear()
+    asy._last_solves.clear()
     solved = []
     bisect = asy._bisect
     monkeypatch.setattr(asy, "_bisect",
