@@ -15,7 +15,8 @@ import math
 from itertools import count, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .families import _grow_binary, _grow_counts, _grow_forests, _grow_hierarchy
+from . import families
+from .families import _grow_counts, _grow_forests, _grow_hierarchy, _grow_omega
 
 DEFAULT_ORDER = 400
 
@@ -247,7 +248,7 @@ _FAMILIES = {
     # the singularity gives tau^2 B(tau^2) + 2 tau^2 - 1 = 0, tau^2 well inside.
     # mu = tau^2/B(tau) * d/dx[(B(tau)^2 + B(x^2))/2] at x = tau; the first
     # slot of the pair cycle index is held fixed, so only B(x^2) contributes
-    "binary": (_grow_binary,
+    "binary": (lambda n: _grow_omega(families._grown.binary, n),
                lambda b, x: _horner_sum(b, [x * x], [x * x]) + 2 * x * x - 1.0,
                (0.5, 0.75), ((0, 1.574341), (0, 1.7320509)),
                lambda b, x: _horner_sum(_derivative_table(b), [x * x], [x ** 4])),
@@ -278,18 +279,16 @@ def _solve(family: str, order: int) -> tuple[_FloatTable, float, float, float]:
     return table, x, residual, shift
 
 
-# each family's last solve, (low, high, record); the Polya slot is the only
-# hand-off of rho.  low is the reach, the highest count the bisection, the
-# residual and the record read.  A sum cut short reads the last count, also
-# through a derivative's table, so a reach below the order shows that no sum
-# was cut, and every order from the reach on reads the same terms: the solve
+# families._grown.solves holds each family's last solve, (low, high, record);
+# the Polya one is the only hand-off of rho.  low, the reach, is the highest
+# count the bisection, residual and record read.  A cut sum, also through a
+# derivative's table, reads the last count, so a reach below the order shows no
+# sum was cut and every order from the reach on reads the same terms: the solve
 # covers them.  A solve that read its last count covers only its own order.
-_last_solves: dict[str, tuple] = {}
-
-
 def _solved(family: str, order: int) -> tuple[tuple, _FloatTable]:
     """The family's solve record at the order, and its count table there."""
-    low, high, held = _last_solves.get(family, (1, 0, None))
+    solves = families._grown.solves
+    low, high, held = solves.get(family, (1, 0, None))
     if low <= order <= high:
         return held._replace(order=order), _count_table(family, order)
     table, x, residual, shift = _solve(family, order)
@@ -297,8 +296,7 @@ def _solved(family: str, order: int) -> tuple[tuple, _FloatTable]:
     held = (_polya_record(table, x, residual, shift, order) if mu is None else
             VariantSingularity(family, x, mu(table, x), residual, shift, order))
     low = len(table.coeffs) - 1
-    _last_solves[family] = (low, MAX_ORDER[family] if low < order else order,
-                            held)
+    solves[family] = (low, MAX_ORDER[family] if low < order else order, held)
     return held, table
 
 
@@ -538,14 +536,6 @@ def _grow_scaled_column(t: "np.ndarray", s: "np.ndarray", n: int,
     return t, s
 
 
-# the last L_n law, (rho, caps, trunc, y, e^y, degree, t, s): row K of y and
-# e^y holds Y_K and e^(Y_K) through the degree reached, t and s the column
-# t_m rho^m and its divisor sums through the largest n asked.  One slot,
-# grown in place when the next request has the same rho and cap count (a
-# sweep over rising n), replaced by any other; the column only by a new rho
-_last_law: tuple | None = None
-
-
 def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
     """P[L_n <= K] for K = 0..kmax from the composition with truncated forests.
 
@@ -563,9 +553,11 @@ def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
     forest of a size-n tree has at most n - 1 nodes, so the caps past n - 1
     equal cap n - 1 and only rows 0..min(kmax, n - 1) are computed.
 
-    The law is remembered in one slot: a later request with the same rho and
-    cap count extends it from the degree reached, and the degree-m step reads
-    only columns below m, so every column is the one a fresh law computes.
+    The last law is families._grown.law, (rho, caps, trunc, y, e^y, degree,
+    t, s), t and s the column t_m rho^m and its divisor sums.  A request with
+    the same rho and cap count extends it from the degree reached, and the
+    degree-m step reads only columns below m, so every column is the one a
+    fresh law computes; any other replaces it, the column only on a new rho.
     """
     if n < 1:
         raise ValueError(f"lmax_cdf_exact needs n >= 1, got {n}")
@@ -573,18 +565,18 @@ def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
         raise ValueError(f"lmax_cdf_exact needs kmax >= 0, got {kmax}")
     import numpy as np
 
-    global _last_law
+    grown = families._grown
     rho = solve_polya_singularity().rho
     caps = min(kmax, n - 1)
-    same_rho = _last_law is not None and _last_law[0] == rho
-    column = _last_law[6:] if same_rho else ((0.0,), (0.0,))
-    if same_rho and _last_law[1] == caps:
-        trunc, y, ey, degree = _last_law[2:6]
+    same_rho = grown.law is not None and grown.law[0] == rho
+    column = grown.law[6:] if same_rho else ((0.0,), (0.0,))
+    if same_rho and grown.law[1] == caps:
+        trunc, y, ey, degree = grown.law[2:6]
     else:
         # row K of trunc is the forest capped at degree K
         trunc = np.tril(np.tile(_forest_terms(rho, caps), (caps + 1, 1)))
         y, ey, degree = np.zeros((caps + 1, 1)), np.ones((caps + 1, 1)), 0
-    _last_law = None  # a replaced law goes now, a grown one array by array
+    grown.law = None  # a replaced law goes now, a grown one array by array
     if n > degree:
         y = np.pad(y, ((0, 0), (0, n - degree)))
         ey = np.pad(ey, ((0, 0), (0, n - degree)))
@@ -598,7 +590,7 @@ def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
                                  back[:, :m]) / m
         degree = n
     t, s = _grow_scaled_column(*column, n, rho)
-    _last_law = (rho, caps, trunc, y, ey, degree, t, s)
+    grown.law = (rho, caps, trunc, y, ey, degree, t, s)
     cdf = (y[:, n] / t[n]).tolist()
     return cdf + cdf[-1:] * (kmax - caps)
 

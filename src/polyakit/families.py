@@ -20,10 +20,10 @@ T, D, T/(1-T) and their identity-tree analogues R, D*, R_c come from one
 signed Euler-transform recurrence on integer tables (D and D* scaled by n!),
 and the counts for any allowed-outdegree set, binary trees among them, from
 one integer cycle-index table (hierarchies also from a hand-written one).  All
-are grown in place, so asking for a longer prefix never recomputes the part
-already known; everything else is computed from them on demand, with no
-per-order cache.  The counts and the pointed series grow by one online
-convolution (_grow_online) on packed exact Decimal products.
+are grown in place, in one object _grown, so asking for a longer prefix never
+recomputes the part already known; everything else is computed from them on
+demand, with no per-order cache.  The counts and the pointed series grow by
+one online convolution (_grow_online) on packed exact Decimal products.
 """
 
 from __future__ import annotations
@@ -52,10 +52,24 @@ from .series import BivariateSeries, Q, RationalSeries, UPoly
 # skeleton rows and the exact forest-size row read their coefficients off such
 # tables, built on demand.
 
-_counts: dict[int, list[int]] = {1: [0, 1], -1: [0, 1]}  # a_0 = 0: no empty tree
-_weights: dict[int, list[int]] = {1: [0, 1], -1: [0, 1]}
-_forests: dict[int, list[int]] = {1: [1], -1: [1]}
-_pointed: dict[int, list[int]] = {1: [0], -1: [0]}
+
+class _Grown:
+    """The grown tables, and the solves and L_n law read from them (so a
+    fresh _Grown() drops a root or law with the counts it read)."""
+
+    __slots__ = ("counts", "weights", "forests", "pointed", "h_counts",
+                 "h_weights", "binary", "solves", "law")
+
+    def __init__(self) -> None:
+        self.counts = {1: [0, 1], -1: [0, 1]}  # a_0 = 0: no empty tree
+        self.weights = {1: [0, 1], -1: [0, 1]}
+        self.forests = {1: [1], -1: [1]}
+        self.pointed = {1: [0], -1: [0]}
+        self.h_counts, self.h_weights = [0, 1], [0, 1]  # s_i = sum_(m|i) m h_m
+        self.binary = _OmegaTable(OmegaSet(frozenset((0, 2)), cofinite=False))
+        self.solves: dict[str, tuple] = {}  # see asymptotics._solved
+        self.law: tuple | None = None  # see asymptotics.lmax_cdf_exact
+
 
 _LEAF = 256  # the largest range the online divide-and-conquer sums term by term
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # no Decimal rounds
@@ -188,7 +202,7 @@ def _grow_online(x: list[int], y: list[int], N: int, append) -> None:
 def _grow_counts(sigma: int, N: int) -> tuple[list[int], list[int]]:
     """The tables a and s of sign sigma, grown through N: (n - 1) a_n is
     entry n of the product a s (a_0 = s_0 = 0)."""
-    a, s = _counts[sigma], _weights[sigma]
+    a, s = _grown.counts[sigma], _grown.weights[sigma]
     _grow_online(a, s, N, lambda n, c: _append_count(sigma, a, s, c))
     return a, s
 
@@ -231,14 +245,14 @@ def _grow_exp(f: list[int], sign: int, w: list[int], N: int) -> list[int]:
 
 def _grow_forests(sigma: int, N: int) -> list[int]:
     """The table f of n! d_n for D (sigma = +1) or D* (sigma = -1)."""
-    return _grow_exp(_forests[sigma], 1, _exp_weights(sigma, N), N)
+    return _grow_exp(_grown.forests[sigma], 1, _exp_weights(sigma, N), N)
 
 
 def _grow_pointed(sigma: int, N: int) -> list[int]:
     """The table p of A/(1-A), grown through N, from p_n = a_n + sum_(i>=1)
     a_i p_(n-i); a is known through N, so the table grows to N at once."""
     a, _ = _grow_counts(sigma, N)
-    p = _pointed[sigma]
+    p = _grown.pointed[sigma]
     _grow_online(a, p, N, lambda n, c: p.append(a[n] + c))
     return p
 
@@ -290,13 +304,10 @@ def identity_tree_coeffs(N: int) -> tuple[RationalSeries, RationalSeries, Ration
 # the hierarchy count table, grown in place: a hand-written recurrence kept
 # apart from the omega table as the independent route for all-except:1
 
-_h_counts: list[int] = [0, 1]
-_h_weights: list[int] = [0, 1]  # s[i] = sum over divisors m of i of m * h_m
-
 
 def _grow_hierarchy(N: int) -> list[int]:
     """The held hierarchy counts, grown through N."""
-    t, s = _h_counts, _h_weights
+    t, s = _grown.h_counts, _grown.h_weights
     pairs = [0, *map(add, t[1:], t)] if len(t) <= N else []  # t_k + t_(k-1)
     while len(t) <= N:
         n = len(t)
@@ -550,17 +561,12 @@ def omega_polya_coeffs(omega: OmegaSet, N: int) -> RationalSeries:
     return RationalSeries.from_coeffs(_grow_omega(_OmegaTable(omega), N))
 
 
-_binary = _OmegaTable(OmegaSet(frozenset((0, 2)), cofinite=False))
-
-
-def _grow_binary(N: int) -> list[int]:
-    """The held binary counts, grown through N."""
-    return _grow_omega(_binary, N)
+_grown = _Grown()
 
 
 def binary_int_table(N: int) -> tuple[int, ...]:
     """Counts of Polya trees with outdegrees in {0, 2}; zero at even sizes."""
-    return tuple(_grow_binary(N)[: N + 1])
+    return tuple(_grow_omega(_grown.binary, N)[: N + 1])
 
 
 def binary_polya_coeffs(N: int) -> RationalSeries:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache, wraps
 from operator import ne
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -41,15 +41,17 @@ class CanonicalTree(_Immutable):
     The encoding is built on first read and kept on this node only, never
     on its descendants: a tree that is never printed or hashed holds no
     string, where storing every node's encoding would hold
-    sum_v |subtree(v)| characters."""
+    sum_v |subtree(v)| characters.  _memo holds the invariants read so far
+    (_per_tree), None before the first; no comparison, copy or pickle reads it."""
 
-    __slots__ = ("children", "size", "_encoding")
+    __slots__ = ("children", "size", "_encoding", "_memo")
 
     def __init__(self, children: tuple[tuple["CanonicalTree", int], ...],
                  size: int, encoding: Optional[str] = None) -> None:
         _set_children(self, children)
         _set_size(self, size)
         _set_encoding(self, encoding)
+        _set_memo(self, None)
 
     def __reduce__(self):
         # pickle and copy.deepcopy rebuild through the constructor, not by
@@ -59,7 +61,7 @@ class CanonicalTree(_Immutable):
         # if it was built
         index: dict[int, int] = {}
         table = []
-        for node in _post_order(self, index):
+        for node in _post_order(self, lambda t: id(t) in index):
             index[id(node)] = len(table)
             table.append((tuple([(index[id(t)], m) for t, m in node.children]),
                           node.size, node._encoding))
@@ -84,7 +86,7 @@ class CanonicalTree(_Immutable):
             and _order(self, other) == 0
 
     def __hash__(self) -> int:
-        # the lru caches below hash every tree they are called with
+        # equal trees have equal encodings; the first hash builds it
         return hash(self._encoding or self.encoding)
 
     def __repr__(self) -> str:
@@ -98,23 +100,23 @@ class CanonicalTree(_Immutable):
 _set_children = CanonicalTree.children.__set__
 _set_size = CanonicalTree.size.__set__
 _set_encoding = CanonicalTree._encoding.__set__
+_set_memo = CanonicalTree._memo.__set__
 
 LEAF = CanonicalTree((), 1, "()")
 
 
 def _post_order(tree: CanonicalTree, done) -> Iterator[CanonicalTree]:
-    """The nodes of tree whose ids are not in done, each once and every child
-    before its parent, by an explicit walk; the caller adds the id of each
-    node it is given to done before asking for the next."""
+    """The nodes of tree with done(node) false, each once and each child before
+    its parent, by an explicit walk; the caller makes done true before the next."""
     pending = [tree]
     while pending:
         node = pending[-1]
-        fresh = [t for t, _ in node.children if id(t) not in done]
+        fresh = [t for t, _ in node.children if not done(t)]
         if fresh:
             pending += fresh
             continue
         pending.pop()
-        if id(node) not in done:
+        if not done(node):
             yield node
 
 
@@ -282,7 +284,24 @@ def enumerate_trees(n: int, outdegrees: Optional[OmegaSet] = None) -> tuple[Cano
 # per-tree invariants
 
 
-@lru_cache(maxsize=None)
+def _per_tree(body):
+    """body(tree) kept in the node's _memo, filled children first: the body
+    reads each child's value off the child, so a deep tree does not recurse."""
+    def held(node: CanonicalTree) -> bool:
+        return body in (node._memo or ())
+
+    @wraps(body)
+    def invariant(tree: CanonicalTree):
+        if not held(tree):
+            for node in _post_order(tree, held):
+                _set_memo(node, node._memo or {})
+                node._memo[body] = body(node)
+        return tree._memo[body]
+
+    return invariant
+
+
+@_per_tree
 def aut_order(tree: CanonicalTree) -> int:
     """|Aut(T)| = prod over child classes of m! |Aut(child)|^m."""
     order = 1
@@ -295,7 +314,7 @@ def is_identity_tree(tree: CanonicalTree) -> bool:
     return aut_order(tree) == 1
 
 
-@lru_cache(maxsize=None)
+@_per_tree
 def pointed_tree_count(tree: CanonicalTree) -> int:
     """Number of node orbits under Aut(T): copies of a child class merge."""
     return 1 + sum(pointed_tree_count(child) for child, _ in tree.children)
@@ -338,7 +357,7 @@ def _copy_cycles(first: Sequence[int], rest: Sequence[int]) -> list[int]:
     return ws[-1]
 
 
-@lru_cache(maxsize=None)
+@_per_tree
 def _automorphism_sums(tree: CanonicalTree) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """(a_T(u), s_T(u), sigma_T), the polynomials as integer coefficients,
     from the children's own triples, with |Aut S| = a_S(1).
@@ -385,7 +404,7 @@ def signed_fixed_point_polynomial(tree: CanonicalTree) -> UPoly:
     return _averaged(s, sum(a))
 
 
-@lru_cache(maxsize=None)
+@_per_tree
 def plane_embeddings(tree: CanonicalTree) -> int:
     """Number of plane (ordered) trees collapsing to T: the root orders its
     child multiset in multinomial(d; m_1, ..., m_k) ways, children recurse."""
@@ -396,7 +415,7 @@ def plane_embeddings(tree: CanonicalTree) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+@_per_tree
 def ctree_weight(tree: CanonicalTree) -> Fraction:
     """Labeled-tree weight w(T) = e(T) prod_k (1/k!)^(nodes of outdegree k);
     collapses to prod over child classes w(child)^m / m!."""
@@ -444,13 +463,9 @@ def enumerate_dforests(n: int, identity_only: bool = False) -> tuple[ForestSpec,
     return tuple(sorted(forests, key=repr))
 
 
-@lru_cache(maxsize=None)
 def _derangements(m: int) -> int:
-    if m == 0:
-        return 1
-    if m == 1:
-        return 0
-    return (m - 1) * (_derangements(m - 1) + _derangements(m - 2))
+    """!m = sum_k (-1)^k m!/k!, the permutations of m with no fixed point."""
+    return sum((-1) ** k * math.perm(m, m - k) for k in range(m + 1))
 
 
 def forest_weight(forest: ForestSpec) -> Fraction:

@@ -1,10 +1,36 @@
-"""Shared test hooks: collect acceptance lines and criterion wall times for
-the terminal summary."""
+"""Shared test hooks: the singularity constants at the default order, fresh
+grown state for one test, and the acceptance lines and criterion wall times."""
 
 import pytest
 
+from polyakit import families as fam
+from polyakit.asymptotics import (decomposition_constants, forest_asymptotics,
+                                  solve_polya_singularity)
+
 acceptance_lines: list[str] = []
 acceptance_times: dict[str, float] = {}  # criterion test name -> call time, s
+
+
+@pytest.fixture(scope="session")
+def sing():
+    return solve_polya_singularity()
+
+
+@pytest.fixture(scope="session")
+def forest(sing):
+    return forest_asymptotics()
+
+
+@pytest.fixture(scope="session")
+def deco():
+    return decomposition_constants()
+
+
+@pytest.fixture
+def fresh_state(monkeypatch):
+    """Empty tables and no remembered solve or law, for this test only."""
+    monkeypatch.setattr(fam, "_grown", fam._Grown())
+    return fam._grown
 
 
 @pytest.fixture(scope="session")

@@ -8,13 +8,7 @@ from fractions import Fraction
 import pytest
 
 import polyakit.families as fam
-from polyakit.asymptotics import (
-    decomposition_constants,
-    forest_asymptotics,
-    lmax_cdf_exact,
-    solve_polya_singularity,
-    solve_variant_singularity,
-)
+from polyakit.asymptotics import lmax_cdf_exact, solve_variant_singularity
 from polyakit.oracle import (
     LEAF,
     chain,
@@ -38,21 +32,6 @@ def report(log, num, ok, detail):
     log.append(line)
     print(line)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def sing():
-    return solve_polya_singularity()
-
-
-@pytest.fixture(scope="module")
-def forest(sing):
-    return forest_asymptotics()
-
-
-@pytest.fixture(scope="module")
-def deco():
-    return decomposition_constants()
 
 
 def poly_equals(p: UPoly, coeffs) -> bool:

@@ -41,24 +41,6 @@ from polyakit.oracle import (
 )
 from polyakit.series import RationalSeries
 
-ORDER = 400
-
-
-@pytest.fixture(scope="module")
-def sing():
-    return solve_polya_singularity(ORDER)
-
-
-@pytest.fixture(scope="module")
-def forest(sing):
-    return forest_asymptotics(ORDER)
-
-
-@pytest.fixture(scope="module")
-def deco():
-    return decomposition_constants(ORDER)
-
-
 def test_singularity_constants(sing):
     assert sing.rho == pytest.approx(0.338321856899, abs=1e-9)
     assert sing.b == pytest.approx(2.681128147, abs=1e-6)
@@ -86,8 +68,7 @@ def large_counts():
     """t_0 .. t_4000 from a count table grown for this module alone, as the
     table tests of test_families.py grow theirs, so no other test reads it."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fam, "_counts", {1: [0, 1], -1: [0, 1]})
-        mp.setattr(fam, "_weights", {1: [0, 1], -1: [0, 1]})
+        mp.setattr(fam, "_grown", fam._Grown())
         return fam.polya_int_table(EXTRAPOLATION_SIZES[-1])
 
 
@@ -120,8 +101,7 @@ def test_scaled_counts_extrapolate_to_otters_constant(large_counts, sing):
     assert c == pytest.approx(float(OTTER_C), rel=1e-13)
 
 
-def test_second_solve_at_the_same_order_is_remembered(monkeypatch):
-    asy._last_solves.clear()
+def test_second_solve_at_the_same_order_is_remembered(fresh_state, monkeypatch):
     solved, built = [], []
     solve = asy._solve
 
@@ -160,7 +140,7 @@ def test_second_solve_at_the_same_order_is_remembered(monkeypatch):
     assert solved == [60, 200]
     assert solve_polya_singularity(60) == first
     assert solved == [60, 200, 60]
-    asy._last_solves.clear()
+    fresh_state.solves.clear()
     assert solve_polya_singularity(60) == first  # the same bits when re-solved
 
 
@@ -464,10 +444,9 @@ def reference_lmax_cdf(n: int, kmax: int, rho: float) -> list[float]:
     return (y[:, n] / _scaled_polya_coeffs(n, rho)[n]).tolist()
 
 
-def test_remembered_law_is_bit_identical_to_a_fresh_law(sing, monkeypatch):
+def test_remembered_law_is_bit_identical_to_a_fresh_law(sing, fresh_state):
     # rising sizes extend one law, a smaller size reads a column already
     # there, and the last two requests replace it
-    monkeypatch.setattr(asy, "_last_law", None)
     for n in (250, 500, 750, 1000, 500, 2000, 8000, 24, 30):
         kmax = 500 if n == 30 else min(n, max(64, int(8 * math.log(n))))
         got = lmax_cdf_exact(n, kmax)
@@ -475,35 +454,33 @@ def test_remembered_law_is_bit_identical_to_a_fresh_law(sing, monkeypatch):
         assert [v.hex() for v in got] == [v.hex() for v in want], (n, kmax)
 
 
-def test_only_the_last_law_is_held(monkeypatch):
-    monkeypatch.setattr(asy, "_last_law", None)
+def test_only_the_last_law_is_held(fresh_state):
     lmax_cdf_exact(40, 64)
-    _, caps, _, y, _, degree = asy._last_law[:6]
+    _, caps, _, y, _, degree = fam._grown.law[:6]
     assert (caps, degree) == (39, 40)
     first = weakref.ref(y)
     del y
     lmax_cdf_exact(60, 20)
     gc.collect()
     assert first() is None
-    _, caps, _, y, ey, degree = asy._last_law[:6]
+    _, caps, _, y, ey, degree = fam._grown.law[:6]
     assert (caps, degree, y.shape, ey.shape) == (20, 60, (21, 61), (21, 61))
     lmax_cdf_exact(30, 20)  # a column already there
-    assert asy._last_law[3] is y and asy._last_law[5] == 60
+    assert fam._grown.law[3] is y and fam._grown.law[5] == 60
     # caps past n - 1 copy cap n - 1 and get no row of their own
     cdf = lmax_cdf_exact(10, 10 ** 6)
-    assert asy._last_law[3].shape == (10, 11)
+    assert fam._grown.law[3].shape == (10, 11)
     assert len(cdf) == 10 ** 6 + 1
     assert cdf[:11] == lmax_cdf_exact(10, 10)
     assert cdf[9:] == cdf[9:10] * (10 ** 6 - 8)
 
 
-def test_grown_column_is_bit_identical_to_a_fresh_column(sing, monkeypatch):
+def test_grown_column_is_bit_identical_to_a_fresh_column(sing, fresh_state):
     # the law's column t_m rho^m grows with the law, across cap counts, and
     # is read where it is held for smaller n
-    monkeypatch.setattr(asy, "_last_law", None)
     for n in (250, 500, 750, 1000, 500, 2000, 40):
         lmax_cdf_exact(n, 6 if n == 500 else 4)
-        t, s = asy._last_law[6:]
+        t, s = fam._grown.law[6:]
         want = _scaled_polya_coeffs(n, sing.rho)
         assert [v.hex() for v in t[:n + 1]] == [v.hex() for v in want], n
         fresh = asy._grow_scaled_column((0.0,), (0.0,), len(t) - 1, sing.rho)
@@ -516,12 +493,11 @@ def test_grown_column_is_bit_identical_to_a_fresh_column(sing, monkeypatch):
         assert [v.hex() for v in t] == [v.hex() for v in
                                         _scaled_polya_coeffs(n, sing.rho)], n
     # a column of another rho is replaced, not extended
-    law = asy._last_law
-    monkeypatch.setattr(asy, "_last_law", (sing.rho * (1 - 2 ** -30),
-                                           *law[1:6], np.ones(41), np.ones(41)))
+    law = fam._grown.law
+    fam._grown.law = (sing.rho * (1 - 2 ** -30), *law[1:6], np.ones(41), np.ones(41))
     lmax_cdf_exact(60, 4)
     want = _scaled_polya_coeffs(60, sing.rho)
-    assert [v.hex() for v in asy._last_law[6]] == [v.hex() for v in want]
+    assert [v.hex() for v in fam._grown.law[6]] == [v.hex() for v in want]
 
 
 def test_scaled_counts_match_integer_table(sing):
@@ -573,19 +549,19 @@ SOLVER_CASES = [
     ("hierarchy", 839), ("binary", 1504)]
 
 
-def test_solvers_match_their_pinned_digest():
+def test_solvers_match_their_pinned_digest(fresh_state):
     # sha256 of every constant of every solver, computed while each family
     # had its own hand-written root solve; re-pinned when c_var_coeff became
     # the quasi-powers variance, the only field that moved
     results = []
     for family, order in SOLVER_CASES:
-        asy._last_solves.clear()
+        fresh_state.solves.clear()
         results.append(_solver_results(family, order))
     assert hashlib.sha256("\n".join(results).encode()).hexdigest() == (
         "4cecd6f1a5b7533c812c08d697553e99500d0877dd3be5d39b61541ef3b6f0df")
 
 
-def test_remembered_solves_match_fresh_solves_in_any_order():
+def test_remembered_solves_match_fresh_solves_in_any_order(fresh_state):
     # every order 1..128 and every solver case of each family, walked rising,
     # falling and shuffled without clearing the slots: each request, reused
     # or solved, gives the characters of a fresh solve at its order
@@ -595,7 +571,7 @@ def test_remembered_solves_match_fresh_solves_in_any_order():
     fresh = {}
     for family, orders in walks.items():
         for order in orders:
-            asy._last_solves.clear()
+            fresh_state.solves.clear()
             fresh[family, order] = _solver_results(family, order)
     for family, orders in walks.items():
         shuffled = random.Random(36).sample(orders, len(orders))
@@ -606,7 +582,7 @@ def test_remembered_solves_match_fresh_solves_in_any_order():
 
 
 @pytest.mark.parametrize("family", ["polya", "hierarchy", "binary"])
-def test_a_solve_is_reused_only_from_its_reach_on(family, monkeypatch):
+def test_a_solve_is_reused_only_from_its_reach_on(family, fresh_state, monkeypatch):
     # the reaches are 78 (Polya), 155 (hierarchy) and 265 (binary); below
     # the reach, and after a solve that read its whole table, _bisect runs
     solved = []
@@ -615,16 +591,15 @@ def test_a_solve_is_reused_only_from_its_reach_on(family, monkeypatch):
                         lambda g, lo, hi: solved.append(lo) or bisect(g, lo, hi))
     solve = (solve_polya_singularity if family == "polya" else
              functools.partial(solve_variant_singularity, family))
-    asy._last_solves.clear()
     solve(400)
-    reach, top = asy._last_solves[family][:2]
+    reach, top = fam._grown.solves[family][:2]
     assert (reach, top) == ({"polya": 78, "hierarchy": 155, "binary": 265}[family],
                             MAX_ORDER[family])
     for order in (reach, 584, MAX_ORDER[family], 400):
         assert solve(order).order == order
     assert len(solved) == 1
     solve(reach - 1)  # below the reach: solved again, and cut short there
-    assert len(solved) > 1 and asy._last_solves[family][:2] == (reach - 1,) * 2
+    assert len(solved) > 1 and fam._grown.solves[family][:2] == (reach - 1,) * 2
     runs = len(solved)
     solve(reach - 1)  # the same order is read from the slot
     assert len(solved) == runs
@@ -635,17 +610,15 @@ def test_a_solve_is_reused_only_from_its_reach_on(family, monkeypatch):
 
 
 @pytest.mark.parametrize("family, order", SOLVER_CASES)
-def test_cut_evaluation_matches_full_route(family, order, monkeypatch):
+def test_cut_evaluation_matches_full_route(family, order, fresh_state, monkeypatch):
     # every constant of every solver, to the last bit, against Horner's rule
     # over the whole table; forest_asymptotics covers the negative arguments
-    asy._last_solves.clear()
     cut = _solver_results(family, order)
     # a tail margin of e^(-10^9) keeps every coefficient: the cut would need
     # more than 10^9/745 terms, far past every table.  The slots are emptied
-    # after the patch, and the old ones come back with the old margin, so
-    # that no root is reused across margins
+    # after the patch, so that no root is reused across margins
     monkeypatch.setattr(asy, "_LN_TAIL_MARGIN", -1e9)
-    monkeypatch.setattr(asy, "_last_solves", {})
+    fresh_state.solves.clear()
     assert cut == _solver_results(family, order)
 
 
@@ -942,24 +915,18 @@ def test_growth_bounds_cover_the_largest_tables(family):
 
 
 @pytest.mark.parametrize("family, held, limit", [
-    pytest.param("polya", lambda: fam._counts[1], 79, id="polya"),
-    pytest.param("hierarchy", lambda: fam._h_counts, 156, id="hierarchy"),
-    pytest.param("binary", lambda: fam._binary.a, 266, id="binary"),
-    pytest.param("decomposition", lambda: fam._counts[1], 145,
+    pytest.param("polya", lambda: fam._grown.counts[1], 79, id="polya"),
+    pytest.param("hierarchy", lambda: fam._grown.h_counts, 156, id="hierarchy"),
+    pytest.param("binary", lambda: fam._grown.binary.a, 266, id="binary"),
+    pytest.param("decomposition", lambda: fam._grown.counts[1], 145,
                  id="decomposition")])
 def test_solve_grows_the_count_table_only_as_far_as_it_reads(
-        family, held, limit, monkeypatch):
+        family, held, limit, fresh_state, monkeypatch):
     # counted work, not time: from fresh count tables, a solve at order 400
     # converts only the terms its sums read, and no sum reaches past 400, so
     # no family solves the raised order.  The Polya root reads t_0 .. t_78;
     # the constants of a full singularity command read through t_144, for
     # -sqrt(rho)^3 in forest_asymptotics, and the T'' sum no further
-    monkeypatch.setattr(fam, "_counts", {1: [0, 1], -1: [0, 1]})
-    monkeypatch.setattr(fam, "_weights", {1: [0, 1], -1: [0, 1]})
-    monkeypatch.setattr(fam, "_h_counts", [0, 1])
-    monkeypatch.setattr(fam, "_h_weights", [0, 1])
-    monkeypatch.setattr(fam, "_binary", fam._OmegaTable(fam._binary.omega))
-    asy._last_solves.clear()
     solved = []
     bisect = asy._bisect
     monkeypatch.setattr(asy, "_bisect",

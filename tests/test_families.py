@@ -69,22 +69,13 @@ def modular_counts(sigma, N, p=(1 << 61) - 1):
     return a, s
 
 
-@pytest.fixture
-def fresh_counts(monkeypatch):
-    """Empty count and pointed tables for both signs, so each test grows its
-    own."""
-    monkeypatch.setattr(fam, "_counts", {1: [0, 1], -1: [0, 1]})
-    monkeypatch.setattr(fam, "_weights", {1: [0, 1], -1: [0, 1]})
-    monkeypatch.setattr(fam, "_pointed", {1: [0], -1: [0]})
-
-
 CUTOFF, LEAF = 512, fam._LEAF
 
 
 @pytest.mark.parametrize("sigma", (1, -1))
 @pytest.mark.parametrize("N", (0, 1, 2, CUTOFF - 1, CUTOFF, CUTOFF + 1, 575, 576,
                                CUTOFF + LEAF - 1, CUTOFF + LEAF, 2 * CUTOFF, 1500))
-def test_count_table_matches_plain_route(fresh_counts, sigma, N):
+def test_count_table_matches_plain_route(fresh_state, sigma, N):
     a, s = fam._grow_counts(sigma, N)
     want_a, want_s = plain_counts(sigma, 1500)
     assert (tuple(a[: N + 1]), tuple(s[: N + 1])) == (want_a[: N + 1], want_s[: N + 1])
@@ -93,9 +84,9 @@ def test_count_table_matches_plain_route(fresh_counts, sigma, N):
 @pytest.mark.parametrize("sigma", (1, -1))
 @pytest.mark.parametrize("steps", ((300, 700, 1500), (1499, 1500),
                                    (CUTOFF, 2 * CUTOFF + 1)))
-def test_count_table_grows_in_place_as_prefixes(fresh_counts, sigma, steps):
+def test_count_table_grows_in_place_as_prefixes(fresh_state, sigma, steps):
     want_a, want_s = plain_counts(sigma, 1500)
-    held = fam._counts[sigma], fam._weights[sigma]
+    held = fam._grown.counts[sigma], fam._grown.weights[sigma]
     for N in steps:
         a, s = fam._grow_counts(sigma, N)
         assert a is held[0] and s is held[1]
@@ -120,7 +111,7 @@ def modular_pointed(sigma, N, p=(1 << 61) - 1):
 
 
 @pytest.mark.parametrize("sigma", (1, -1))
-def test_pointed_table_matches_modular_recurrence(fresh_counts, sigma):
+def test_pointed_table_matches_modular_recurrence(fresh_state, sigma):
     p, N = (1 << 61) - 1, 2000
     assert [v % p for v in fam._grow_pointed(sigma, N)] == modular_pointed(sigma, N, p)
 
@@ -220,16 +211,16 @@ def plain_pointed(sigma, N):
 
 @pytest.mark.parametrize("sigma", (1, -1))
 @pytest.mark.parametrize("N", (0, 1, 2, 40, 400, 1100))
-def test_pointed_table_matches_plain_route(fresh_counts, sigma, N):
+def test_pointed_table_matches_plain_route(fresh_state, sigma, N):
     assert tuple(fam._grow_pointed(sigma, N)) == plain_pointed(sigma, 1100)[: N + 1]
 
 
 @pytest.mark.parametrize("sigma", (1, -1))
 @pytest.mark.parametrize("steps", ((300, 700, 1100), (CUTOFF - 1, CUTOFF, CUTOFF + 1),
                                    (CUTOFF + LEAF + 1, 1100)))
-def test_pointed_table_grows_in_place_as_prefixes(fresh_counts, sigma, steps):
+def test_pointed_table_grows_in_place_as_prefixes(fresh_state, sigma, steps):
     want = plain_pointed(sigma, 1100)
-    held = fam._pointed[sigma]
+    held = fam._grown.pointed[sigma]
     for N in steps:
         p = fam._grow_pointed(sigma, N)
         assert p is held
@@ -237,7 +228,7 @@ def test_pointed_table_grows_in_place_as_prefixes(fresh_counts, sigma, steps):
 
 
 @pytest.mark.parametrize("leaf", (1, 2, 3, 8))
-def test_online_grower_at_a_tiny_leaf(fresh_counts, monkeypatch, leaf):
+def test_online_grower_at_a_tiny_leaf(fresh_state, monkeypatch, leaf):
     # every doubling, split and leaf boundary shows at sizes this small
     monkeypatch.setattr(fam, "_LEAF", leaf)
     for sigma in (1, -1):
@@ -248,7 +239,7 @@ def test_online_grower_at_a_tiny_leaf(fresh_counts, monkeypatch, leaf):
             assert (tuple(a), tuple(s)) == (want_a[: N + 1], want_s[: N + 1])
             assert tuple(fam._grow_pointed(sigma, N)) == want_p[: N + 1]
         # the pointed table from empty against a count table held longer
-        fam._pointed[sigma][1:] = []
+        fam._grown.pointed[sigma][1:] = []
         assert tuple(fam._grow_pointed(sigma, 150)) == want_p
 
 
@@ -311,11 +302,10 @@ def plain_forests(sigma, N):
 @pytest.mark.parametrize("sigma", (1, -1))
 @pytest.mark.parametrize("steps", ((0, 1, 2, 3), (400,), (60, 90, 180),
                                    (127, 128, 129, 400)))
-def test_forest_table_matches_plain_route(monkeypatch, sigma, steps):
+def test_forest_table_matches_plain_route(fresh_state, sigma, steps):
     # fresh, and grown in place across the 128-term chunks asymptotics asks for
-    monkeypatch.setattr(fam, "_forests", {1: [1], -1: [1]})
     want = plain_forests(sigma, 400)
-    held = fam._forests[sigma]
+    held = fam._grown.forests[sigma]
     for N in steps:
         f = fam._grow_forests(sigma, N)
         assert f is held

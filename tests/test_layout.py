@@ -109,15 +109,9 @@ def test_no_module_reads_the_environment():
     assert not readers, f"environment read at {readers}"
 
 
-# the oracle's per-tree caches, keyed by tree and kept unbounded until
-# ROADMAP's open item "The oracle's per-tree caches are unbounded" is closed
-UNBOUNDED_CACHES = {"aut_order", "pointed_tree_count", "_automorphism_sums",
-                    "plane_embeddings", "ctree_weight", "_derangements"}
-
-
-def _caches(tree: ast.Module) -> list[tuple[str, bool]]:
-    """(function, whether its maxsize is an integer) for every function that
-    an lru_cache or cache decorator wraps, bare or called."""
+def _unbounded_caches(tree: ast.Module) -> list[str]:
+    """Every function that an lru_cache or cache decorator wraps, bare or
+    called, with no integer maxsize."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -130,19 +124,27 @@ def _caches(tree: ast.Module) -> list[tuple[str, bool]]:
                 continue
             size = ([k.value for k in call.keywords if k.arg == "maxsize"]
                     + call.args[:1]) if call else []
-            found.append((node.name, len(size) == 1
-                          and isinstance(size[0], ast.Constant)
-                          and type(size[0].value) is int))
+            if not (len(size) == 1 and isinstance(size[0], ast.Constant)
+                    and type(size[0].value) is int):
+                found.append(node.name)
     return found
 
 
 def test_every_cache_is_bounded():
-    # a cache with no integer maxsize keeps every key it is called with; only
-    # the listed oracle caches may, and each listed one still is unbounded
-    unbounded = {f"{path.stem}.{name}" for path in SOURCES
-                 for name, bounded in _caches(ast.parse(path.read_text(encoding="utf-8")))
-                 if not bounded}
-    assert unbounded == {f"oracle.{name}" for name in UNBOUNDED_CACHES}
+    # a cache with no integer maxsize keeps every key it is called with; a
+    # per-tree invariant is kept on the tree instead (oracle._per_tree)
+    unbounded = [f"{path.stem}.{name}" for path in SOURCES
+                 for name in _unbounded_caches(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not unbounded, f"unbounded cache: {unbounded}"
+
+
+def test_no_module_rebinds_a_global():
+    # what the process grows or remembers is a field of families._grown, so
+    # no function rebinds a module-level name
+    found = [f"{path.stem}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert not found, f"global statement at {found}"
 
 
 GLOBAL_SETTERS = {"setrecursionlimit", "set_int_max_str_digits", "setcontext"}

@@ -103,13 +103,6 @@ def test_star_four_signed_polynomial():
     assert r.eval(1) == 0
 
 
-def test_chain_polynomial_is_pure_power():
-    t = fixed_point_polynomial(chain(6))
-    assert t.coefficient(6) == 1 and t.degree == 6
-    r = signed_fixed_point_polynomial(chain(6))
-    assert r.coefficient(6) == 1
-
-
 def test_even_automorphism_regression():
     # swapping two 2-chains is an even vertex permutation, so the signed
     # value at 1 is 1 although the tree is not an identity tree
@@ -654,6 +647,34 @@ def test_deep_trees_encode_and_compare_without_recursion():
     assert a != bent and oracle._order(a, bent) == -1 == -oracle._order(bent, a)
     assert a.encoding < bent.encoding
     assert sys.getrecursionlimit() == limit
+
+
+def test_per_tree_invariants_of_a_deep_tree_need_no_recursion():
+    # each invariant is filled in children first and kept on the nodes; a
+    # chain's polynomials are pure powers, as the identity fixes every node
+    tree, power = chain(5000), (0,) * 5000 + (1,)
+    assert (aut_order(tree), is_identity_tree(tree), pointed_tree_count(tree),
+            plane_embeddings(tree), ctree_weight(tree)) == (1, True, 5000, 1, 1)
+    assert fixed_point_polynomial(tree).coeffs == power
+    assert signed_fixed_point_polynomial(tree).coeffs == power
+
+
+def test_reading_invariants_leaves_the_pickle_bytes_unchanged():
+    for tree in enumerate_trees(9):
+        before = pickle.dumps(tree)
+        for read in (aut_order, pointed_tree_count, plane_embeddings, ctree_weight,
+                     fixed_point_polynomial):
+            read(tree)
+        assert pickle.dumps(tree) == before
+
+
+def test_derangements_match_the_recurrence_past_the_recursion_limit():
+    counts = [1, 0]  # !k = (k - 1) (!(k-1) + !(k-2)), a route of its own
+    for k in range(2, 1201):
+        counts.append((k - 1) * (counts[-1] + counts[-2]))
+    assert [oracle._derangements(m) for m in (*range(7), 1200)] == [
+        1, 0, 1, 2, 9, 44, 265, counts[1200]]
+    assert forest_weight(make_forest([(LEAF, 1200)])) == F(counts[1200], math.factorial(1200))
 
 
 def test_canonical_tree_compares_and_hashes_by_encoding():

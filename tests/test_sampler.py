@@ -8,15 +8,16 @@ import os
 import pickle
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
 import polyakit.families as fam
 import polyakit.sampler as sampler
 from polyakit.asymptotics import solve_polya_singularity
-from polyakit.oracle import (LEAF, aut_order, chain, enumerate_trees,
-                             make_forest, make_tree, signed_forest_weight,
+from polyakit.oracle import (LEAF, CanonicalTree, aut_order, chain, ctree_weight,
+                             fixed_point_polynomial, make_forest, make_tree,
+                             plane_embeddings, pointed_tree_count,
+                             signed_fixed_point_polynomial, signed_forest_weight,
                              tree_from_classes)
 from polyakit.sampler import (
     MAX_SIZE,
@@ -343,6 +344,19 @@ def test_retained_memory_per_tree_stays_small():
     finally:
         tracemalloc.stop()
     assert per_tree < 1.5 * RETAINED_KIB_PER_TREE, per_tree
+
+
+def test_a_dropped_tree_keeps_no_node_alive():
+    # the oracle keeps its invariants on the nodes, not in caches keyed by tree
+    tree = sample_polya_tree(2000, random.Random(11))
+    for read in (aut_order, pointed_tree_count, plane_embeddings, ctree_weight,
+                 fixed_point_polynomial, signed_fixed_point_polynomial):
+        read(tree)
+    own = {id(node) for node in _nodes(tree)} - {id(LEAF)}
+    del tree
+    gc.collect()
+    assert len(own) > 500 and not [node for node in gc.get_objects()
+                                    if type(node) is CanonicalTree and id(node) in own]
 
 
 def test_sampling_leaves_global_state_alone():
