@@ -421,7 +421,6 @@ class DecompositionConstants(NamedTuple):
     y_share: float          # 2 gamma(rho)/(b^2 rho): limit of E Y_n/n
     gamma_rho: float
     d_rho: float
-    lmax_c1: float          # scale constant of the max-forest-size law
 
     def forest_size_distribution(self, mmax: int) -> list[float]:
         """Limiting P(|F(v)| = m) for a random skeleton node, m = 0..mmax."""
@@ -461,8 +460,6 @@ def decomposition_constants(order: int = DEFAULT_ORDER) -> DecompositionConstant
                            ((i - 1) * rho ** (i - 1) for i in count(2))) / rho
           + _substituted_sum(_derivative_table(dt), rho, 2,
                              (i * rho ** (2 * i - 2) for i in count(2))))
-    c1 = sing.b / (2 * math.sqrt(math.pi) * (1 - math.sqrt(rho))
-                   * (sing.d_rho + rho * sing.d_prime_rho))
     return DecompositionConstants(
         rho=rho, b=sing.b,
         c_share=mu,
@@ -471,7 +468,6 @@ def decomposition_constants(order: int = DEFAULT_ORDER) -> DecompositionConstant
         y_share=2 * gamma_rho / b2rho,
         gamma_rho=gamma_rho,
         d_rho=sing.d_rho,
-        lmax_c1=c1,
     )
 
 

@@ -133,13 +133,18 @@ def _digits(v: int) -> str:
     return str(Decimal(v))
 
 
+def _exact_quotient(total: int, k: int, what: str) -> int:
+    """total / k, a division that the recurrence named by what makes exact."""
+    q, r = divmod(total, k)
+    if r:
+        raise ArithmeticError(f"{what} not divisible by {k}")
+    return q
+
+
 def _append_count(sigma: int, a: list[int], s: list[int], total: int) -> None:
     """Append a_n = total / (n - 1) and s_n, for n = len(a)."""
     n = len(a)
-    q, r = divmod(total, n - 1)
-    if r:
-        raise ArithmeticError(f"tree recurrence not divisible at n={n}")
-    a.append(q)
+    a.append(_exact_quotient(total, n - 1, "tree recurrence"))
     s.append(sum(sigma ** (n // m - 1) * m * a[m] for m in _divisors(n)))
 
 
@@ -313,11 +318,8 @@ def _grow_hierarchy(N: int) -> list[int]:
         n = len(t)
         total = sum(map(mul, pairs[n - 1 : 1 : -1], s[1 : n - 1]))
         total += s[n - 1] - (n - 1) * t[n - 1]  # proper divisors of n-1 only
-        q, r = divmod(total, n - 1)
-        if r:
-            raise ArithmeticError(f"hierarchy recurrence not divisible at n={n}")
-        t.append(q)
-        pairs.append(q + t[n - 1])
+        t.append(_exact_quotient(total, n - 1, "hierarchy recurrence"))
+        pairs.append(t[n] + t[n - 1])
         s.append(sum(m * t[m] for m in _divisors(n)))
     return t
 
@@ -540,16 +542,11 @@ def _grow_omega(table: _OmegaTable, N: int) -> list[int]:
                 total = 0 if m % k else a[m // k]  # i = k: A(z^k) p_0 = A(z^k)
                 for i in range(1, k):  # a_j p_(k-i)(m - i j) until row k - i starts
                     total += sum(map(mul, a[1:(m - k + i) // i + 1], p[k - i][m - i::-i]))
-                q, r = divmod(total, k)
-                if r:
-                    raise ArithmeticError(f"cycle-index row {k} not divisible at m={m}")
-                p[k].append(q)
+                p[k].append(_exact_quotient(total, k, "cycle-index row"))
             if omega.cofinite:
                 s.append(sum(d * a[d] for d in _divisors(m)))
-                q, r = divmod(sum(map(mul, s[1:], e[::-1])), m)
-                if r:
-                    raise ArithmeticError(f"multiset recurrence not divisible at m={m}")
-                e.append(q)
+                e.append(_exact_quotient(sum(map(mul, s[1:], e[::-1])), m,
+                                         "multiset recurrence"))
         rows = sum(p[k][m] for k in omega.listed if k < len(p))
         a.append(e[m] - rows if omega.cofinite else rows)
     return a

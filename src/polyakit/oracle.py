@@ -572,22 +572,20 @@ def naive_automorphisms(children: list[list[int]]) -> Iterator[tuple[int, ...]]:
         yield tuple(perm)
 
 
-def cycle_type(perm: Sequence[int]) -> dict[int, int]:
-    """Map cycle length -> number of cycles of that length.  Each cycle is
-    walked once, from its smallest point: the later points are marked seen,
-    and the scan never comes back to the start."""
+def odd_permutation(perm: Sequence[int]) -> bool:
+    """Whether perm is odd: a cycle of length L is L - 1 transpositions.
+    Each cycle is walked once, from its smallest point, flipping the flag at
+    every step; the later points are marked seen."""
     seen = [False] * len(perm)
-    out: dict[int, int] = {}
+    odd = False
     for start, v in enumerate(perm):
         if seen[start]:
             continue
-        length = 1
         while v != start:
             seen[v] = True
             v = perm[v]
-            length += 1
-        out[length] = out.get(length, 0) + 1
-    return out
+            odd = not odd
+    return odd
 
 
 @lru_cache(maxsize=32)
@@ -610,10 +608,7 @@ def _naive_forest_counts(forest: ForestSpec) -> tuple[int, int, int]:
         total += 1
         if all(map(ne, perm[1:], nodes)):
             free += 1
-            induced = [position[perm[r]] for r in roots]
-            evens = sum(c for length, c in cycle_type(induced).items()
-                        if length % 2 == 0)
-            signed += -1 if evens % 2 else 1
+            signed += -1 if odd_permutation([position[perm[r]] for r in roots]) else 1
     return total, free, signed
 
 

@@ -16,11 +16,11 @@ from .families import (OmegaSet, binary_int_table, cayley_coeffs,
                        ctree_polynomials, dforest_coeffs, hierarchy_int_table,
                        identity_coeffs, identity_tree_coeffs, pointed_coeffs,
                        polya_int_table)
-from .oracle import (aut_order, ctree_weight, cycle_type, enumerate_dforests,
+from .oracle import (aut_order, ctree_weight, enumerate_dforests,
                      enumerate_trees, fixed_point_polynomial, forest_weight,
                      is_identity_tree, naive_automorphisms,
                      naive_forest_weight, naive_signed_forest_weight,
-                     plane_embeddings, pointed_tree_count,
+                     odd_permutation, plane_embeddings, pointed_tree_count,
                      signed_fixed_point_polynomial, signed_forest_weight,
                      _labeled_children)
 from .series import UPoly
@@ -53,9 +53,10 @@ def _row(name: str, max_n: int, failures: list[str]) -> CheckRow:
     return CheckRow(name, max_n, True, "exact match")
 
 
-# A check maps the largest size to its list of failures.  Most are built by
-# one of two row builders: enumerated weights summing to a series
-# coefficient, or an invariant agreeing with a brute-force count per object.
+# A check maps the largest size to its list of failures.  Each is built by
+# one of two row builders (the outdegree census runs one per outdegree set):
+# enumerated weights summing to a series coefficient, or an invariant
+# agreeing with an independent reference per object.
 
 
 def _sums(objects, weight, series, zero=0):
@@ -112,40 +113,17 @@ def _outdegree_census(max_n: int) -> list[str]:
     return bad
 
 
-def _fixed_point_basics(max_n: int) -> list[str]:
-    bad = []
-    for n in range(1, max_n + 1):
-        for t in enumerate_trees(n):
-            poly = fixed_point_polynomial(t)
-            if poly.eval(1) != 1:
-                bad.append(f"{t.encoding}: t_T(1) != 1")
-            elif any(c < 0 for c in poly.coeffs):
-                bad.append(f"{t.encoding}: negative probability")
-            elif poly.derivative().eval(1) != pointed_tree_count(t):
-                bad.append(f"{t.encoding}: mean != orbit count")
-    return bad
+def _probability_law(tree) -> tuple:
+    """(t_T(1), no negative coefficient, t_T'(1)) of the fixed-point law."""
+    poly = fixed_point_polynomial(tree)
+    return poly.eval(1), min(poly.coeffs) >= 0, poly.derivative().eval(1)
 
 
-def _is_odd(perm: tuple[int, ...]) -> bool:
-    """Whether a permutation has an odd number of even-length cycles."""
-    return sum(c for length, c in cycle_type(perm).items() if length % 2 == 0) % 2 == 1
-
-
-def _sign_balance_naive(max_n: int) -> list[str]:
-    # r_T(1) is 1 when every automorphism permutes nodes evenly, else 0;
-    # rigid trees are the special case with only the identity automorphism.
-    # The enumeration stops at the first odd automorphism.
-    bad = []
-    for n in range(1, max_n + 1):
-        for t in enumerate_trees(n):
-            odd = any(map(_is_odd, naive_automorphisms(_labeled_children(t))))
-            expected = 0 if odd else 1
-            got = signed_fixed_point_polynomial(t).eval(1)
-            if got != expected:
-                bad.append(f"{t.encoding}: r_T(1)={got} != {expected}")
-            if is_identity_tree(t) and got != 1:
-                bad.append(f"{t.encoding}: rigid tree with r_T(1)={got}")
-    return bad
+def _all_automorphisms_even(tree) -> int:
+    """1 if every automorphism permutes the nodes evenly, else 0; the
+    enumeration stops at the first odd one."""
+    perms = naive_automorphisms(_labeled_children(tree))
+    return 0 if any(map(odd_permutation, perms)) else 1
 
 
 # (row name, check, nominal largest size), in report order
@@ -158,7 +136,9 @@ _CHECKS = (
     ("sum of t_T(u) = row polynomial",
      _sums(enumerate_trees, fixed_point_polynomial,
            lambda k: ctree_polynomials(k).rows, UPoly.zero()), 8),
-    ("t_T(u) is a probability law with mean |P(T)|", _fixed_point_basics, 8),
+    ("t_T(u) is a probability law with mean |P(T)|",
+     _agrees(enumerate_trees, _probability_law,
+             lambda t: (1, True, pointed_tree_count(t))), 8),
     ("sum of |P(T)| = [z^n] T/(1-T)",
      _sums(enumerate_trees, pointed_tree_count, pointed_coeffs), 8),
     ("plane embeddings sum to Catalan",
@@ -173,7 +153,9 @@ _CHECKS = (
            lambda k: identity_tree_coeffs(k)[1]), 10),
     ("signed weight = signed enumeration",
      _agrees(_identity_forests, signed_forest_weight, naive_signed_forest_weight), 8),
-    ("r_T(1) = [all automorphisms even]", _sign_balance_naive, 7),
+    ("r_T(1) = [all automorphisms even]",
+     _agrees(enumerate_trees, lambda t: signed_fixed_point_polynomial(t).eval(1),
+             _all_automorphisms_even), 7),
     ("sum of r_T(1) over rigid trees = r_n",
      _sums(_identity_trees, lambda t: signed_fixed_point_polynomial(t).eval(1),
            identity_coeffs), 8),

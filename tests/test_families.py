@@ -40,6 +40,12 @@ def test_divisor_weight_table():
         assert s[k] == sum(d * t[d] for d in range(1, k + 1) if k % d == 0)
 
 
+def test_exact_quotient_names_the_recurrence_it_guards():
+    assert fam._exact_quotient(7 * 3 ** 90, 7, "tree recurrence") == 3 ** 90
+    with pytest.raises(ArithmeticError, match="^cycle-index row not divisible by 7$"):
+        fam._exact_quotient(7 * 3 ** 90 + 1, 7, "cycle-index row")
+
+
 @lru_cache(maxsize=None)
 def plain_counts(sigma, N):
     """Reference route: the term-by-term recurrence the count table used at

@@ -138,6 +138,25 @@ def test_every_cache_is_bounded():
     assert not unbounded, f"unbounded cache: {unbounded}"
 
 
+def _arithmetic_raises(tree: ast.AST) -> set[int]:
+    """Line numbers of every `raise ArithmeticError...` under tree."""
+    return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
+            and "ArithmeticError" in ast.unparse(node.exc or node)}
+
+
+def test_only_the_exact_quotient_raises_arithmetic_error():
+    # an exact division is guarded once, in families._exact_quotient, so no
+    # recurrence keeps its own divmod-and-raise copy
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set().union(*(_arithmetic_raises(node) for node in tree.body
+                                if isinstance(node, ast.FunctionDef)
+                                and node.name == "_exact_quotient"))
+        found += [f"{path.stem}:{line}" for line in _arithmetic_raises(tree) - allowed]
+    assert not found, f"ArithmeticError raised outside _exact_quotient at {found}"
+
+
 def test_no_module_rebinds_a_global():
     # what the process grows or remembers is a field of families._grown, so
     # no function rebinds a module-level name

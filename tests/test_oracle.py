@@ -22,7 +22,6 @@ from polyakit.oracle import (
     aut_order,
     chain,
     ctree_weight,
-    cycle_type,
     enumerate_dforests,
     enumerate_trees,
     fixed_point_polynomial,
@@ -33,6 +32,7 @@ from polyakit.oracle import (
     naive_automorphisms,
     naive_forest_weight,
     naive_signed_forest_weight,
+    odd_permutation,
     plane_embeddings,
     pointed_tree_count,
     signed_fixed_point_polynomial,
@@ -190,6 +190,19 @@ def reference_forest_weight(forest):
     return F(free, total)
 
 
+def odd_by_inversions(perm):
+    """Permutation parity by its own rule, the number of inversions, so the
+    references below share no code with oracle.odd_permutation."""
+    return sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 1
+
+
+def test_odd_permutation_matches_inversion_parity():
+    # every permutation of 0 to 8 points: 46,234 of them
+    perms = [p for n in range(9) for p in itertools.permutations(range(n))]
+    assert len(perms) == 46234
+    assert all(odd_permutation(p) == odd_by_inversions(p) for p in perms)
+
+
 def reference_signed_forest_weight(forest):
     """naive_signed_forest_weight as it was before the two forest weights
     shared one enumeration pass: its own pass, the sign taken on the induced
@@ -201,10 +214,7 @@ def reference_signed_forest_weight(forest):
     for perm in reference_automorphisms(children):
         total += 1
         if all(map(operator.ne, perm[1:], nodes)):
-            induced = [position[perm[r]] for r in roots]
-            evens = sum(c for length, c in cycle_type(induced).items()
-                        if length % 2 == 0)
-            acc += -1 if evens % 2 else 1
+            acc += -1 if odd_by_inversions([position[perm[r]] for r in roots]) else 1
     return F(acc, total)
 
 
@@ -318,14 +328,8 @@ def test_signed_value_detects_even_groups():
     # value 1 iff every automorphism is even, else 0
     for n in range(1, 8):
         for tree in enumerate_trees(n):
-            ch = _labeled_children(tree)
-            all_even = True
-            for perm in naive_automorphisms(ch):
-                parity = sum((length - 1) * count
-                             for length, count in cycle_type(perm).items())
-                if parity % 2 == 1:
-                    all_even = False
-                    break
+            perms = naive_automorphisms(_labeled_children(tree))
+            all_even = not any(map(odd_by_inversions, perms))
             got = signed_fixed_point_polynomial(tree).eval(1)
             assert got == (1 if all_even else 0)
 

@@ -31,7 +31,7 @@ VALUES = {
     "ForestAsymptotics": ForestAsymptotics(0.34, 2.68, 1.2, 0.8, 0.5, 0.3,
                                            0.7, 0.1, 0.2),
     "DecompositionConstants": DecompositionConstants(0.34, 2.68, 0.8, 0.36,
-                                                     0.2, 0.1, 0.5, 1.08, 0.9),
+                                                     0.2, 0.1, 0.5, 1.08),
     "VariantSingularity": VariantSingularity("binary", 0.4, 1.5, 1e-16, 1e-12,
                                              60),
     "DecompositionSample": DecompositionSample(5, 3, 2, 2, {0: 2, 2: 1}, 9),
