@@ -16,7 +16,7 @@ from itertools import count, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import families
-from .families import _grow_counts, _grow_forests, _grow_hierarchy, _grow_omega
+from .families import _divisors, _grow_counts, _grow_forests, _grow_hierarchy, _grow_omega
 
 DEFAULT_ORDER = 400
 
@@ -502,36 +502,6 @@ def solve_variant_singularity(family: str,
 # exact scaled-float coefficients at large n (max forest size law)
 
 
-def _grow_scaled_column(t: "np.ndarray", s: "np.ndarray", n: int,
-                        rho: float) -> tuple["np.ndarray", "np.ndarray"]:
-    """The column t_m rho^m and its divisor sums s, grown through n from the
-    held t and s ((0.0,) each to start), all terms positive.
-
-    (m-1) t_m = sum_{i<m} t_(m-i) s_i with s_j = sum_{d|j} d t_d rho^(j-d);
-    each t_d is added to s at the multiples of d as soon as it is known, so
-    s_i is complete before any t_m with m > i reads it.  When the arrays
-    grow, the known t_d first add their terms at the new multiples, in
-    increasing d (np.add.at adds in the order given), so each s_j gets its
-    terms in the order of a fresh column.
-    """
-    import numpy as np
-
-    known = len(t) - 1
-    if n <= known:
-        return t, s
-    t, s = np.pad(t, (0, n - known)), np.pad(s, (0, n - known))
-    held = np.arange(1, known + 1)
-    new = n // held - known // held  # the multiples of each in (known, n]
-    start = np.cumsum(new) - new  # where the run of each begins in d
-    d = np.repeat(held, new)
-    j = d * (np.repeat(known // held + 1 - start, new) + np.arange(len(d)))
-    np.add.at(s, j, d * t[d] * rho ** (j - d))
-    for m in range(known + 1, n + 1):
-        t[m] = rho if m == 1 else (t[m - 1 : 0 : -1] @ s[1:m]) / (m - 1)
-        s[m::m] += m * t[m] * rho ** (m * np.arange(n // m))
-    return t, s
-
-
 def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
     """P[L_n <= K] for K = 0..kmax from the composition with truncated forests.
 
@@ -549,11 +519,12 @@ def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
     forest of a size-n tree has at most n - 1 nodes, so the caps past n - 1
     equal cap n - 1 and only rows 0..min(kmax, n - 1) are computed.
 
-    The last law is families._grown.law, (rho, caps, trunc, y, e^y, degree,
-    t, s), t and s the column t_m rho^m and its divisor sums.  A request with
-    the same rho and cap count extends it from the degree reached, and the
+    The last law is families._grown.law, (rho, y, e^y, t, s), t and s the
+    column t_m rho^m and its divisor sums, grown in the same degree loop: row
+    count caps + 1 and degree n are read off y's shape.  A request with the
+    same rho and cap count extends it from the degree reached, and the
     degree-m step reads only columns below m, so every column is the one a
-    fresh law computes; any other replaces it, the column only on a new rho.
+    fresh law computes; any other replaces it.
     """
     if n < 1:
         raise ValueError(f"lmax_cdf_exact needs n >= 1, got {n}")
@@ -564,19 +535,20 @@ def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
     grown = families._grown
     rho = solve_polya_singularity().rho
     caps = min(kmax, n - 1)
-    same_rho = grown.law is not None and grown.law[0] == rho
-    column = grown.law[6:] if same_rho else ((0.0,), (0.0,))
-    if same_rho and grown.law[1] == caps:
-        trunc, y, ey, degree = grown.law[2:6]
-    else:
+    if grown.law is None or grown.law[0] != rho or len(grown.law[1]) != caps + 1:
+        grown.law = (rho, np.zeros((caps + 1, 1)), np.ones((caps + 1, 1)),
+                     np.zeros(1), np.zeros(1))
+    _, y, ey, t, s = grown.law
+    grown.law = None  # the held arrays go as their grown copies are made
+    degree = y.shape[1] - 1
+    if n > degree:
         # row K of trunc is the forest capped at degree K
         trunc = np.tril(np.tile(_forest_terms(rho, caps), (caps + 1, 1)))
-        y, ey, degree = np.zeros((caps + 1, 1)), np.ones((caps + 1, 1)), 0
-    grown.law = None  # a replaced law goes now, a grown one array by array
-    if n > degree:
         y = np.pad(y, ((0, 0), (0, n - degree)))
         ey = np.pad(ey, ((0, 0), (0, n - degree)))
+        t, s = np.pad(t, (0, n - degree)), np.pad(s, (0, n - degree))
         idx = np.arange(n + 1)
+        power = (rho ** np.arange(n)).tolist()  # rho^k for k < n
         for m in range(degree + 1, n + 1):
             # y_m = [w^m] (rho w) e^y forest: the scaled z carries a rho
             back = ey[:, m - 1 :: -1]
@@ -584,9 +556,11 @@ def lmax_cdf_exact(n: int, kmax: int) -> list[float]:
             y[:, m] = rho * np.einsum("ij,ij->i", trunc[:, :j], back[:, :j])
             ey[:, m] = np.einsum("j,ij,ij->i", idx[1 : m + 1], y[:, 1 : m + 1],
                                  back[:, :m]) / m
-        degree = n
-    t, s = _grow_scaled_column(*column, n, rho)
-    grown.law = (rho, caps, trunc, y, ey, degree, t, s)
+            # (m-1) t_m = sum_(i<m) t_(m-i) s_i, s_m = sum_(d|m) d t_d rho^(m-d)
+            t[m] = rho if m == 1 else (t[m - 1 : 0 : -1] @ s[1:m]) / (m - 1)
+            for d in _divisors(m):  # in increasing d, as a fresh column adds
+                s[m] += d * t[d] * power[m - d]
+    grown.law = (rho, y, ey, t, s)
     cdf = (y[:, n] / t[n]).tolist()
     return cdf + cdf[-1:] * (kmax - caps)
 

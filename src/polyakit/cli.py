@@ -352,14 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "coeffs" and args.family == "omega" \
-            and args.omega is None:
-        parser.error("--omega is required for the omega family")
+    if args.command == "coeffs" \
+            and (args.family == "omega") != (args.omega is not None):
+        parser.error("--omega is required for the omega family, and only for it")
     if args.command == "coeffs" and args.n > N_CAPS.get(args.family, MAX_SIZE):
         parser.error(f"argument --n: must be at most {N_CAPS[args.family]} "
                      f"for --family {args.family}, got {args.n}")
-    if args.command == "sample" and not args.lmax and args.n is None:
-        parser.error("--n is required unless --lmax is given")
+    if args.command == "sample" and args.lmax == (args.n is not None):
+        parser.error("--n is required without --lmax, and refused with it")
+    if args.command == "sample" and args.exact_mean and not args.lmax:
+        parser.error("--exact-mean needs --lmax")
     if args.command == "table" and args.which == "forest-size-conditional" \
             and args.exact_n < 3:
         parser.error("--exact-n must be at least 3 for the conditional table: "

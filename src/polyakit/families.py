@@ -68,7 +68,7 @@ class _Grown:
         self.h_counts, self.h_weights = [0, 1], [0, 1]  # s_i = sum_(m|i) m h_m
         self.binary = _OmegaTable(OmegaSet(frozenset((0, 2)), cofinite=False))
         self.solves: dict[str, tuple] = {}  # see asymptotics._solved
-        self.law: tuple | None = None  # see asymptotics.lmax_cdf_exact
+        self.law: tuple | None = None  # (rho, y, e^y, t, s): lmax_cdf_exact
 
 
 _LEAF = 256  # the largest range the online divide-and-conquer sums term by term

@@ -10,6 +10,7 @@ import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, count, repeat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -412,15 +413,16 @@ def test_lmax_cdf_matches_per_cap_route(sing, n, kmax):
     assert batched == pytest.approx(reference, abs=1e-12)
 
 
-def _scaled_polya_coeffs(n: int, rho: float) -> np.ndarray:
+def _scaled_polya_coeffs(n: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Reference route: t_m rho^m for m <= n by the scaled Euler recurrence,
-    built afresh, as the L_n law did before it grew one column."""
+    built afresh, and its divisor sums, each t_d added at the multiples of d
+    as soon as it is known, as the L_n law did before it grew one column."""
     t = np.zeros(n + 1)
     s = np.zeros(n + 1)
     for m in range(1, n + 1):
         t[m] = rho if m == 1 else (t[m - 1 : 0 : -1] @ s[1:m]) / (m - 1)
         s[m::m] += m * t[m] * rho ** (m * np.arange(n // m))
-    return t
+    return t, s
 
 
 def reference_lmax_cdf(n: int, kmax: int, rho: float) -> list[float]:
@@ -440,7 +442,7 @@ def reference_lmax_cdf(n: int, kmax: int, rho: float) -> list[float]:
         y[:, m] = rho * np.einsum("ij,ij->i", trunc[:, :j], back[:, :j])
         ey[:, m] = np.einsum("j,ij,ij->i", idx[1 : m + 1], y[:, 1 : m + 1],
                              back[:, :m]) / m
-    return (y[:, n] / _scaled_polya_coeffs(n, rho)[n]).tolist()
+    return (y[:, n] / _scaled_polya_coeffs(n, rho)[0][n]).tolist()
 
 
 def test_remembered_law_is_bit_identical_to_a_fresh_law(sing, fresh_state):
@@ -453,59 +455,74 @@ def test_remembered_law_is_bit_identical_to_a_fresh_law(sing, fresh_state):
         assert [v.hex() for v in got] == [v.hex() for v in want], (n, kmax)
 
 
+def held_law() -> SimpleNamespace:
+    """The remembered L_n law, its cap count and degree read off y's shape."""
+    rho, y, ey, t, s = fam._grown.law
+    return SimpleNamespace(rho=rho, caps=len(y) - 1, degree=y.shape[1] - 1,
+                           y=y, ey=ey, t=t, s=s)
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
 def test_only_the_last_law_is_held(fresh_state):
     lmax_cdf_exact(40, 64)
-    _, caps, _, y, _, degree = fam._grown.law[:6]
-    assert (caps, degree) == (39, 40)
-    first = weakref.ref(y)
-    del y
+    law = held_law()
+    assert (law.caps, law.degree) == (39, 40)
+    first = [weakref.ref(a) for a in (law.y, law.ey, law.t, law.s)]
+    del law
     lmax_cdf_exact(60, 20)
     gc.collect()
-    assert first() is None
-    _, caps, _, y, ey, degree = fam._grown.law[:6]
-    assert (caps, degree, y.shape, ey.shape) == (20, 60, (21, 61), (21, 61))
+    assert [ref() for ref in first] == [None] * 4  # the column went with it
+    law = held_law()
+    assert (law.caps, law.degree, law.ey.shape, law.t.shape, law.s.shape) == (
+        20, 60, (21, 61), (61,), (61,))
     lmax_cdf_exact(30, 20)  # a column already there
-    assert fam._grown.law[3] is y and fam._grown.law[5] == 60
+    assert held_law().y is law.y and held_law().degree == 60
     # caps past n - 1 copy cap n - 1 and get no row of their own
     cdf = lmax_cdf_exact(10, 10 ** 6)
-    assert fam._grown.law[3].shape == (10, 11)
+    assert held_law().y.shape == (10, 11)
     assert len(cdf) == 10 ** 6 + 1
     assert cdf[:11] == lmax_cdf_exact(10, 10)
     assert cdf[9:] == cdf[9:10] * (10 ** 6 - 8)
 
 
 def test_grown_column_is_bit_identical_to_a_fresh_column(sing, fresh_state):
-    # the law's column t_m rho^m grows with the law, across cap counts, and
-    # is read where it is held for smaller n
+    # the law's column t_m rho^m and its divisor sums grow with the law, are
+    # built afresh with it when the cap count changes, and are read where
+    # they are held for smaller n
     for n in (250, 500, 750, 1000, 500, 2000, 40):
         lmax_cdf_exact(n, 6 if n == 500 else 4)
-        t, s = fam._grown.law[6:]
-        want = _scaled_polya_coeffs(n, sing.rho)
-        assert [v.hex() for v in t[:n + 1]] == [v.hex() for v in want], n
-        fresh = asy._grow_scaled_column((0.0,), (0.0,), len(t) - 1, sing.rho)
-        assert [v.hex() for v in s] == [v.hex() for v in fresh[1]], n
-    # small steps, where the known t_d still reach the last bit of each new
-    # s_j (past 250, where d <= j/2, they add about rho^125 of it or less)
-    t, s = (0.0,), (0.0,)
+        law = held_law()
+        want_t, want_s = _scaled_polya_coeffs(law.degree, sing.rho)
+        assert hexes(law.t) == hexes(want_t) and hexes(law.s) == hexes(want_s), n
+    # small steps under one cap, where the known t_d still reach the last
+    # bit of each new s_j (past 250, where d <= j/2, they add about rho^125
+    # of it or less)
     for n in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144):
-        t, s = asy._grow_scaled_column(t, s, n, sing.rho)
-        assert [v.hex() for v in t] == [v.hex() for v in
-                                        _scaled_polya_coeffs(n, sing.rho)], n
-    # a column of another rho is replaced, not extended
-    law = fam._grown.law
-    fam._grown.law = (sing.rho * (1 - 2 ** -30), *law[1:6], np.ones(41), np.ones(41))
+        lmax_cdf_exact(n, 0)
+        law = held_law()
+        want_t, want_s = _scaled_polya_coeffs(n, sing.rho)
+        assert (law.caps, law.degree) == (0, n)
+        assert hexes(law.t) == hexes(want_t) and hexes(law.s) == hexes(want_s), n
+    # a law of another rho is replaced, not extended, even at the same caps
+    fam._grown.law = (sing.rho * (1 - 2 ** -30), np.ones((5, 41)),
+                      np.ones((5, 41)), np.ones(41), np.ones(41))
     lmax_cdf_exact(60, 4)
-    want = _scaled_polya_coeffs(60, sing.rho)
-    assert [v.hex() for v in fam._grown.law[6]] == [v.hex() for v in want]
+    law = held_law()
+    assert law.rho == sing.rho
+    assert hexes(law.t) == hexes(_scaled_polya_coeffs(60, sing.rho)[0])
 
 
-def test_scaled_counts_match_integer_table(sing):
+def test_scaled_counts_match_integer_table(sing, fresh_state):
     # the exact route: rho = p/q exactly, and t_m p^m / q^m is one correctly
     # rounded integer division.  The float recurrence's largest relative
     # error through n = 2000 is 2.18e-14 (at m = 1994; 4.6e-15 through 400),
     # growing about like m; the bound is twice that
     n = 2000
-    scaled = asy._grow_scaled_column((0.0,), (0.0,), n, sing.rho)[0]
+    lmax_cdf_exact(n, 0)
+    scaled = held_law().t
     p, q = sing.rho.as_integer_ratio()
     exact = [t * p ** m / q ** m for m, t in enumerate(fam.polya_int_table(n))]
     assert scaled[0] == exact[0] == 0

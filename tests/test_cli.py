@@ -346,6 +346,9 @@ def test_unknown_family_errors():
     (["table", "--which", "forest-size", "--mmax", "10001", "--exact-n", "20"], None),
     (["coeffs", "--family", "polya", "--n", "10001"], None),
     (["table", "--which", "forest-size", "--mmax", "7", "--exact-n", "10001"], None),
+    (["coeffs", "--family", "polya", "--n", "3", "--omega", "0,2"], None),
+    (["sample", "--lmax", "--n", "40", "--samples", "2"], None),
+    (["sample", "--n", "30", "--samples", "2", "--exact-mean"], None),
 ])
 def test_invalid_input_is_a_usage_error(argv, _id_suffix, capsys):
     # a one-line "error:" and a nonzero exit, never an exception

@@ -40,6 +40,13 @@ def test_divisor_weight_table():
         assert s[k] == sum(d * t[d] for d in range(1, k + 1) if k % d == 0)
 
 
+def test_divisors_ascend():
+    # their order is the summation order of every divisor sum, the L_n
+    # law's float column among them
+    for n in range(1, 3001):
+        assert fam._divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
 def test_exact_quotient_names_the_recurrence_it_guards():
     assert fam._exact_quotient(7 * 3 ** 90, 7, "tree recurrence") == 3 ** 90
     with pytest.raises(ArithmeticError, match="^cycle-index row not divisible by 7$"):
