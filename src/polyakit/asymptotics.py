@@ -16,7 +16,7 @@ from itertools import count, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import families
-from .families import _divisors, _grow_counts, _grow_forests, _grow_hierarchy, _grow_omega
+from .families import _divisors, _grow_counts, _grow_forests, _grow_omega
 
 DEFAULT_ORDER = 400
 
@@ -238,7 +238,7 @@ _FAMILIES = {
               (0.25, 0.45), ((0, 2.94909), (0, 3.0), (5, 3.197516)), None),
     # no outdegree 1: H = (z/(1+z)) exp(sum_i H(z^i)/i) has H(tau) = 1 at the
     # singularity, so tau solves (tau/(1+tau)) e exp(sum_{i>=2} H(tau^i)/i) = 1
-    "hierarchy": (_grow_hierarchy,
+    "hierarchy": (lambda n: _grow_omega(families._grown.hierarchy, n),
                   lambda h, x: (x / (1 + x)) * math.e * _forest_value(h, x) - 1.0,
                   (0.3, 0.6), ((0, 2.185889), (0, 2.5)),
                   lambda h, x: x ** 2 * math.e * _forest_value(h, x)

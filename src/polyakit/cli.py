@@ -269,8 +269,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_sample(args) -> int:
     if args.lmax:
-        payload = lmax_check(args.n_values, args.samples, s=args.s,
-                             master_seed=args.seed,
+        payload = lmax_check(args.n_values or [500, 2000, 8000], args.samples,
+                             s=args.s or 0.5, master_seed=args.seed,
                              exact_mean=args.exact_mean)
     else:
         payload = run_experiment(args.n, args.samples, args.seed)._asdict()
@@ -331,10 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default="0", help="master seed (any string)")
     p.add_argument("--lmax", action="store_true",
                    help="run the largest-forest growth report instead")
-    p.add_argument("--n-values", type=_size_list, default="500,2000,8000",
-                   help="comma list of sizes for --lmax")
-    p.add_argument("--s", type=_open_unit, default=0.5,
-                   help="interval exponent for --lmax")
+    p.add_argument("--n-values", type=_size_list,
+                   help="comma list of sizes for --lmax (default 500,2000,8000)")
+    p.add_argument("--s", type=_open_unit,
+                   help="interval exponent for --lmax (default 0.5)")
     p.add_argument("--exact-mean", action="store_true",
                    help="include the exact E L_n in the --lmax report")
     common(p)
@@ -360,8 +360,9 @@ def main(argv: list[str] | None = None) -> int:
                      f"for --family {args.family}, got {args.n}")
     if args.command == "sample" and args.lmax == (args.n is not None):
         parser.error("--n is required without --lmax, and refused with it")
-    if args.command == "sample" and args.exact_mean and not args.lmax:
-        parser.error("--exact-mean needs --lmax")
+    if args.command == "sample" and not args.lmax \
+            and (args.exact_mean or args.n_values or args.s):
+        parser.error("--n-values, --s and --exact-mean need --lmax")
     if args.command == "table" and args.which == "forest-size-conditional" \
             and args.exact_n < 3:
         parser.error("--exact-n must be at least 3 for the conditional table: "

@@ -18,12 +18,13 @@ cycle-index solver for an arbitrary allowed-outdegree set.
 
 T, D, T/(1-T) and their identity-tree analogues R, D*, R_c come from one
 signed Euler-transform recurrence on integer tables (D and D* scaled by n!),
-and the counts for any allowed-outdegree set, binary trees among them, from
-one integer cycle-index table (hierarchies also from a hand-written one).  All
-are grown in place, in one object _grown, so asking for a longer prefix never
-recomputes the part already known; everything else is computed from them on
-demand, with no per-order cache.  The counts and the pointed series grow by
-one online convolution (_grow_online) on packed exact Decimal products.
+and the counts for any allowed-outdegree set, hierarchies and binary trees
+among them, from one integer cycle-index table; hierarchy_int_table, a
+hand-written recurrence that holds nothing, checks it.  All are grown in
+place, in one object _grown, so asking for a longer prefix never recomputes
+the part already known; everything else is computed from them on demand, with
+no per-order cache.  The counts and the pointed series grow by one online
+convolution (_grow_online) on packed exact Decimal products.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 from .series import BivariateSeries, Q, RationalSeries, UPoly
@@ -54,18 +55,19 @@ from .series import BivariateSeries, Q, RationalSeries, UPoly
 
 
 class _Grown:
-    """The grown tables, and the solves and L_n law read from them (so a
-    fresh _Grown() drops a root or law with the counts it read)."""
+    """The grown tables (the signed Euler tables and the cycle-index tables of
+    the hierarchies and binary trees), and the solves and L_n law read from
+    them (so a fresh _Grown() drops a root or law with the counts it read)."""
 
-    __slots__ = ("counts", "weights", "forests", "pointed", "h_counts",
-                 "h_weights", "binary", "solves", "law")
+    __slots__ = ("counts", "weights", "forests", "pointed", "hierarchy",
+                 "binary", "solves", "law")
 
     def __init__(self) -> None:
         self.counts = {1: [0, 1], -1: [0, 1]}  # a_0 = 0: no empty tree
         self.weights = {1: [0, 1], -1: [0, 1]}
         self.forests = {1: [1], -1: [1]}
         self.pointed = {1: [0], -1: [0]}
-        self.h_counts, self.h_weights = [0, 1], [0, 1]  # s_i = sum_(m|i) m h_m
+        self.hierarchy = _OmegaTable(OmegaSet(frozenset((1,)), cofinite=True))
         self.binary = _OmegaTable(OmegaSet(frozenset((0, 2)), cofinite=False))
         self.solves: dict[str, tuple] = {}  # see asymptotics._solved
         self.law: tuple | None = None  # (rho, y, e^y, t, s): lmax_cdf_exact
@@ -306,14 +308,15 @@ def identity_tree_coeffs(N: int) -> tuple[RationalSeries, RationalSeries, Ration
 
 
 # ---------------------------------------------------------------------------
-# the hierarchy count table, grown in place: a hand-written recurrence kept
-# apart from the omega table as the independent route for all-except:1
+# hierarchies: the counts come from the held cycle-index table; a hand-written
+# recurrence, which holds nothing, is kept as the independent check on it
 
 
-def _grow_hierarchy(N: int) -> list[int]:
-    """The held hierarchy counts, grown through N."""
-    t, s = _grown.h_counts, _grown.h_weights
-    pairs = [0, *map(add, t[1:], t)] if len(t) <= N else []  # t_k + t_(k-1)
+def hierarchy_int_table(N: int) -> tuple[int, ...]:
+    """Counts of Polya trees with no outdegree-1 node, 1, 0, 1, 1, 2, 3, ...,
+    by the hand-written recurrence, recomputed on every call."""
+    t, s = [0, 1], [0, 1]  # s_i = sum_(m|i) m h_m
+    pairs = [0, 1]  # t_k + t_(k-1)
     while len(t) <= N:
         n = len(t)
         total = sum(map(mul, pairs[n - 1 : 1 : -1], s[1 : n - 1]))
@@ -321,16 +324,11 @@ def _grow_hierarchy(N: int) -> list[int]:
         t.append(_exact_quotient(total, n - 1, "hierarchy recurrence"))
         pairs.append(t[n] + t[n - 1])
         s.append(sum(m * t[m] for m in _divisors(n)))
-    return t
-
-
-def hierarchy_int_table(N: int) -> tuple[int, ...]:
-    """Counts of Polya trees with no outdegree-1 node: 1, 0, 1, 1, 2, 3, ..."""
-    return tuple(_grow_hierarchy(N)[: N + 1])
+    return tuple(t[: N + 1])
 
 
 def hierarchy_coeffs(N: int) -> RationalSeries:
-    return RationalSeries.from_coeffs(hierarchy_int_table(N))
+    return RationalSeries.from_coeffs(_grow_omega(_grown.hierarchy, N)[: N + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +337,7 @@ def hierarchy_coeffs(N: int) -> RationalSeries:
 
 def cayley_coeffs(N: int) -> RationalSeries:
     """C(z) = sum n^(n-1)/n! z^n; the n = 0 coefficient is 0 (no empty tree)."""
-    coeffs = [Q(0)]
-    fact = 1
-    for n in range(1, N + 1):
-        fact *= n
-        coeffs.append(Q(n ** (n - 1), fact))
-    return RationalSeries(tuple(coeffs))
+    return _over_factorials([0, *(n ** (n - 1) for n in range(1, N + 1))], N)
 
 
 def dforest_coeffs_exp_route(N: int) -> RationalSeries:

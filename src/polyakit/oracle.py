@@ -415,14 +415,11 @@ def plane_embeddings(tree: CanonicalTree) -> int:
     return count
 
 
-@_per_tree
 def ctree_weight(tree: CanonicalTree) -> Fraction:
-    """Labeled-tree weight w(T) = e(T) prod_k (1/k!)^(nodes of outdegree k);
-    collapses to prod over child classes w(child)^m / m!."""
-    w = Q(1)
-    for child, m in tree.children:
-        w *= ctree_weight(child) ** m / math.factorial(m)
-    return w
+    """Labeled-tree weight w(T) = e(T) prod_k (1/k!)^(nodes of outdegree k),
+    which is 1/|Aut T|: its fold over child classes, prod w(child)^m / m!,
+    is the reciprocal of aut_order's, prod m! |Aut(child)|^m."""
+    return Q(1, aut_order(tree))
 
 
 # ---------------------------------------------------------------------------

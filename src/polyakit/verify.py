@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple
 
 from .families import (OmegaSet, binary_int_table, cayley_coeffs,
-                       ctree_polynomials, dforest_coeffs, hierarchy_int_table,
+                       ctree_polynomials, dforest_coeffs, hierarchy_coeffs,
                        identity_coeffs, identity_tree_coeffs, pointed_coeffs,
                        polya_int_table)
 from .oracle import (aut_order, ctree_weight, enumerate_dforests,
@@ -105,7 +105,7 @@ def _brute_force_aut_order(tree) -> int:
 
 def _outdegree_census(max_n: int) -> list[str]:
     bad = []
-    for label, text, table in (("hierarchy", "all-except:1", hierarchy_int_table),
+    for label, text, table in (("hierarchy", "all-except:1", hierarchy_coeffs),
                                ("binary", "0,2", binary_int_table)):
         omega = OmegaSet.parse(text)
         census = _sums(lambda n: enumerate_trees(n, omega), _one, table)

@@ -934,7 +934,7 @@ def test_growth_bounds_cover_the_largest_tables(family):
 
 @pytest.mark.parametrize("family, held, limit", [
     pytest.param("polya", lambda: fam._grown.counts[1], 79, id="polya"),
-    pytest.param("hierarchy", lambda: fam._grown.h_counts, 156, id="hierarchy"),
+    pytest.param("hierarchy", lambda: fam._grown.hierarchy.a, 156, id="hierarchy"),
     pytest.param("binary", lambda: fam._grown.binary.a, 266, id="binary"),
     pytest.param("decomposition", lambda: fam._grown.counts[1], 145,
                  id="decomposition")])

@@ -349,6 +349,8 @@ def test_unknown_family_errors():
     (["coeffs", "--family", "polya", "--n", "3", "--omega", "0,2"], None),
     (["sample", "--lmax", "--n", "40", "--samples", "2"], None),
     (["sample", "--n", "30", "--samples", "2", "--exact-mean"], None),
+    (["sample", "--n", "30", "--samples", "2", "--s", "0.9"], None),
+    (["sample", "--n", "30", "--samples", "2", "--n-values", "40,50"], None),
 ])
 def test_invalid_input_is_a_usage_error(argv, _id_suffix, capsys):
     # a one-line "error:" and a nonzero exit, never an exception

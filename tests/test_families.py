@@ -1,5 +1,6 @@
 """Frozen coefficient values and cross-route identities for the tree families."""
 
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -678,6 +679,18 @@ def test_binary_table_matches_hand_route():
     from polyakit.asymptotics import MAX_ORDER, ROOT_SHIFT_ORDERS
     N = MAX_ORDER["binary"] + ROOT_SHIFT_ORDERS  # the largest table a solver builds
     assert fam.binary_int_table(N) == binary_hand_route(N)
+
+
+def test_hierarchy_table_matches_hand_route(fresh_state):
+    # the solvers, hierarchy_coeffs and verify read the held cycle-index
+    # table; the hand-written recurrence holds nothing and only checks it
+    from polyakit.asymptotics import MAX_ORDER, ROOT_SHIFT_ORDERS
+    N = MAX_ORDER["hierarchy"] + ROOT_SHIFT_ORDERS  # the largest table a solver builds
+    before = pickle.dumps(fresh_state)
+    hand = fam.hierarchy_int_table(N)
+    assert pickle.dumps(fresh_state) == before
+    assert tuple(fam._grow_omega(fresh_state.hierarchy, N)[: N + 1]) == hand
+    assert fam.hierarchy_coeffs(N).coeffs == hand
 
 
 @pytest.mark.parametrize("text, big", [("0,2", "0,2,1000000"),

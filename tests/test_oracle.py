@@ -85,6 +85,26 @@ def test_chain_and_star():
     assert aut_order(star(3)) == 6
 
 
+def _outdegree_factorials(tree) -> int:
+    """prod over the nodes v of T of outdeg(v)!, by a walk that counts each
+    child class once per copy."""
+    product, stack = 1, [(tree, 1)]
+    while stack:
+        node, copies = stack.pop()
+        product *= math.factorial(node.outdegree) ** copies
+        stack += [(child, copies * m) for child, m in node.children]
+    return product
+
+
+def test_ctree_weight_is_its_definition():
+    # w(T) = e(T) prod_v 1/outdeg(v)!, read off the plane embeddings and the
+    # outdegrees, not off aut_order
+    trees = [t for n in range(1, 13) for t in enumerate_trees(n)]
+    assert len(trees) == 7813
+    for tree in (*trees, chain(5000)):
+        assert ctree_weight(tree) == F(plane_embeddings(tree), _outdegree_factorials(tree))
+
+
 def test_cherry_polynomials():
     t = fixed_point_polynomial(cherry())
     assert t.coefficient(3) == F(1, 2) and t.coefficient(1) == F(1, 2)
